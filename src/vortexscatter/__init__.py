@@ -59,7 +59,6 @@ from .wavepackets import (
     IntensityMap,
     WavePacketProfile,
     intensity_map,
-    profile_value,
     smeared_amplitude,
 )
 
@@ -100,7 +99,6 @@ __all__ = [
     "monochromatic_k_z",
     "oracle_amplitude",
     "plane_wave_limit_check",
-    "profile_value",
     "reduced_triple_amplitude",
     "single_twisted_amplitude",
     "single_twisted_oracle",

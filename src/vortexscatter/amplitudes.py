@@ -37,9 +37,10 @@ from .kinematics import (
     angle_set,
     triangle_geometry,
 )
-from .numerics import gauss_legendre_nodes
+from .numerics import gauss_legendre_on, stripe_substitution
 
 _SQRT_2PI = math.sqrt(2.0 * math.pi)
+_PLANE_WAVE_NODES = 128  # Gauss-Legendre nodes on the w axis of the kappa1 stripe
 _RADIAL_SUPPORT_RTOL = 1e-9
 _I_POWERS = (1 + 0j, 1j, -1 + 0j, -1j)
 
@@ -252,7 +253,6 @@ def plane_wave_limit_check(
     m1: int,
     test_weight: Callable[[float], float],
     epsilon_list: Sequence[float],
-    node_count: int = 128,
     model: AmplitudeModel | None = None,
 ) -> PlaneWaveLimitReport:
     """Check the second-particle plane-wave limit kappa2 -> 0 with m2 = 0.
@@ -289,25 +289,18 @@ def plane_wave_limit_check(
         test_weight(kt)
     ) * cos_a / root
 
-    nodes, weights = gauss_legendre_nodes(node_count)
-    w_nodes = 0.25 * math.pi * (nodes + 1.0)  # (0, pi/2)
-    w_weights = 0.25 * math.pi * weights
+    w_nodes, w_weights = gauss_legendre_on(0.0, 0.5 * math.pi, _PLANE_WAVE_NODES)
 
     entries = []
     for eps in epsilon_list:
         kappa2 = eps * kt
-        a = (kt - kappa2) ** 2
-        b = (kt + kappa2) ** 2
-        k1sq = a + (b - a) * np.sin(w_nodes) ** 2
-        k1 = np.sqrt(k1sq)
-        # d kappa1 * (2/Delta) = 8 dw / kappa1 under kappa1^2 = a + (b-a) sin^2 w
+        k1sq, k1, jac = stripe_substitution((kt - kappa2) ** 2, (kt + kappa2) ** 2, w_nodes)
         cos_d1 = np.clip((kt * kt + k1sq - kappa2 * kappa2) / (2.0 * kt * k1), -1.0, 1.0)
         tw = np.array([float(test_weight(v)) for v in k1])
         integral = float(
             np.sum(
                 w_weights
-                * 8.0
-                / k1
+                * jac
                 * tw
                 * np.sqrt(k1 * kappa2 / kappa)
                 * np.cos(m1 * np.arccos(cos_d1))

@@ -33,7 +33,7 @@ from .kinematics import (
     field_amplitude,
     triangle_geometry,
 )
-from .numerics import QuadratureSpec, RootFindSpec, gauss_legendre_nodes
+from .numerics import QuadratureSpec, RootFindSpec, gauss_legendre_on
 from .oracle import draw_support_samples, oracle_amplitude
 from .wavepackets import WavePacketProfile, intensity_map
 
@@ -116,6 +116,10 @@ def load_config(path: str) -> tuple[RunConfig | None, list[str]]:
 
 def _validate_common(cfg: RunConfig) -> list[str]:
     out = []
+    for f in fields(cfg):
+        value = getattr(cfg, f.name)
+        if isinstance(value, float) and not math.isfinite(value):
+            out.append(f"{f.name} must be finite")
     if not 0.0 < cfg.theta < 0.5 * math.pi:
         out.append("theta must satisfy 0 < theta < pi/2")
     for name in ("kappa0", "kappa01", "kappa02"):
@@ -325,10 +329,8 @@ def cmd_field(cfg: RunConfig, out_path: str) -> int:
     azimuths = np.linspace(0.0, 2.0 * math.pi, cfg.grid_n, endpoint=False)
     if cfg.field_packet:
         profile = WavePacketProfile(cfg.kappa0, cfg.sigma_rel * cfg.kappa0)
-        lo, hi = profile.support
-        x, w = gauss_legendre_nodes(64)
-        kappas = 0.5 * (hi + lo) + 0.5 * (hi - lo) * x
-        weights = 0.5 * (hi - lo) * w * profile.value(kappas)
+        kappas, weights = gauss_legendre_on(*profile.support, 64)
+        weights = weights * profile.value(kappas)
         states = [TwistedState.massless(float(k), cfg.m, _KZ_FACTOR * cfg.kappa0) for k in kappas]
 
         def sample(r, phi):
@@ -345,7 +347,7 @@ def cmd_field(cfg: RunConfig, out_path: str) -> int:
     lines = ["r,phi,re,im"]
     for r in radii:
         for phi in azimuths:
-            value = sample(float(r), float(phi))
+            value = complex(sample(float(r), float(phi)))
             lines.append(f"{_FLOAT9(float(r))},{_FLOAT9(float(phi))},{value.real!r},{value.imag!r}")
     _write_text(out_path, "\n".join(lines) + "\n")
     return EXIT_OK

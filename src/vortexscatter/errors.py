@@ -28,7 +28,7 @@ class DegenerateJacobianError(ArithmeticError):
 class ConvergenceError(RuntimeError):
     """Quadrature refinement did not reach the requested tolerance.
 
-    Carries the last two refinement estimates in ``estimates``.
+    Carries the last two refinement estimates, coarser first, in ``estimates``.
     """
 
     def __init__(self, message, estimates=None):

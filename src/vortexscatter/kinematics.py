@@ -44,6 +44,8 @@ class TwistedState:
     omega: float
 
     def __post_init__(self):
+        if not all(math.isfinite(v) for v in (self.kappa, self.k_z, self.omega)):
+            raise ValueError("kappa, k_z and omega must be finite")
         if self.kappa <= 0.0:
             raise ValueError("kappa must be positive")
         if self.omega <= 0.0:
@@ -80,6 +82,8 @@ class CollisionGeometry:
     kappa2: float
 
     def __post_init__(self):
+        if not all(math.isfinite(v) for v in (self.theta, self.q, self.kappa1, self.kappa2)):
+            raise ValueError("theta, q and the final transverse moduli must be finite")
         if not 0.0 < self.theta < 0.5 * math.pi:
             raise ValueError("theta must lie in (0, pi/2)")
         if self.kappa1 <= 0.0 or self.kappa2 <= 0.0:

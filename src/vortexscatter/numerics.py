@@ -2,9 +2,10 @@
 
 Cylindrical Bessel functions of integer order (power series plus Miller's
 backward recurrence, no external special-function dependency), a numerically
-stable triangle area, Gauss-Legendre quadrature on a substituted variable that
-absorbs the inverse-square-root endpoint of the longitudinal-imbalance
-integral, and a multi-start Newton solver for three angles on the torus.
+stable triangle area, the quadrature layer (Gauss-Legendre nodes on an
+interval, node doubling to a tolerance, and the two substitutions that absorb
+the inverse-square-root edges of the allowed q region and of the kappa1
+stripe), and a multi-start Newton solver for three angles on the torus.
 
 All functions are pure and stateless; concurrent use is safe.
 """
@@ -182,40 +183,55 @@ def heron_area(a: float, b: float, c: float) -> float:
     return 0.25 * math.sqrt((x + (y + z)) * u * (z + (x - y)) * (x + (y - z)))
 
 
-def _fixed_gl(f: Callable[[float], float], a: float, b: float, n: int) -> float:
-    nodes, weights = gauss_legendre_nodes(n)
+def gauss_legendre_on(a: float, b: float, n: int) -> tuple[np.ndarray, np.ndarray]:
+    """n-point Gauss-Legendre nodes and weights on [a, b]."""
+    x, w = gauss_legendre_nodes(n)
     mid = 0.5 * (a + b)
     half = 0.5 * (b - a)
-    total = 0.0
-    for t, w in zip(nodes, weights):
-        total += w * f(mid + half * t)
-    return half * total
+    return mid + half * x, half * w
 
 
-def _refine_gl(f, a, b, spec: QuadratureSpec, depth: int = 0) -> float:
+def refine_by_doubling(estimate: Callable[[int], float], spec: QuadratureSpec, what: str) -> float:
+    """estimate(n) for n = spec.node_count, 2n, 4n, ... until two successive
+    values agree within the spec's tolerance; returns the finer one.
+
+    Raises ConvergenceError carrying the last two estimates after
+    spec.max_refinements doublings.
+    """
     n = spec.node_count
-    prev = _fixed_gl(f, a, b, n)
+    cur = estimate(n)
     for _ in range(spec.max_refinements):
+        prev = cur
         n *= 2
-        cur = _fixed_gl(f, a, b, n)
+        cur = estimate(n)
         if abs(cur - prev) <= max(spec.abs_tol, spec.rel_tol * abs(cur)):
             return cur
-        prev = cur
-    # Doubling stalled: bisect the interval and retry on each half.
-    if depth < 10:
-        mid = 0.5 * (a + b)
-        half_spec = QuadratureSpec(
-            node_count=spec.node_count,
-            abs_tol=0.5 * spec.abs_tol,
-            rel_tol=spec.rel_tol,
-            max_refinements=spec.max_refinements,
-        )
-        return _refine_gl(f, a, mid, half_spec, depth + 1) + _refine_gl(
-            f, mid, b, half_spec, depth + 1
-        )
-    raise ConvergenceError(
-        f"quadrature did not converge on [{a}, {b}]", estimates=(prev, cur)
-    )
+    raise ConvergenceError(f"{what} did not converge at {n} nodes", estimates=(prev, cur))
+
+
+def q_substitution(q_max: float, n: int) -> tuple[np.ndarray, np.ndarray]:
+    """Nodes q = q_max sin(u), u Gauss-Legendre on (-pi/2, pi/2), over the
+    allowed region |q| < q_max; the weights carry dq = q_max cos(u) du.
+
+    Nodes cluster toward both edges, and an integrand with an inverse square
+    root 1/sqrt(q_max^2 - q^2) there becomes smooth in u.
+    """
+    u, wu = gauss_legendre_on(-0.5 * math.pi, 0.5 * math.pi, n)
+    return q_max * np.sin(u), wu * q_max * np.cos(u)
+
+
+def stripe_substitution(a, b, w):
+    """kappa1 over the stripe a < kappa1^2 < b by kappa1^2 = a + (b - a) sin^2(w).
+
+    a and b are the squared stripe ends (kappa~ -+ kappa2)^2 of the momentum
+    triangle (kappa~, kappa1, kappa2), w in (0, pi/2). Returns (kappa1^2,
+    kappa1, jacobian) where jacobian = 8 / kappa1 equals
+    (2 / Delta) d(kappa1)/dw exactly, Delta being the triangle area: the
+    inverse-square-root divergence of 1/Delta at both stripe ends cancels.
+    """
+    k1_sq = a + (b - a) * np.sin(w) ** 2
+    k1 = np.sqrt(k1_sq)
+    return k1_sq, k1, 8.0 / k1
 
 
 def integrate_q_substituted(
@@ -226,7 +242,7 @@ def integrate_q_substituted(
 ) -> float:
     """Integrate g(xi(q)) dq over the allowed region |q| < kappa sin(theta).
 
-    Substitutes sin(xi) = sin(theta) sin(u), u in (-pi/2, pi/2), under which
+    Uses q_substitution, under which sin(xi) = sin(theta) sin(u) and
     dq / sqrt(sin^2 theta - sin^2 xi) = kappa du, so the endpoint
     inverse-square-root divergence disappears analytically.
     """
@@ -234,13 +250,13 @@ def integrate_q_substituted(
         raise ValueError("theta must lie in (0, pi/2)")
     if kappa <= 0.0:
         raise ValueError("kappa must be positive")
-    sin_t = math.sin(theta)
+    q_max = kappa * math.sin(theta)
 
-    def subbed(u: float) -> float:
-        xi = math.asin(sin_t * math.sin(u))
-        return integrand(xi) * kappa * sin_t * math.cos(u)
+    def estimate(n: int) -> float:
+        q, wq = q_substitution(q_max, n)
+        return float(sum(w * integrand(math.asin(v / kappa)) for v, w in zip(q, wq)))
 
-    return _refine_gl(subbed, -0.5 * math.pi, 0.5 * math.pi, spec)
+    return refine_by_doubling(estimate, spec, "q integral")
 
 
 def _batchify(residual: Callable) -> Callable[[np.ndarray], np.ndarray]:

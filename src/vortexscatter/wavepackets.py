@@ -16,8 +16,11 @@ node is placed:
     kappa = k_left + (hi - k_left) s^2 makes the measure finite.
   * stripe edge: 1/Delta diverges like an inverse square root at both ends of
     the kappa1 interval; with kappa1^2 = A + (B - A) sin^2 w (A, B the
-    squared stripe ends) the combination d(kappa1) / Delta equals
-    4 dw / kappa1 exactly, which is smooth.
+    squared stripe ends, numerics.stripe_substitution) the combination
+    d(kappa1) / Delta equals 4 dw / kappa1 exactly, which is smooth.
+
+The q integral of the map uses numerics.q_substitution, and the smeared
+amplitude doubles its node count through numerics.refine_by_doubling.
 
 The smearing happens at the amplitude level, before squaring, exactly so the
 stripe edge stays integrable.
@@ -32,9 +35,14 @@ from typing import NamedTuple
 import numpy as np
 
 from .amplitudes import AmplitudeModel, unit_imag_power
-from .errors import ConvergenceError
 from .kinematics import CollisionGeometry
-from .numerics import QuadratureSpec, gauss_legendre_nodes
+from .numerics import (
+    QuadratureSpec,
+    gauss_legendre_on,
+    q_substitution,
+    refine_by_doubling,
+    stripe_substitution,
+)
 
 _SUPPORT_HALFWIDTH = 5.0
 
@@ -45,15 +53,12 @@ class WavePacketProfile:
 
     kappa0: float
     sigma: float
-    shape: str = "gaussian-truncated"
 
     def __post_init__(self):
-        if self.kappa0 <= 0.0:
-            raise ValueError("kappa0 must be positive")
-        if self.sigma <= 0.0:
-            raise ValueError("sigma must be positive")
-        if self.shape != "gaussian-truncated":
-            raise ValueError(f"unsupported profile shape: {self.shape!r}")
+        if not (math.isfinite(self.kappa0) and self.kappa0 > 0.0):
+            raise ValueError("kappa0 must be finite and positive")
+        if not (math.isfinite(self.sigma) and self.sigma > 0.0):
+            raise ValueError("sigma must be finite and positive")
 
     @property
     def support(self) -> tuple[float, float]:
@@ -73,6 +78,7 @@ class WavePacketProfile:
         return 1.0 / math.sqrt(area)
 
     def value(self, kappa):
+        """Radial weight f(kappa); exactly 0 outside the truncation support."""
         k = np.asarray(kappa, dtype=float)
         lo, hi = self.support
         out = self._norm * np.exp(-0.5 * ((k - self.kappa0) / self.sigma) ** 2)
@@ -80,11 +86,6 @@ class WavePacketProfile:
         if np.ndim(kappa) == 0:
             return float(out)
         return out
-
-
-def profile_value(p: WavePacketProfile, kappa: float) -> float:
-    """Radial weight f(kappa); exactly 0 outside the truncation support."""
-    return p.value(kappa)
 
 
 @dataclass(frozen=True)
@@ -139,11 +140,6 @@ class _QSlice(NamedTuple):
     phi_tilde_star: np.ndarray
 
 
-def _unit_nodes(n: int) -> tuple[np.ndarray, np.ndarray]:
-    x, w = gauss_legendre_nodes(n)
-    return 0.5 * (x + 1.0), 0.5 * w
-
-
 def _build_q_slice(profiles, theta: float, q: float, n: int) -> _QSlice | None:
     """All helicity-independent quadrature tensors for one q value."""
     f0, f1, f2 = profiles
@@ -153,7 +149,7 @@ def _build_q_slice(profiles, theta: float, q: float, n: int) -> _QSlice | None:
     if k_left >= hi0:
         return None
 
-    s, ws = _unit_nodes(n)
+    s, ws = gauss_legendre_on(0.0, 1.0, n)  # unit nodes, reused for the w axis
     kappa = k_left + (hi0 - k_left) * s**2
     dk = 2.0 * (hi0 - k_left) * s * ws
     sin_xi = q / kappa
@@ -164,10 +160,8 @@ def _build_q_slice(profiles, theta: float, q: float, n: int) -> _QSlice | None:
     phi_tilde = np.arccos(np.clip(sin_xi / (cos_xi * math.tan(theta)), -1.0, 1.0))
     wa = dk * f0.value(kappa) / (root * np.sqrt(kappa))
 
-    lo2, hi2 = f2.support
-    x2, w2 = _unit_nodes(n)
-    k2 = lo2 + (hi2 - lo2) * x2
-    wb = (hi2 - lo2) * w2 * f2.value(k2) * np.sqrt(k2)
+    k2, wk2 = gauss_legendre_on(*f2.support, n)
+    wb = wk2 * f2.value(k2) * np.sqrt(k2)
 
     a = (kt[:, None] - k2[None, :]) ** 2
     b = (kt[:, None] + k2[None, :]) ** 2
@@ -180,13 +174,12 @@ def _build_q_slice(profiles, theta: float, q: float, n: int) -> _QSlice | None:
     w_hi = np.arcsin(np.sqrt(np.clip((b_eff - a) / span, 0.0, 1.0)))
     w_hi = np.where(nonempty, w_hi, w_lo)
 
-    t, wt = _unit_nodes(n)
-    w_ang = w_lo[..., None] + (w_hi - w_lo)[..., None] * t
-    w_wt = (w_hi - w_lo)[..., None] * wt
-    k1_sq = a[..., None] + span[..., None] * np.sin(w_ang) ** 2
-    k1 = np.sqrt(k1_sq)
-    # d(kappa1) (2/Delta) = 8 dw / kappa1, exactly (see module docstring)
-    wc = 8.0 * w_wt * f1.value(k1) / np.sqrt(k1)
+    w_ang = w_lo[..., None] + (w_hi - w_lo)[..., None] * s
+    k1_sq, k1, wc = stripe_substitution(a[..., None], b[..., None], w_ang)
+    del w_ang  # frees an n^3 array before the profile call, the slice's memory peak
+    wc *= (w_hi - w_lo)[..., None] * ws
+    wc *= f1.value(k1)
+    wc *= np.sqrt(k1)
 
     kt3 = kt[:, None, None]
     k23 = k2[None, :, None]
@@ -223,30 +216,18 @@ def smeared_amplitude(
     """
     model = model or AmplitudeModel()
     theta = geom_template.theta
-    n = quad.node_count
-    sl = _build_q_slice(profiles, theta, q, n)
-    if sl is None:
-        return 0j
-    prev = _cell_value(sl, m, m1, m2)
-    for _ in range(quad.max_refinements):
-        n *= 2
+
+    def estimate(n: int) -> float:
         sl = _build_q_slice(profiles, theta, q, n)
-        cur = _cell_value(sl, m, m1, m2)
-        if abs(cur - prev) <= max(quad.abs_tol, quad.rel_tol * abs(cur)):
-            return unit_imag_power(m1 + m2 - m) * model.m0 * cur
-        prev = cur
-    raise ConvergenceError(
-        f"smeared amplitude did not converge at q = {q}", estimates=(prev, cur)
-    )
+        return 0.0 if sl is None else _cell_value(sl, m, m1, m2)
+
+    value = refine_by_doubling(estimate, quad, f"smeared amplitude at q = {q}")
+    return unit_imag_power(m1 + m2 - m) * model.m0 * value
 
 
 def _map_pass(profiles, theta, m, m1_values, m2_values, n, q_nodes) -> np.ndarray:
-    lo0, hi0 = profiles[0].support
-    q_max = hi0 * math.sin(theta)
-    x, w = gauss_legendre_nodes(q_nodes)
-    u = 0.5 * math.pi * x
-    q_values = q_max * np.sin(u)
-    q_weights = 0.5 * math.pi * w * q_max * np.cos(u)
+    q_max = profiles[0].support[1] * math.sin(theta)
+    q_values, q_weights = q_substitution(q_max, q_nodes)
 
     out = np.zeros((len(m1_values), len(m2_values)))
     for qv, qw in zip(q_values, q_weights):

@@ -94,6 +94,23 @@ class TestEval:
         assert not out.exists()
 
 
+@pytest.mark.parametrize(
+    "command, overrides",
+    [
+        ("map", dict(sigma_rel=math.nan, m1_min=5, m1_max=5, m2_min=0, m2_max=0, q_nodes=4)),
+        ("map", dict(kappa02=math.inf, m1_min=5, m1_max=5, m2_min=0, m2_max=0, q_nodes=4)),
+        ("field", dict(kappa0=math.nan)),
+        ("eval", _eval_config(kappa01=math.nan)),
+    ],
+)
+def test_non_finite_config_rejected(tmp_path, capsys, command, overrides):
+    cfg = _write_config(tmp_path, **overrides)
+    out = tmp_path / "out"
+    assert main([command, "--config", str(cfg), "--out", str(out)]) == EXIT_CONFIG
+    assert "must be finite" in capsys.readouterr().err
+    assert not out.exists()
+
+
 class TestOracleCheck:
     def test_single_sample_deterministic(self, tmp_path):
         cfg = _write_config(tmp_path, sample_count=1, seed=42)
@@ -204,7 +221,12 @@ class TestField:
         cfg = _write_config(tmp_path, m=1, kappa0=1.0, grid_n=3, r_max=2.0, field_packet=True)
         out = tmp_path / "field.csv"
         assert main(["field", "--config", str(cfg), "--out", str(out)]) == EXIT_OK
-        assert len(out.read_text().splitlines()) == 1 + 9
+        lines = out.read_text().splitlines()
+        assert len(lines) == 1 + 9
+        for line in lines[1:]:
+            r, phi, re, im = line.split(",")
+            # plain round-trip floats, not np.float64(...)
+            assert math.isfinite(float(re)) and math.isfinite(float(im))
 
 
 class TestSubprocessDeterminism:

@@ -19,6 +19,7 @@ from vortexscatter.kinematics import (
     vortex_axis,
 )
 from vortexscatter.numerics import heron_area
+from vortexscatter.wavepackets import WavePacketProfile
 
 from _oracles import bessel_series
 
@@ -51,6 +52,24 @@ class TestTwistedState:
         assert monochromatic_k_z(s.omega, s.kappa) == pytest.approx(7.5, rel=1e-15)
         with pytest.raises(DomainError):
             monochromatic_k_z(1.0, 2.0)
+
+
+@pytest.mark.parametrize(
+    "build",
+    [
+        lambda: TwistedState(kappa=math.nan, m=0, k_z=1.0, omega=2.0),
+        lambda: TwistedState(kappa=1.0, m=0, k_z=math.inf, omega=math.inf),
+        lambda: _state(k_z=math.nan),
+        lambda: _geom(q=math.nan),
+        lambda: _geom(kappa1=math.nan),
+        lambda: _geom(kappa2=math.inf),
+        lambda: WavePacketProfile(math.nan, 0.1),
+        lambda: WavePacketProfile(1.0, math.inf),
+    ],
+)
+def test_non_finite_inputs_rejected(build):
+    with pytest.raises(ValueError):
+        build()
 
 
 class TestConeMomentum:

@@ -10,9 +10,11 @@ from vortexscatter.numerics import (
     QuadratureSpec,
     RootFindSpec,
     bessel_j,
+    gauss_legendre_on,
     heron_area,
     integrate_q_substituted,
     solve_system,
+    stripe_substitution,
 )
 
 from _oracles import adaptive_open_quadrature, bessel_integral, bessel_series, sign_change_cells
@@ -172,7 +174,34 @@ class TestQuadrature:
 
         with pytest.raises(ConvergenceError) as err:
             integrate_q_substituted(rough, 0.2, spec, kappa=1.0)
-        assert err.value.estimates is not None
+        coarse, fine = err.value.estimates
+        assert coarse != fine
+
+    @pytest.mark.parametrize("kt, k2", [(1.0, 0.5), (0.8, 0.9), (1.2, 0.05), (0.7, 0.7)])
+    def test_stripe_substitution_linear_weight_exact(self, kt, k2):
+        # integral of 2 kappa1 / Delta over the stripe is 4 pi for any triangle
+        w, ww = gauss_legendre_on(0.0, 0.5 * math.pi, 16)
+        _, k1, jac = stripe_substitution((kt - k2) ** 2, (kt + k2) ** 2, w)
+        assert float(np.sum(ww * jac * k1)) == pytest.approx(4.0 * math.pi, rel=1e-14)
+
+    @pytest.mark.parametrize("kt, k2", [(1.0, 0.5), (0.8, 0.9), (1.2, 0.05)])
+    def test_stripe_substitution_vs_adaptive_reference(self, kt, k2):
+        a, b = (kt - k2) ** 2, (kt + k2) ** 2
+        w, ww = gauss_legendre_on(0.0, 0.5 * math.pi, 64)
+        k1_sq, k1, jac = stripe_substitution(a, b, w)
+
+        # The reference drops slivers at both ends whose share scales like the
+        # square root of their width, and a sliver cannot be narrower than the
+        # float spacing near kappa1; a g vanishing at both ends keeps that share
+        # below 1e-10. The edge weight itself is pinned by the exact 4 pi case.
+        def g(k1):
+            return np.cos(3.0 * k1) * (k1 * k1 - a) * (b - k1 * k1)
+
+        val = float(np.sum(ww * jac * g(k1)))
+        ref = adaptive_open_quadrature(
+            lambda k: 2.0 * g(k) / heron_area(kt, k, k2), abs(kt - k2), kt + k2, levels=40
+        )
+        assert val == pytest.approx(ref, rel=1e-10)
 
 
 def _embedded_two_root_residual(points):

@@ -4,12 +4,12 @@ import numpy as np
 import pytest
 
 from vortexscatter.amplitudes import reduced_triple_amplitude, unit_imag_power
+from vortexscatter.errors import ConvergenceError
 from vortexscatter.kinematics import CollisionGeometry, TwistedState
 from vortexscatter.numerics import QuadratureSpec, gauss_legendre_nodes
 from vortexscatter.wavepackets import (
     WavePacketProfile,
     intensity_map,
-    profile_value,
     smeared_amplitude,
 )
 
@@ -36,8 +36,8 @@ def _l2_norm(p, nodes=4000):
 class TestProfile:
     def test_outside_support_zero(self):
         p = WavePacketProfile(1.0, 0.1)
-        assert profile_value(p, 1.0 + 0.51) == 0.0
-        assert profile_value(p, 0.49) == 0.0
+        assert p.value(1.0 + 0.51) == 0.0
+        assert p.value(0.49) == 0.0
 
     def test_l2_normalized(self):
         for k0, sigma in [(1.0, 0.2), (0.5, 0.1), (2.0, 0.6)]:
@@ -59,8 +59,6 @@ class TestProfile:
     def test_validation(self):
         with pytest.raises(ValueError):
             WavePacketProfile(-1.0, 0.1)
-        with pytest.raises(ValueError):
-            WavePacketProfile(1.0, 0.1, shape="boxcar")
 
 
 class TestSmearedAmplitude:
@@ -111,6 +109,16 @@ class TestSmearedAmplitude:
         quad2 = QuadratureSpec(node_count=48, rel_tol=1e-8, max_refinements=6)
         value2 = smeared_amplitude(_profiles(), _template(), 0.0, 5, 5, 0, quad2)
         assert value2 == pytest.approx(value, rel=1e-6)
+
+    def test_nonconvergence_raises_with_estimates(self):
+        args = (_profiles(), _template(), 0.05, 5, 6, 1)
+        with pytest.raises(ConvergenceError) as err:
+            smeared_amplitude(*args, QuadratureSpec(node_count=8, rel_tol=1e-16, max_refinements=1))
+        coarse, fine = err.value.estimates
+        assert coarse != fine
+        # the last entry is the 16-node value, without the phase i^(m1 + m2 - m)
+        loose = smeared_amplitude(*args, QuadratureSpec(node_count=8, rel_tol=1.0, max_refinements=1))
+        assert unit_imag_power(2) * fine == loose
 
 
 @pytest.fixture(scope="module")
