@@ -20,6 +20,7 @@ import argparse
 import json
 import math
 import sys
+import typing
 from dataclasses import dataclass, fields
 
 import numpy as np
@@ -75,6 +76,31 @@ class RunConfig:
     root_find: RootFindSpec = RootFindSpec()
 
 
+_SPEC_FIELDS = {"quadrature": QuadratureSpec, "root_find": RootFindSpec}
+# declared field type -> (accepted JSON value types, name in messages)
+_VALUE_TYPES = {
+    int: ((int,), "an integer"),
+    float: ((int, float), "a number"),
+    bool: ((bool,), "true or false"),
+}
+
+
+def _type_problems(cls, raw: dict, prefix: str) -> list[str]:
+    """One message per value of raw that does not fit the declared type of the
+    field of cls it sets: an int field takes an integer, a float field an
+    integer or a float, and only a bool field takes true or false."""
+    out = []
+    hints = typing.get_type_hints(cls)
+    for key, value in raw.items():
+        kind = hints.get(key)
+        if kind not in _VALUE_TYPES:
+            continue
+        accepted, name = _VALUE_TYPES[kind]
+        if not isinstance(value, accepted) or isinstance(value, bool) != (kind is bool):
+            out.append(f"{prefix}{key} must be {name}, got {value!r}")
+    return out
+
+
 def load_config(path: str) -> tuple[RunConfig | None, list[str]]:
     """Parse a JSON config; returns (config, violations)."""
     try:
@@ -90,22 +116,23 @@ def load_config(path: str) -> tuple[RunConfig | None, list[str]]:
     unknown = sorted(set(raw) - known)
     violations.extend(f"unknown config key: {k!r}" for k in unknown)
 
+    violations.extend(_type_problems(RunConfig, raw, ""))
     kwargs = {}
     for key, value in raw.items():
         if key not in known:
             continue
-        if key == "quadrature":
-            try:
-                kwargs[key] = QuadratureSpec(**value)
-            except (TypeError, ValueError) as exc:
-                violations.append(f"quadrature: {exc}")
-        elif key == "root_find":
-            try:
-                kwargs[key] = RootFindSpec(**value)
-            except (TypeError, ValueError) as exc:
-                violations.append(f"root_find: {exc}")
-        else:
+        spec = _SPEC_FIELDS.get(key)
+        if spec is None:
             kwargs[key] = value
+            continue
+        problems = _type_problems(spec, value, f"{key}: ") if isinstance(value, dict) else []
+        if problems:
+            violations.extend(problems)
+            continue
+        try:
+            kwargs[key] = spec(**value)
+        except (TypeError, ValueError) as exc:
+            violations.append(f"{key}: {exc}")
     if violations:
         return None, violations
     try:

@@ -13,7 +13,7 @@ All functions are pure and stateless; concurrent use is safe.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from typing import Callable
 
 import numpy as np
@@ -39,6 +39,14 @@ _MAX_NEWTON_STEP = 0.7  # rad; keeps multi-start iterates on their own basins
 _TWO_PI = 2.0 * math.pi
 
 
+def _reject_non_finite(spec) -> None:
+    # every comparison with NaN is false, so the range checks would pass it
+    for f in fields(spec):
+        value = getattr(spec, f.name)
+        if isinstance(value, float) and not math.isfinite(value):
+            raise ValueError(f"{f.name} must be finite")
+
+
 @dataclass(frozen=True)
 class QuadratureSpec:
     """Controls for refinable Gauss-Legendre quadrature."""
@@ -49,6 +57,7 @@ class QuadratureSpec:
     max_refinements: int = 8
 
     def __post_init__(self):
+        _reject_non_finite(self)
         if self.node_count < 2:
             raise ValueError("node_count must be >= 2")
         if self.abs_tol < 0.0 or self.rel_tol < 0.0:
@@ -69,6 +78,7 @@ class RootFindSpec:
     dedupe_tol: float = 1e-6
 
     def __post_init__(self):
+        _reject_non_finite(self)
         if self.residual_tol <= 0.0:
             raise ValueError("residual_tol must be positive")
         if self.max_iterations < 1:
@@ -266,10 +276,12 @@ def _batchify(residual: Callable) -> Callable[[np.ndarray], np.ndarray]:
     def call(points: np.ndarray) -> np.ndarray:
         points = np.atleast_2d(np.asarray(points, dtype=float))
         if state["vectorized"] is None:
+            # What a scalar residual raises on an (N, 3) array; anything else
+            # is a genuine failure of a batched residual and propagates.
             try:
                 out = np.asarray(residual(points), dtype=float)
                 state["vectorized"] = out.shape == points.shape
-            except Exception:
+            except (TypeError, ValueError, IndexError):
                 state["vectorized"] = False
             if state["vectorized"]:
                 return out

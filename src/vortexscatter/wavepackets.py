@@ -22,6 +22,18 @@ node is placed:
 The q integral of the map uses numerics.q_substitution, and the smeared
 amplitude doubles its node count through numerics.refine_by_doubling.
 
+The map contracts the whole helicity grid of a q slice at once. For each
+kappa row it builds E1[m1, j] = exp(i m1 delta1_j) and
+E2[m2, j] = weight_j exp(i m2 delta2_j) over the row's (kappa2, w) nodes j,
+by the power recurrence E^(k+1) = E^k exp(i delta), and one matmul gives
+Re(E1 E2^T)[m1, m2] = sum_j weight_j cos(m1 delta1_j + m2 delta2_j); the
+factor cos(m phi* - (m1 - m2) phi~*) then applies to the whole grid. The map
+also folds the q grid: |A(q)|^2 is even in q (q -> -q keeps the weights and
+the deltas and sends phi* -> pi - phi*, phi~* -> pi - phi~*), and the nodes of
+q_substitution are symmetric, so only slices with q >= 0 are built, q > 0
+nodes with twice their weight. A single smeared amplitude still contracts
+its one cell directly, which is cheaper than the grid path for one cell.
+
 The smearing happens at the amplitude level, before squaring, exactly so the
 stripe edge stays integrable.
 """
@@ -225,19 +237,57 @@ def smeared_amplitude(
     return unit_imag_power(m1 + m2 - m) * model.m0 * value
 
 
+def _helicity_phases(delta: np.ndarray, first: int, count: int) -> np.ndarray:
+    """exp(i k delta) for k = first, first + 1, ..., first + count - 1, one row
+    per k: one exp for the first row, then the power recurrence
+    E^(k+1) = E^k exp(i delta)."""
+    out = np.empty((count, delta.size), dtype=complex)
+    out[0] = np.exp(1j * first * delta)
+    step = np.exp(1j * delta)
+    for k in range(1, count):
+        np.multiply(out[k - 1], step, out=out[k])
+    return out
+
+
+def _grid_values(sl: _QSlice, m: int, m1_values, m2_values) -> np.ndarray:
+    """_cell_value for every (m1, m2) of a consecutive helicity grid at once.
+
+    Per kappa row a, with j running over the row's (kappa2, w) nodes,
+    Re(E1 E2^T)[k, l] = sum_j weight_j cos(m1_k delta1_j + m2_l delta2_j) for
+    E1[k, j] = exp(i m1_k delta1_j) and E2[l, j] = weight_j exp(i m2_l delta2_j),
+    one matmul per row. The tensors are built one row at a time, so memory
+    stays at a few (M, n^2) arrays whatever the node count.
+    """
+    m1_values = np.asarray(m1_values)
+    m2_values = np.asarray(m2_values)
+    d = m1_values[:, None] - m2_values[None, :]
+    out = np.zeros(d.shape)
+    for a in range(sl.weight.shape[0]):
+        e1 = _helicity_phases(sl.delta1[a].ravel(), int(m1_values[0]), len(m1_values))
+        e2 = _helicity_phases(sl.delta2[a].ravel(), int(m2_values[0]), len(m2_values))
+        e2 *= sl.weight[a].ravel()
+        inner = np.matmul(e1, e2.T).real
+        out += np.cos(m * sl.phi_star[a] - d * sl.phi_tilde_star[a]) * inner
+    return out
+
+
 def _map_pass(profiles, theta, m, m1_values, m2_values, n, q_nodes) -> np.ndarray:
     q_max = profiles[0].support[1] * math.sin(theta)
     q_values, q_weights = q_substitution(q_max, q_nodes)
+    # |A(q)|^2 is even in q (the slice at -q has the same weights and deltas,
+    # with phi* -> pi - phi* and phi~* -> pi - phi~*), and the q nodes are
+    # symmetric, so each q > 0 node also stands for its mirror; the q = 0 node
+    # of an odd grid counts once.
+    half = q_values >= 0.0
+    q_weights = np.where(q_values > 0.0, 2.0 * q_weights, q_weights)
 
     out = np.zeros((len(m1_values), len(m2_values)))
-    for qv, qw in zip(q_values, q_weights):
+    for qv, qw in zip(q_values[half], q_weights[half]):
         sl = _build_q_slice(profiles, theta, float(qv), n)
         if sl is None:
             continue
-        for i, m1 in enumerate(m1_values):
-            for j, m2 in enumerate(m2_values):
-                amp = _cell_value(sl, m, int(m1), int(m2))
-                out[i, j] += qw * amp * amp
+        amp = _grid_values(sl, m, m1_values, m2_values)
+        out += qw * amp * amp
     return out
 
 
@@ -253,7 +303,8 @@ def intensity_map(
     """q-integrated |A|^2 on the (m1, m2) grid, normalized to max 1.
 
     The q integration runs on the substituted u grid (q = q_max sin u), which
-    clusters nodes toward the edges of the allowed region. Each cell is
+    clusters nodes toward the edges of the allowed region, folded onto its
+    q >= 0 half by the parity of |A|^2. Each cell is
     evaluated at quad.node_count and at twice that; the relative change is
     recorded per cell in metadata["cell_rel_delta"].
     """

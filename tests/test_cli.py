@@ -14,12 +14,23 @@ from vortexscatter.cli import (
     EXIT_THRESHOLD,
     main,
 )
+from vortexscatter.numerics import QuadratureSpec, RootFindSpec
 
 
 def _write_config(tmp_path, name="config.json", **overrides):
     path = tmp_path / name
     path.write_text(json.dumps(overrides))
     return path
+
+
+def _run_module(args):
+    """python -m vortexscatter <args> in a fresh interpreter on this checkout's sources."""
+    env = dict(os.environ)
+    src = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
+    env["PYTHONPATH"] = src + os.pathsep + env.get("PYTHONPATH", "")
+    return subprocess.run(
+        [sys.executable, "-m", "vortexscatter", *args], capture_output=True, text=True, env=env
+    )
 
 
 def _eval_config(**overrides):
@@ -108,6 +119,52 @@ def test_non_finite_config_rejected(tmp_path, capsys, command, overrides):
     out = tmp_path / "out"
     assert main([command, "--config", str(cfg), "--out", str(out)]) == EXIT_CONFIG
     assert "must be finite" in capsys.readouterr().err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize(
+    "command, spec, key, name",
+    [
+        ("map", QuadratureSpec, "quadrature", "rel_tol"),
+        ("oracle-check", RootFindSpec, "root_find", "residual_tol"),
+    ],
+)
+def test_non_finite_tolerance_rejected(tmp_path, capsys, command, spec, key, name):
+    for bad in (math.nan, math.inf):
+        with pytest.raises(ValueError, match=f"{name} must be finite"):
+            spec(**{name: bad})
+    cfg = _write_config(tmp_path, **{key: {name: math.nan}})
+    out = tmp_path / "out"
+    assert main([command, "--config", str(cfg), "--out", str(out)]) == EXIT_CONFIG
+    assert f"{key}: {name} must be finite" in capsys.readouterr().err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize(
+    "command, overrides, messages",
+    [
+        ("eval", {"theta": "0.2"}, ["theta must be a number"]),
+        ("eval", {"m": 5.5}, ["m must be an integer"]),
+        ("map", {"q_nodes": 2.5}, ["q_nodes must be an integer"]),
+        (
+            "map",
+            {"q_nodes": True, "plot_script": 1, "quadrature": {"node_count": 24.0}},
+            [
+                "q_nodes must be an integer",
+                "plot_script must be true or false",
+                "quadrature: node_count must be an integer",
+            ],
+        ),
+    ],
+)
+def test_mistyped_config_value_rejected(tmp_path, command, overrides, messages):
+    cfg = _write_config(tmp_path, **overrides)
+    out = tmp_path / "out"
+    proc = _run_module([command, "--config", str(cfg), "--out", str(out)])
+    assert proc.returncode == EXIT_CONFIG
+    assert "Traceback" not in proc.stderr
+    for message in messages:
+        assert message in proc.stderr
     assert not out.exists()
 
 
@@ -231,9 +288,6 @@ class TestField:
 
 class TestSubprocessDeterminism:
     def test_repeated_runs_byte_identical(self, tmp_path):
-        env = dict(os.environ)
-        src = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
-        env["PYTHONPATH"] = src + os.pathsep + env.get("PYTHONPATH", "")
         cfg = _write_config(
             tmp_path,
             m=5, m1_min=4, m1_max=5, m2_min=0, m2_max=1,
@@ -243,11 +297,7 @@ class TestSubprocessDeterminism:
         outputs = []
         for name in ("one.csv", "two.csv"):
             out = tmp_path / name
-            proc = subprocess.run(
-                [sys.executable, "-m", "vortexscatter", "map",
-                 "--config", str(cfg), "--out", str(out)],
-                capture_output=True, env=env,
-            )
+            proc = _run_module(["map", "--config", str(cfg), "--out", str(out)])
             assert proc.returncode == EXIT_OK, proc.stderr
             outputs.append(out.read_bytes())
         assert outputs[0] == outputs[1]

@@ -252,6 +252,19 @@ class TestSolveSystem:
         roots, _ = solve_system(scalar_residual, RootFindSpec(start_grid_density=4))
         assert len(roots) == 2
 
+    def test_batched_residual_error_propagates(self):
+        # only what a scalar residual raises on an (N, 3) batch means "call
+        # me row by row"; any other error is not retried
+        calls = []
+
+        def failing_residual(points):
+            calls.append(np.shape(points))
+            raise ZeroDivisionError("residual failed")
+
+        with pytest.raises(ZeroDivisionError):
+            solve_system(failing_residual, RootFindSpec(start_grid_density=2))
+        assert calls == [(8, 3)]
+
     def test_dense_grid_scan_agreement(self):
         roots, _ = solve_system(_embedded_two_root_residual)
         clusters = sign_change_cells(_embedded_two_root_residual, n=28)

@@ -6,9 +6,13 @@ import pytest
 from vortexscatter.amplitudes import reduced_triple_amplitude, unit_imag_power
 from vortexscatter.errors import ConvergenceError
 from vortexscatter.kinematics import CollisionGeometry, TwistedState
-from vortexscatter.numerics import QuadratureSpec, gauss_legendre_nodes
+from vortexscatter.numerics import QuadratureSpec, gauss_legendre_nodes, q_substitution
 from vortexscatter.wavepackets import (
     WavePacketProfile,
+    _build_q_slice,
+    _cell_value,
+    _grid_values,
+    _map_pass,
     intensity_map,
     smeared_amplitude,
 )
@@ -119,6 +123,37 @@ class TestSmearedAmplitude:
         # the last entry is the 16-node value, without the phase i^(m1 + m2 - m)
         loose = smeared_amplitude(*args, QuadratureSpec(node_count=8, rel_tol=1.0, max_refinements=1))
         assert unit_imag_power(2) * fine == loose
+
+
+def _cell_grid(sl, m, m1_values, m2_values):
+    return np.array(
+        [[_cell_value(sl, m, int(m1), int(m2)) for m2 in m2_values] for m1 in m1_values]
+    )
+
+
+@pytest.mark.parametrize("m1_range, m2_range", [((-3, 6), (-5, 2)), ((6, 6), (1, 1))])
+def test_grid_values_match_cell_values(m1_range, m2_range):
+    sl = _build_q_slice(_profiles(), 0.2, 0.03, 16)
+    m1_values = np.arange(m1_range[0], m1_range[1] + 1)
+    m2_values = np.arange(m2_range[0], m2_range[1] + 1)
+    grid = _grid_values(sl, 5, m1_values, m2_values)
+    cells = _cell_grid(sl, 5, m1_values, m2_values)
+    np.testing.assert_allclose(grid, cells, rtol=0.0, atol=1e-13 * np.abs(cells).max())
+
+
+@pytest.mark.parametrize("q_nodes", [6, 7])
+def test_map_pass_matches_unfolded_q_sum(q_nodes):
+    # the parity fold against the plain sum over every node, the q = 0 node
+    # of the odd grid included
+    profiles, theta, m, n = _profiles(), 0.2, 5, 12
+    m1_values, m2_values = np.arange(-1, 7), np.arange(-2, 3)
+    q_max = profiles[0].support[1] * math.sin(theta)
+    expected = np.zeros((len(m1_values), len(m2_values)))
+    for q, w in zip(*q_substitution(q_max, q_nodes)):
+        sl = _build_q_slice(profiles, theta, float(q), n)
+        expected += w * _cell_grid(sl, m, m1_values, m2_values) ** 2
+    folded = _map_pass(profiles, theta, m, m1_values, m2_values, n, q_nodes)
+    np.testing.assert_allclose(folded, expected, rtol=0.0, atol=1e-13 * expected.max())
 
 
 @pytest.fixture(scope="module")
