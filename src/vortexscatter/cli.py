@@ -26,7 +26,12 @@ from dataclasses import dataclass, fields
 import numpy as np
 
 from .amplitudes import reduced_triple_amplitude
-from .errors import ConvergenceError, DegenerateJacobianError, DegenerateSupportError
+from .errors import (
+    ConvergenceError,
+    DegenerateJacobianError,
+    DegenerateSupportError,
+    SupportRegionError,
+)
 from .kinematics import (
     CollisionGeometry,
     TwistedState,
@@ -34,7 +39,13 @@ from .kinematics import (
     field_amplitude,
     triangle_geometry,
 )
-from .numerics import QuadratureSpec, RootFindSpec, gauss_legendre_on
+from .numerics import (
+    MAX_BESSEL_ARGUMENT,
+    MAX_BESSEL_ORDER,
+    QuadratureSpec,
+    RootFindSpec,
+    gauss_legendre_on,
+)
 from .oracle import draw_support_samples, oracle_amplitude
 from .wavepackets import WavePacketProfile, intensity_map
 
@@ -160,6 +171,9 @@ def _validate_common(cfg: RunConfig) -> list[str]:
 def validate(cfg: RunConfig, command: str) -> list[str]:
     """Every violated precondition of the target command, as messages."""
     out = _validate_common(cfg)
+    if command != "field" and math.sin(cfg.theta) ** 2 < sys.float_info.min:
+        # the closed form divides by sqrt(sin^2 theta - sin^2 xi)
+        out.append("theta too small: sin(theta)^2 underflows below the smallest normal float")
     if command == "eval":
         if cfg.m1_min != cfg.m1_max:
             out.append("eval requires m1_min == m1_max (a single m1)")
@@ -177,6 +191,8 @@ def validate(cfg: RunConfig, command: str) -> list[str]:
         if cfg.map_cell_rtol <= 0.0:
             out.append("map_cell_rtol must be positive")
     elif command == "oracle-check":
+        if cfg.seed < 0:
+            out.append("seed must be non-negative")
         if cfg.sample_count < 1:
             out.append("sample_count must be >= 1")
         if cfg.threshold < 0.0:
@@ -186,7 +202,38 @@ def validate(cfg: RunConfig, command: str) -> list[str]:
             out.append("grid_n must be >= 2")
         if cfg.r_max <= 0.0:
             out.append("r_max must be positive")
+        if abs(cfg.m) > MAX_BESSEL_ORDER:
+            out.append(f"|m| must not exceed MAX_BESSEL_ORDER = {MAX_BESSEL_ORDER}")
+    if command != "oracle-check" and not out:
+        out.extend(_range_problems(cfg, command))
     return out
+
+
+def _range_problems(cfg: RunConfig, command: str) -> list[str]:
+    """The beam modes and packet profiles the command builds must exist, and
+    the field's Bessel arguments kappa * r stay in the range of bessel_j."""
+    k_z = _KZ_FACTOR * cfg.kappa0
+    if not math.isfinite(k_z):
+        return [f"{_KZ_FACTOR:g} * kappa0 (the k_z of the beam modes) must be finite"]
+    name, kappa_max = "kappa0", cfg.kappa0
+    try:
+        if command == "map":
+            _profiles(cfg)
+        if command == "field" and cfg.field_packet:
+            name = "the packet's largest kappa"
+            kappa_max = WavePacketProfile(cfg.kappa0, cfg.sigma_rel * cfg.kappa0).support[1]
+    except ValueError as exc:
+        return [f"packet profile: {exc}"]
+    try:
+        TwistedState.massless(kappa_max, cfg.m, k_z)
+    except ValueError as exc:
+        return [f"beam mode at {name} = {kappa_max:g}: {exc}"]
+    if command == "field" and cfg.r_max * kappa_max > MAX_BESSEL_ARGUMENT:
+        return [
+            f"r_max * {name} = {cfg.r_max * kappa_max:g} exceeds "
+            f"MAX_BESSEL_ARGUMENT = {MAX_BESSEL_ARGUMENT:g}"
+        ]
+    return []
 
 
 def _initial_state(cfg: RunConfig) -> TwistedState:
@@ -325,6 +372,9 @@ def cmd_map(cfg: RunConfig, out_path: str) -> int:
     except ConvergenceError as exc:
         print(f"quadrature failure: {exc}", file=sys.stderr)
         return EXIT_QUADRATURE
+    except SupportRegionError as exc:
+        print(f"degenerate support: {exc}", file=sys.stderr)
+        return EXIT_DEGENERATE_SUPPORT
     csv_text = _map_csv(result.rows())
     if result.metadata["max_cell_rel_delta"] > cfg.map_cell_rtol:
         _write_text(out_path + ".partial", csv_text)

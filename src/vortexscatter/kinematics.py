@@ -46,6 +46,9 @@ class TwistedState:
     def __post_init__(self):
         if not all(math.isfinite(v) for v in (self.kappa, self.k_z, self.omega)):
             raise ValueError("kappa, k_z and omega must be finite")
+        scale = max(abs(self.kappa), abs(self.k_z), abs(self.omega))
+        if not math.isfinite(scale * scale):  # ** would raise OverflowError below
+            raise ValueError("kappa^2, k_z^2 and omega^2 must be finite")
         if self.kappa <= 0.0:
             raise ValueError("kappa must be positive")
         if self.omega <= 0.0:

@@ -93,8 +93,9 @@ class RootFindSpec:
 class TorusRoot:
     """One root of a residual on the 3-torus.
 
-    ``jacobian_det`` is |det of the residual Jacobian| at the root, from
-    central finite differences with one Richardson extrapolation.
+    ``jacobian_det`` is |det of the residual Jacobian| at the root: from the
+    Jacobian callable given to solve_system, or else from central finite
+    differences with one Richardson extrapolation.
     """
 
     angles: np.ndarray
@@ -309,25 +310,44 @@ def _richardson_det(f, point: np.ndarray, h: float = _DET_FD_STEP) -> float:
     return float(np.linalg.det((4.0 * j2 - j1) / 3.0))
 
 
-def _torus_separation(a: np.ndarray, b: np.ndarray) -> float:
-    d = np.abs(a - b) % _TWO_PI
-    return float(np.max(np.minimum(d, _TWO_PI - d)))
+def _torus_distance(points: np.ndarray, ref: np.ndarray) -> np.ndarray:
+    """Largest per-angle separation modulo 2 pi of each row from ref."""
+    d = np.abs(points - ref) % _TWO_PI
+    return np.max(np.minimum(d, _TWO_PI - d), axis=-1)
+
+
+def _dedupe(points: np.ndarray, tol: float) -> list[int]:
+    """Indices of greedy representatives, in order: a point is picked when no
+    earlier pick lies within tol of it on the torus."""
+    uncovered = np.ones(len(points), dtype=bool)
+    picked = []
+    while uncovered.any():
+        i = int(np.argmax(uncovered))
+        picked.append(i)
+        uncovered &= _torus_distance(points, points[i]) > tol
+    return picked
 
 
 def solve_system(
     residual: Callable,
     spec: RootFindSpec | None = None,
+    jacobian: Callable[[np.ndarray], np.ndarray] | None = None,
 ) -> tuple[list[TorusRoot], list[TorusRoot]]:
     """Find all roots of a smooth residual R^3 -> R^3 on the 3-torus.
 
     Newton iterations start from a uniform grid of start_grid_density^3
-    points; converged iterates are deduplicated modulo 2 pi within
-    dedupe_tol. Returns (roots, degenerate): roots whose |Jacobian
-    determinant| falls below residual_tol are reported separately and must
-    not enter amplitude sums.
+    points. An iterate back within dedupe_tol of where it stood two steps
+    earlier, with no smaller residual, is caught in a 2-cycle and dropped.
+    Converged iterates are deduplicated modulo 2 pi within dedupe_tol, in
+    order of increasing residual. Returns (roots, degenerate): roots whose
+    |Jacobian determinant| falls below residual_tol are reported separately
+    and must not enter amplitude sums.
 
     The residual may either map a single 3-vector to a 3-vector or map an
     (N, 3) batch to an (N, 3) batch; batching is detected on first call.
+    jacobian, if given, maps an (N, 3) batch to the (N, 3, 3) derivatives
+    d residual_i / d angle_j and serves both the Newton steps and the
+    determinants; without it both come from central finite differences.
     """
     spec = spec or RootFindSpec()
     f = _batchify(residual)
@@ -336,6 +356,9 @@ def solve_system(
     axis = (np.arange(d) + 0.5 + 0.1180339887) * _TWO_PI / d
     grid = np.stack(np.meshgrid(axis, axis, axis, indexing="ij"), axis=-1)
     active = grid.reshape(-1, 3).copy()
+    # positions and residual norms one and two steps back
+    back = np.full((2,) + active.shape, np.nan)
+    back_norms = np.full((2, active.shape[0]), np.nan)
 
     settled: list[np.ndarray] = []
     for _ in range(spec.max_iterations):
@@ -346,11 +369,18 @@ def solve_system(
         done = norms <= spec.residual_tol
         if done.any():
             settled.append(active[done])
-            active = active[~done]
-            res = res[~done]
+        returned = _torus_distance(active, back[1]) <= spec.dedupe_tol
+        cycling = returned & (norms >= back_norms[1])
+        keep = ~(done | cycling)
+        if not keep.all():
+            active, res, norms = active[keep], res[keep], norms[keep]
+            back, back_norms = back[:, keep], back_norms[:, keep]
             if active.shape[0] == 0:
                 break
-        jac = _fd_jacobian(f, active, _NEWTON_FD_STEP)
+        if jacobian is None:
+            jac = _fd_jacobian(f, active, _NEWTON_FD_STEP)
+        else:
+            jac = np.asarray(jacobian(active), dtype=float)
         with np.errstate(all="ignore"):
             dets = np.linalg.det(jac)
             solvable = np.isfinite(dets) & (np.abs(dets) > 1e-300)
@@ -362,6 +392,8 @@ def solve_system(
                 )[..., 0]
         alive = np.isfinite(steps).all(axis=1)
         steps = np.clip(np.nan_to_num(steps), -_MAX_NEWTON_STEP, _MAX_NEWTON_STEP)
+        back = np.stack([active, back[0]])[:, alive]
+        back_norms = np.stack([norms, back_norms[0]])[:, alive]
         active = (active[alive] + steps[alive]) % _TWO_PI
 
     if not settled:
@@ -370,19 +402,19 @@ def solve_system(
     final = np.concatenate(settled) % _TWO_PI
     final_norms = np.max(np.abs(f(final)), axis=1)
     order = np.argsort(final_norms, kind="stable")
-    reps: list[tuple[np.ndarray, float]] = []
-    for i in order:
-        if final_norms[i] > spec.residual_tol:
-            continue
-        cand = final[i]
-        if all(_torus_separation(cand, r) > spec.dedupe_tol for r, _ in reps):
-            reps.append((cand, float(final_norms[i])))
+    order = order[final_norms[order] <= spec.residual_tol]
+    candidates = final[order]
+    picked = _dedupe(candidates, spec.dedupe_tol)
+    reps, rnorms = candidates[picked], final_norms[order][picked]
+    if jacobian is None:
+        dets = [abs(_richardson_det(f, angles)) for angles in reps]
+    else:
+        dets = np.abs(np.linalg.det(np.asarray(jacobian(reps), dtype=float))).tolist()
 
     roots: list[TorusRoot] = []
     degenerate: list[TorusRoot] = []
-    for angles, rnorm in reps:
-        det = abs(_richardson_det(f, angles))
-        root = TorusRoot(angles=angles, jacobian_det=det, residual_norm=rnorm)
+    for angles, det, rnorm in zip(reps, dets, rnorms):
+        root = TorusRoot(angles=angles, jacobian_det=det, residual_norm=float(rnorm))
         if det < spec.residual_tol:
             degenerate.append(root)
         else:

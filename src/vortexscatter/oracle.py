@@ -2,8 +2,9 @@
 
 The three-dimensional momentum delta fixes the three azimuths (phi, phi1,
 phi2) of the cone momenta. This module solves those constraints numerically
-(multi-start Newton, finite-difference Jacobians) and sums the plane-wave
-decomposition weights over the solutions with inverse-|Jacobian| factors:
+(multi-start Newton on the closed-form Jacobian of the residual, which also
+gives the determinants) and sums the plane-wave decomposition weights over the
+solutions with inverse-|Jacobian| factors:
 
     amplitude = sum_roots  a(kappa, m; phi) a*(kappa1, m1; phi1) a*(kappa2, m2; phi2)
                            * kappa kappa1 kappa2 * M0 / |det dF/d(phi, phi1, phi2)|
@@ -59,33 +60,54 @@ def _paraxial_scale(geom: CollisionGeometry, paraxial_scale: float | None) -> fl
     return _DEFAULT_PARAXIAL_FACTOR * max(geom.initial.kappa, geom.kappa1, geom.kappa2)
 
 
+class _ConstraintKernel:
+    """The conservation residual for one geometry, with its exact Jacobian.
+
+    Calling it with (phi, phi1, phi2) returns the residual (..., 3);
+    jacobian(phi, phi1, phi2) returns d residual_i / d (phi, phi1, phi2)_j
+    as (..., 3, 3), the derivative of the same cos/sin sum.
+    """
+
+    def __init__(self, geom: CollisionGeometry, axis_azimuth: float):
+        self.kappa, self.kappa1, self.kappa2 = geom.initial.kappa, geom.kappa1, geom.kappa2
+        self.ex, self.ey, ez = tilt_frame(geom.theta, axis_azimuth)
+        ca, sa = math.cos(axis_azimuth), math.sin(axis_azimuth)
+        self.gx = np.array([ca, sa, 0.0])  # initial azimuth is measured from global x
+        self.gy = np.array([-sa, ca, 0.0])
+        # k_{1z'} + k_{2z'} = (K + q)/2 - (K - q)/2 = q, evaluated in the
+        # cancelled form so the root system is K-independent to the last bit
+        self.offset = geom.q * ez
+
+    @staticmethod
+    def _cos_sin(*angles):
+        out = []
+        for a in angles:
+            a = np.asarray(a, dtype=float)
+            out.extend((np.cos(a)[..., None], np.sin(a)[..., None]))
+        return out
+
+    def __call__(self, phi, phi1, phi2):
+        c, s, c1, s1, c2, s2 = self._cos_sin(phi, phi1, phi2)
+        initial = self.kappa * (c * self.gx + s * self.gy)  # k + p: the k_z parts cancel
+        final1 = self.kappa1 * (c1 * self.ex + s1 * self.ey)
+        final2 = self.kappa2 * (c2 * self.ex - s2 * self.ey)  # own-frame azimuth
+        return initial - final1 - final2 - self.offset
+
+    def jacobian(self, phi, phi1, phi2):
+        c, s, c1, s1, c2, s2 = self._cos_sin(phi, phi1, phi2)
+        d_phi = self.kappa * (c * self.gy - s * self.gx)
+        d_phi1 = self.kappa1 * (s1 * self.ex - c1 * self.ey)
+        d_phi2 = self.kappa2 * (s2 * self.ex + c2 * self.ey)
+        return np.stack([d_phi, d_phi1, d_phi2], axis=-1)
+
+
 def _residual_kernel(
     geom: CollisionGeometry, paraxial_scale: float | None, axis_azimuth: float
-):
-    """Precompute frame data; return f(phi, phi1, phi2) -> residual (..., 3)."""
-    kappa = geom.initial.kappa
+) -> _ConstraintKernel:
+    """Precompute frame data; return f(phi, phi1, phi2) -> residual (..., 3)
+    with f.jacobian(phi, phi1, phi2) -> (..., 3, 3)."""
     _paraxial_scale(geom, paraxial_scale)  # validates; the K halves cancel below
-    ex, ey, ez = tilt_frame(geom.theta, axis_azimuth)
-    ca, sa = math.cos(axis_azimuth), math.sin(axis_azimuth)
-    gx = np.array([ca, sa, 0.0])  # initial azimuth is measured from global x
-    gy = np.array([-sa, ca, 0.0])
-    # k_{1z'} + k_{2z'} = (K + q)/2 - (K - q)/2 = q, evaluated in the
-    # cancelled form so the root system is K-independent to the last bit
-    offset = geom.q * ez
-
-    def kernel(phi, phi1, phi2):
-        phi = np.asarray(phi, dtype=float)
-        phi1 = np.asarray(phi1, dtype=float)
-        phi2 = np.asarray(phi2, dtype=float)
-        c, s = np.cos(phi)[..., None], np.sin(phi)[..., None]
-        c1, s1 = np.cos(phi1)[..., None], np.sin(phi1)[..., None]
-        c2, s2 = np.cos(phi2)[..., None], np.sin(phi2)[..., None]
-        initial = kappa * (c * gx + s * gy)  # k + p: the k_z parts cancel
-        final1 = geom.kappa1 * (c1 * ex + s1 * ey)
-        final2 = geom.kappa2 * (c2 * ex - s2 * ey)  # own-frame azimuth
-        return initial - final1 - final2 - offset
-
-    return kernel
+    return _ConstraintKernel(geom, axis_azimuth)
 
 
 def conservation_residual(
@@ -139,7 +161,10 @@ def oracle_amplitude(
     def residual(points: np.ndarray) -> np.ndarray:
         return kernel(points[..., 0], points[..., 1], points[..., 2]) / kappa
 
-    roots, degenerate = solve_system(residual, spec)
+    def jacobian(points: np.ndarray) -> np.ndarray:
+        return kernel.jacobian(points[..., 0], points[..., 1], points[..., 2]) / kappa
+
+    roots, degenerate = solve_system(residual, spec, jacobian=jacobian)
     if degenerate:
         raise DegenerateJacobianError(
             f"{len(degenerate)} constraint solution(s) with singular Jacobian; "

@@ -47,6 +47,7 @@ from typing import NamedTuple
 import numpy as np
 
 from .amplitudes import AmplitudeModel, unit_imag_power
+from .errors import SupportRegionError
 from .kinematics import CollisionGeometry
 from .numerics import (
     QuadratureSpec,
@@ -71,6 +72,12 @@ class WavePacketProfile:
             raise ValueError("kappa0 must be finite and positive")
         if not (math.isfinite(self.sigma) and self.sigma > 0.0):
             raise ValueError("sigma must be finite and positive")
+        lo, hi = self.support
+        if not lo < self.kappa0 < hi < math.inf:  # else the norm divides by 0
+            raise ValueError(
+                f"support kappa0 -+ {_SUPPORT_HALFWIDTH:g} sigma must be finite and "
+                "wider than the float spacing at kappa0"
+            )
 
     @property
     def support(self) -> tuple[float, float]:
@@ -318,7 +325,9 @@ def intensity_map(
 
     peak = float(fine.max())
     if peak <= 0.0:
-        raise ValueError("intensity map vanished everywhere; configuration has no support")
+        raise SupportRegionError(
+            "intensity map vanished everywhere; configuration has no support"
+        )
     rel_delta = np.abs(fine - coarse) / np.maximum(np.abs(fine), 1e-6 * peak)
     metadata = {
         "m": int(m),

@@ -3,15 +3,21 @@ import math
 import os
 import subprocess
 import sys
+import tempfile
+import typing
 
 import pytest
+from hypothesis import HealthCheck, example, given, settings
+from hypothesis import strategies as st
 
 from vortexscatter.cli import (
     EXIT_CONFIG,
+    EXIT_DEGENERATE_ORACLE,
     EXIT_DEGENERATE_SUPPORT,
     EXIT_OK,
     EXIT_QUADRATURE,
     EXIT_THRESHOLD,
+    RunConfig,
     main,
 )
 from vortexscatter.numerics import QuadratureSpec, RootFindSpec
@@ -168,6 +174,61 @@ def test_mistyped_config_value_rejected(tmp_path, command, overrides, messages):
     assert not out.exists()
 
 
+_ONE_CELL = dict(m1_min=5, m1_max=5, m2_min=0, m2_max=0, q_nodes=4)
+
+
+@pytest.mark.parametrize(
+    "command, overrides, message",
+    [
+        ("oracle-check", dict(seed=-1, sample_count=1), "seed must be non-negative"),
+        ("eval", _eval_config(theta=1e-300), "sin(theta)^2 underflows"),
+        ("oracle-check", dict(theta=1e-300, sample_count=1), "sin(theta)^2 underflows"),
+        ("map", dict(theta=1e-300, **_ONE_CELL), "sin(theta)^2 underflows"),
+        ("field", dict(m=300, grid_n=2), "MAX_BESSEL_ORDER = 200"),
+        ("field", dict(m=-201, grid_n=2), "MAX_BESSEL_ORDER = 200"),
+        ("field", dict(kappa0=1e308, grid_n=2), "50 * kappa0 (the k_z of the beam modes) must be finite"),
+        ("field", dict(r_max=1e300, grid_n=2), "r_max * kappa0 = 1e+300 exceeds MAX_BESSEL_ARGUMENT"),
+        # the packet reaches kappa0 (1 + 5 sigma_rel) = 2: 2 * 6000 > 1e4
+        (
+            "field",
+            dict(r_max=6000.0, field_packet=True, grid_n=2),
+            "r_max * the packet's largest kappa = 12000 exceeds MAX_BESSEL_ARGUMENT",
+        ),
+        ("eval", _eval_config(kappa0=1e200), "omega^2 must be finite"),
+        ("map", dict(kappa0=1e200, **_ONE_CELL), "omega^2 must be finite"),
+        ("map", dict(kappa02=1e-150, sigma_rel=1e-200, **_ONE_CELL), "packet profile: support"),
+    ],
+)
+def test_out_of_range_config_rejected(tmp_path, capsys, command, overrides, message):
+    cfg = _write_config(tmp_path, **overrides)
+    out = tmp_path / "out"
+    assert main([command, "--config", str(cfg), "--out", str(out)]) == EXIT_CONFIG
+    assert message in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_tiny_theta_still_runs(tmp_path):
+    # sin(1e-150)^2 = 1e-300 is still a normal float
+    cfg = _write_config(tmp_path, theta=1e-150, **_ONE_CELL)
+    out = tmp_path / "map.csv"
+    assert main(["map", "--config", str(cfg), "--out", str(out)]) == EXIT_OK
+    intensity = float(out.read_text().splitlines()[1].split(",")[2])
+    assert math.isfinite(intensity)
+    cfg = _write_config(tmp_path, "check.json", theta=1e-150, sample_count=1)
+    out = tmp_path / "check.json.out"
+    assert main(["oracle-check", "--config", str(cfg), "--out", str(out)]) == EXIT_DEGENERATE_ORACLE
+
+
+def test_map_without_support_exits_degenerate(tmp_path, capsys):
+    # kappa02 - kappa01 > 2.8 exceeds kappa~ <= 1.05 for every packet mode:
+    # no momentum triangle closes
+    cfg = _write_config(tmp_path, kappa01=1e-3, kappa02=3.0, sigma_rel=0.01, **_ONE_CELL)
+    out = tmp_path / "map.csv"
+    assert main(["map", "--config", str(cfg), "--out", str(out)]) == EXIT_DEGENERATE_SUPPORT
+    assert "no support" in capsys.readouterr().err
+    assert not out.exists()
+
+
 class TestOracleCheck:
     def test_single_sample_deterministic(self, tmp_path):
         cfg = _write_config(tmp_path, sample_count=1, seed=42)
@@ -301,3 +362,79 @@ class TestSubprocessDeterminism:
             assert proc.returncode == EXIT_OK, proc.stderr
             outputs.append(out.read_bytes())
         assert outputs[0] == outputs[1]
+
+
+# Edge values for float fields: zero, negative, underflow and overflow.
+_EDGE_FLOATS = [0.0, -0.5, 1e-300, 1e-150, 1e308, -1e308]
+# JSON values that fit no field's type (5.5 fits a float field only).
+_WRONG_TYPES = st.one_of(
+    st.none(),
+    st.text(max_size=3),
+    st.lists(st.integers(0, 3), max_size=2),
+    st.sampled_from(["0.2", 5.5, True]),
+)
+_SIZE_CAPS = {"sample_count": 3, "grid_n": 4, "q_nodes": 4}
+_SPEC_CAPS = {
+    "quadrature": {"node_count": 8, "max_refinements": 2},
+    "root_find": {"max_iterations": 30, "start_grid_density": 3},
+}
+
+
+def _typed(kind, cap=6):
+    if kind is bool:
+        return st.booleans()
+    if kind is int:
+        return st.integers(-2, cap)
+    return st.one_of(st.floats(1e-12, 3.0), st.sampled_from(_EDGE_FLOATS))
+
+
+@st.composite
+def _configs(draw):
+    """Any subset of the RunConfig keys (nested specs included), at most one
+    value of the wrong type. The size keys and helicity ranges are always
+    set and capped, so that no example computes for long."""
+    hints = typing.get_type_hints(RunConfig)
+    config = {}
+    for name, kind in hints.items():
+        if name in _SIZE_CAPS:
+            config[name] = draw(st.integers(-1, _SIZE_CAPS[name]))
+        elif name.startswith(("m1_", "m2_")) or not draw(st.booleans()):
+            continue
+        elif name in _SPEC_CAPS:
+            caps = _SPEC_CAPS[name]
+            spec_hints = typing.get_type_hints(kind)
+            config[name] = draw(st.fixed_dictionaries({}, optional={
+                key: _typed(t, caps.get(key, 6)) for key, t in spec_hints.items()
+            }))
+        else:
+            config[name] = draw(_typed(kind))
+    for prefix in ("m1", "m2"):
+        low = draw(st.integers(-4, 4))
+        config[f"{prefix}_min"] = low
+        config[f"{prefix}_max"] = low + draw(st.integers(-1, 2))
+    if draw(st.booleans()):
+        config[draw(st.sampled_from(sorted(hints)))] = draw(_WRONG_TYPES)
+    return config
+
+
+@settings(suppress_health_check=[HealthCheck.too_slow])
+@given(command=st.sampled_from(["eval", "oracle-check", "map", "field"]), config=_configs())
+@example(command="oracle-check", config={"seed": -1, "sample_count": 1})
+@example(command="eval", config={"theta": 1e-300})
+@example(command="oracle-check", config={"theta": 1e-300, "sample_count": 1})
+@example(command="map", config={"theta": 1e-300, **_ONE_CELL})
+@example(command="map", config={"kappa0": 1e200, **_ONE_CELL})
+@example(command="map", config={"kappa02": 1e-150, "sigma_rel": 1e-200, **_ONE_CELL})
+@example(command="field", config={"m": 300, "grid_n": 2})
+@example(command="field", config={"kappa0": 1e308, "grid_n": 2})
+@example(command="field", config={"r_max": 1e300, "grid_n": 2})
+@example(command="eval", config={"theta": "0.2"})
+@example(command="eval", config={"m": 5.5})
+@example(command="field", config={"kappa0": math.nan})
+def test_any_config_ends_in_an_exit_code(command, config):
+    with tempfile.TemporaryDirectory() as tmp:
+        path = os.path.join(tmp, "config.json")
+        with open(path, "w", encoding="utf-8") as fh:
+            json.dump(config, fh)
+        code = main([command, "--config", path, "--out", os.path.join(tmp, "out")])
+    assert code in range(6)

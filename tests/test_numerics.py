@@ -16,6 +16,7 @@ from vortexscatter.numerics import (
     solve_system,
     stripe_substitution,
 )
+from vortexscatter.numerics import _dedupe
 
 from _oracles import adaptive_open_quadrature, bessel_integral, bessel_series, sign_change_cells
 
@@ -219,6 +220,18 @@ def _embedded_two_root_residual(points):
     return np.stack([rx, ry, rz], axis=-1)
 
 
+def _embedded_two_root_jacobian(points):
+    phi, phi1, phi2 = points[..., 0], points[..., 1], points[..., 2]
+    x = phi - 0.25 * math.pi
+    zero = np.zeros_like(phi)
+    rows = [
+        [3.0 * np.sin(x), 4.0 * np.sin(phi1), 3.0 * np.sin(phi2)],
+        [zero, -4.0 * np.cos(phi1), -3.0 * np.cos(phi2)],
+        [np.cos(x) + np.sin(x), zero, zero],
+    ]
+    return np.stack([np.stack(row, axis=-1) for row in rows], axis=-2)
+
+
 class TestSolveSystem:
     def test_two_root_geometry(self):
         roots, degenerate = solve_system(_embedded_two_root_residual)
@@ -264,6 +277,36 @@ class TestSolveSystem:
         with pytest.raises(ZeroDivisionError):
             solve_system(failing_residual, RootFindSpec(start_grid_density=2))
         assert calls == [(8, 3)]
+
+    def test_exact_jacobian_finds_the_same_roots(self):
+        fd_roots, _ = solve_system(_embedded_two_root_residual)
+        roots, degenerate = solve_system(
+            _embedded_two_root_residual, jacobian=_embedded_two_root_jacobian
+        )
+        assert not degenerate
+        assert len(roots) == len(fd_roots) == 2
+        for root, fd_root in zip(roots, fd_roots):
+            np.testing.assert_allclose(root.angles, fd_root.angles, rtol=0, atol=1e-12)
+            assert root.jacobian_det == pytest.approx(fd_root.jacobian_det, rel=1e-10)
+
+    def test_dedupe_matches_pairwise_loop(self):
+        def reference(points, tol):
+            picked = []
+            for i, point in enumerate(points):
+                d = np.abs(point - points[picked]) % (2.0 * math.pi)
+                if np.all(np.max(np.minimum(d, 2.0 * math.pi - d), axis=1) > tol):
+                    picked.append(i)
+            return picked
+
+        rng = np.random.default_rng(8)
+        for _ in range(200):
+            centers = rng.uniform(0.0, 2.0 * math.pi, (int(rng.integers(1, 5)), 3))
+            count = int(rng.integers(1, 60))
+            # spreads around tol make chains of points within tol of a neighbour
+            spread = rng.choice([1e-7, 1e-6, 3e-6])
+            points = centers[rng.integers(0, len(centers), count)]
+            points = (points + rng.normal(0.0, spread, points.shape)) % (2.0 * math.pi)
+            assert _dedupe(points, 1e-6) == reference(points, 1e-6)
 
     def test_dense_grid_scan_agreement(self):
         roots, _ = solve_system(_embedded_two_root_residual)

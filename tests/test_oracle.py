@@ -195,6 +195,53 @@ class TestOracleAmplitude:
                 assert nearest < 5e-3
 
 
+class TestAnalyticJacobian:
+    def test_matches_finite_differences(self):
+        from vortexscatter.numerics import _fd_jacobian
+        from vortexscatter.oracle import _residual_kernel
+
+        rng = np.random.default_rng(11)
+        for geom, _, _, _ in draw_support_samples(rng, 5, theta=0.25):
+            kernel = _residual_kernel(geom, None, 0.9)
+            points = rng.uniform(0.0, TWO_PI, (20, 3))
+            exact = kernel.jacobian(points[:, 0], points[:, 1], points[:, 2])
+            fd = _fd_jacobian(lambda p: kernel(p[:, 0], p[:, 1], p[:, 2]), points, 1e-6)
+            np.testing.assert_allclose(exact, fd, rtol=0, atol=1e-8)
+
+    def test_det_matches_richardson_at_the_roots(self):
+        from vortexscatter.numerics import _richardson_det
+        from vortexscatter.oracle import _residual_kernel
+
+        geom = _geom()
+        kernel = _residual_kernel(geom, None, 0.0)
+        result = oracle_amplitude(geom, 3, 2, -1)
+        assert len(result.solutions) == 4
+        for sol in result.solutions:
+            point = np.array([sol.phi, sol.phi1, sol.phi2])
+            exact = abs(np.linalg.det(kernel.jacobian(*point)))
+            richardson = abs(_richardson_det(lambda p: kernel(p[:, 0], p[:, 1], p[:, 2]), point))
+            assert exact == pytest.approx(richardson, rel=1e-10)
+            assert sol.jacobian_det == pytest.approx(exact, rel=1e-12)
+
+    def test_few_residual_calls_per_solve(self, monkeypatch):
+        import vortexscatter.oracle as oracle_module
+
+        calls = []
+        solve = oracle_module.solve_system
+
+        def counting_solve(residual, *args, **kwargs):
+            def counted(points):
+                calls.append(len(points))
+                return residual(points)
+
+            return solve(counted, *args, **kwargs)
+
+        monkeypatch.setattr(oracle_module, "solve_system", counting_solve)
+        result = oracle_amplitude(_geom(), 3, 2, -1)
+        assert len(result.solutions) == 4
+        assert len(calls) <= 40
+
+
 class TestSingleTwistedOracle:
     def test_345_branch_phases(self):
         from vortexscatter.amplitudes import single_twisted_amplitude, single_twisted_solutions
