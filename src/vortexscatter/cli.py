@@ -171,7 +171,9 @@ def _validate_common(cfg: RunConfig) -> list[str]:
 def validate(cfg: RunConfig, command: str) -> list[str]:
     """Every violated precondition of the target command, as messages."""
     out = _validate_common(cfg)
-    if command != "field" and math.sin(cfg.theta) ** 2 < sys.float_info.min:
+    # math.sin raises on +-inf; _validate_common has reported it already
+    sin_t = math.sin(cfg.theta) if math.isfinite(cfg.theta) else math.nan
+    if command != "field" and sin_t ** 2 < sys.float_info.min:
         # the closed form divides by sqrt(sin^2 theta - sin^2 xi)
         out.append("theta too small: sin(theta)^2 underflows below the smallest normal float")
     if command == "eval":
@@ -179,7 +181,7 @@ def validate(cfg: RunConfig, command: str) -> list[str]:
             out.append("eval requires m1_min == m1_max (a single m1)")
         if cfg.m2_min != cfg.m2_max:
             out.append("eval requires m2_min == m2_max (a single m2)")
-        if abs(cfg.q) >= cfg.kappa0 * math.sin(cfg.theta):
+        if abs(cfg.q) >= cfg.kappa0 * sin_t:
             out.append("|q| >= kappa0*sin(theta): outside the allowed q region")
     elif command == "map":
         if cfg.m1_min > cfg.m1_max:

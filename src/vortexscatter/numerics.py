@@ -336,12 +336,13 @@ def solve_system(
     """Find all roots of a smooth residual R^3 -> R^3 on the 3-torus.
 
     Newton iterations start from a uniform grid of start_grid_density^3
-    points. An iterate back within dedupe_tol of where it stood two steps
-    earlier, with no smaller residual, is caught in a 2-cycle and dropped.
-    Converged iterates are deduplicated modulo 2 pi within dedupe_tol, in
-    order of increasing residual. Returns (roots, degenerate): roots whose
-    |Jacobian determinant| falls below residual_tol are reported separately
-    and must not enter amplitude sums.
+    points. An iterate back within residual_tol of where it stood two steps
+    earlier, with no smaller residual, is caught in a 2-cycle and dropped;
+    the test does not use dedupe_tol, so a wider merge radius drops no
+    iterate that would still converge. Converged iterates are deduplicated
+    modulo 2 pi within dedupe_tol, in order of increasing residual. Returns
+    (roots, degenerate): roots whose |Jacobian determinant| falls below
+    residual_tol are reported separately and must not enter amplitude sums.
 
     The residual may either map a single 3-vector to a 3-vector or map an
     (N, 3) batch to an (N, 3) batch; batching is detected on first call.
@@ -369,7 +370,7 @@ def solve_system(
         done = norms <= spec.residual_tol
         if done.any():
             settled.append(active[done])
-        returned = _torus_distance(active, back[1]) <= spec.dedupe_tol
+        returned = _torus_distance(active, back[1]) <= spec.residual_tol
         cycling = returned & (norms >= back_norms[1])
         keep = ~(done | cycling)
         if not keep.all():

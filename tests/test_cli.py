@@ -364,8 +364,9 @@ class TestSubprocessDeterminism:
         assert outputs[0] == outputs[1]
 
 
-# Edge values for float fields: zero, negative, underflow and overflow.
-_EDGE_FLOATS = [0.0, -0.5, 1e-300, 1e-150, 1e308, -1e308]
+# Edge values for float fields: zero, negative, underflow, overflow and the
+# non-finite values json.load accepts (Infinity, -Infinity, NaN).
+_EDGE_FLOATS = [0.0, -0.5, 1e-300, 1e-150, 1e308, -1e308, math.inf, -math.inf, math.nan]
 # JSON values that fit no field's type (5.5 fits a float field only).
 _WRONG_TYPES = st.one_of(
     st.none(),
@@ -431,6 +432,9 @@ def _configs(draw):
 @example(command="eval", config={"theta": "0.2"})
 @example(command="eval", config={"m": 5.5})
 @example(command="field", config={"kappa0": math.nan})
+@example(command="eval", config={"theta": math.inf})
+@example(command="map", config={"theta": math.inf, **_ONE_CELL})
+@example(command="oracle-check", config={"theta": -math.inf, "sample_count": 1})
 def test_any_config_ends_in_an_exit_code(command, config):
     with tempfile.TemporaryDirectory() as tmp:
         path = os.path.join(tmp, "config.json")

@@ -289,6 +289,15 @@ class TestSolveSystem:
             np.testing.assert_allclose(root.angles, fd_root.angles, rtol=0, atol=1e-12)
             assert root.jacobian_det == pytest.approx(fd_root.jacobian_det, rel=1e-10)
 
+    def test_wide_merge_radius_keeps_both_roots(self):
+        roots, degenerate = solve_system(
+            _embedded_two_root_residual, RootFindSpec(dedupe_tol=1e-2)
+        )
+        assert not degenerate
+        assert len(roots) == 2
+        for root in roots:
+            assert root.angles[0] == pytest.approx(0.25 * math.pi, abs=1e-9)
+
     def test_dedupe_matches_pairwise_loop(self):
         def reference(points, tol):
             picked = []

@@ -241,6 +241,26 @@ class TestAnalyticJacobian:
         assert len(result.solutions) == 4
         assert len(calls) <= 40
 
+    def test_merge_radius_drops_no_converging_iterate(self, monkeypatch):
+        # At this geometry some iterates come back near where they stood two
+        # steps earlier, by less than 0.1 but more than residual_tol, and go
+        # on to converge; the 2-cycle test must keep them at any dedupe_tol.
+        import vortexscatter.numerics as numerics_module
+
+        converged = []
+        dedupe = numerics_module._dedupe
+
+        def counting_dedupe(points, tol):
+            converged.append(len(points))
+            return dedupe(points, tol)
+
+        monkeypatch.setattr(numerics_module, "_dedupe", counting_dedupe)
+        geom = _geom(q_frac=-0.6, kappa1=0.5, kappa2=0.8)
+        for tol in (1e-6, 1e-1):
+            result = oracle_amplitude(geom, 1, 0, 1, spec=RootFindSpec(dedupe_tol=tol))
+            assert len(result.solutions) == 4
+        assert converged[0] == converged[1]
+
 
 class TestSingleTwistedOracle:
     def test_345_branch_phases(self):
