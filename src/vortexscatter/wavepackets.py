@@ -188,7 +188,11 @@ def _build_q_slice(profiles, theta: float, q: float, n: int) -> _QSlice | None:
     a_eff = np.maximum(a, lo1 * lo1)
     b_eff = np.minimum(b, hi1 * hi1)
     nonempty = b_eff > a_eff
-    span = b - a  # = 4 kt k2 > 0
+    # span = 4 kt k2 rounds to 0 once kappa2 is below the float spacing of kt;
+    # such a stripe is empty (b_eff <= a_eff), and an infinite span gives it
+    # w_lo = w_hi = 0 where 0 / 0 would give NaN
+    span = b - a
+    span = np.where(span > 0.0, span, np.inf)
     w_lo = np.arcsin(np.sqrt(np.clip((a_eff - a) / span, 0.0, 1.0)))
     w_hi = np.arcsin(np.sqrt(np.clip((b_eff - a) / span, 0.0, 1.0)))
     w_hi = np.where(nonempty, w_hi, w_lo)

@@ -5,7 +5,9 @@ import subprocess
 import sys
 import tempfile
 import typing
+import warnings
 
+import numpy as np
 import pytest
 from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
@@ -20,7 +22,9 @@ from vortexscatter.cli import (
     RunConfig,
     main,
 )
-from vortexscatter.numerics import QuadratureSpec, RootFindSpec
+from vortexscatter.kinematics import TwistedState, field_amplitude
+from vortexscatter.numerics import QuadratureSpec, RootFindSpec, gauss_legendre_on
+from vortexscatter.wavepackets import WavePacketProfile
 
 
 def _write_config(tmp_path, name="config.json", **overrides):
@@ -219,6 +223,22 @@ def test_tiny_theta_still_runs(tmp_path):
     assert main(["oracle-check", "--config", str(cfg), "--out", str(out)]) == EXIT_DEGENERATE_ORACLE
 
 
+def test_zero_width_stripe_is_empty_not_nan(tmp_path):
+    # kappa02 is below the float spacing of kappa~, so the stripe span
+    # (kappa~ + kappa2)^2 - (kappa~ - kappa2)^2 rounds to 0; such a stripe
+    # holds no kappa1 and must add 0 to a cell, never 0 / 0 (which wrote nan)
+    cfg = _write_config(
+        tmp_path, theta=1e-20, kappa0=1.8e-3, kappa01=8.1e-3, kappa02=3.3e-94,
+        sigma_rel=28.5, q_nodes=4,
+    )
+    out = tmp_path / "map.csv"
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        code = main(["map", "--config", str(cfg), "--out", str(out)])
+    assert code == EXIT_DEGENERATE_SUPPORT  # every stripe is empty
+    assert not out.exists()
+
+
 def test_map_without_support_exits_degenerate(tmp_path, capsys):
     # kappa02 - kappa01 > 2.8 exceeds kappa~ <= 1.05 for every packet mode:
     # no momentum triangle closes
@@ -251,6 +271,24 @@ class TestOracleCheck:
         out = tmp_path / "report.json"
         assert main(["oracle-check", "--config", str(cfg), "--out", str(out)]) == EXIT_THRESHOLD
         assert json.loads(out.read_text())["passed"] is False
+
+    def test_zero_mean_ratio_writes_null_spread(self, tmp_path):
+        # one Newton step converges nowhere: every oracle amplitude and ratio is 0
+        cfg = _write_config(tmp_path, sample_count=2, seed=1, root_find={"max_iterations": 1})
+        out = tmp_path / "report.json"
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            code = main(["oracle-check", "--config", str(cfg), "--out", str(out)])
+        assert code == EXIT_THRESHOLD
+
+        def reject(name):
+            raise ValueError(f"not strict JSON: {name}")
+
+        report = json.loads(out.read_text(), parse_constant=reject)
+        assert report["ratio_mean_re"] == 0.0 and report["ratio_mean_im"] == 0.0
+        assert report["dispersion"] is None
+        assert report["max_rel_deviation"] is None
+        assert report["passed"] is False
 
 
 class TestMap:
@@ -345,6 +383,45 @@ class TestField:
             r, phi, re, im = line.split(",")
             # plain round-trip floats, not np.float64(...)
             assert math.isfinite(float(re)) and math.isfinite(float(im))
+
+    @pytest.mark.parametrize("packet", [False, True])
+    @pytest.mark.parametrize("m", [-3, -2, 0, 1, 4])
+    def test_matches_per_point_formula_byte_for_byte(self, tmp_path, m, packet):
+        # grid_n 5 puts r = 0 on the grid, where J_m vanishes for m != 0 and
+        # the signed zeros of the complex products show in the CSV
+        doc = dict(m=m, kappa0=1.3, sigma_rel=0.2, r_max=4.0, grid_n=5, field_packet=packet)
+        cfg = _write_config(tmp_path, **doc)
+        out = tmp_path / "field.csv"
+        assert main(["field", "--config", str(cfg), "--out", str(out)]) == EXIT_OK
+        assert out.read_bytes() == _per_point_field_csv(**doc).encode()
+
+
+def _per_point_field_csv(m, kappa0, sigma_rel, r_max, grid_n, field_packet):
+    """The field CSV with one field_amplitude call per grid point and mode,
+    and the packet sum in Python's order."""
+    radii = np.linspace(0.0, r_max, grid_n)
+    azimuths = np.linspace(0.0, 2.0 * math.pi, grid_n, endpoint=False)
+    if field_packet:
+        profile = WavePacketProfile(kappa0, sigma_rel * kappa0)
+        kappas, weights = gauss_legendre_on(*profile.support, 64)
+        weights = weights * profile.value(kappas)
+        states = [TwistedState.massless(float(k), m, 50.0 * kappa0) for k in kappas]
+
+        def sample(r, phi):
+            return sum(wt * field_amplitude(st, r, phi) for wt, st in zip(weights, states))
+
+    else:
+        state = TwistedState.massless(kappa0, m, 50.0 * kappa0)
+
+        def sample(r, phi):
+            return field_amplitude(state, r, phi)
+
+    lines = ["r,phi,re,im"]
+    for r in radii:
+        for phi in azimuths:
+            value = complex(sample(float(r), float(phi)))
+            lines.append(f"{float(r):.9g},{float(phi):.9g},{value.real!r},{value.imag!r}")
+    return "\n".join(lines) + "\n"
 
 
 class TestSubprocessDeterminism:

@@ -68,6 +68,18 @@ class TestBessel:
     def test_high_order(self):
         assert bessel_j(200, 50.0) == pytest.approx(bessel_integral(200, 50.0), abs=1e-12)
 
+    def test_scipy_reference_full_range(self):
+        # scipy is a test-only reference; the package never imports it
+        special = pytest.importorskip("scipy.special")
+        for m in range(51):
+            # both sides of the switch from the power series to Miller's
+            # recurrence: x = 10 and x^2 = 2 (m + 1)
+            edges = [10.0, math.sqrt(2.0 * (m + 1))]
+            xs = list(np.linspace(0.0, 100.0, 401))
+            xs += [math.nextafter(x, side) for x in edges for side in (0.0, math.inf)] + edges
+            for x in xs:
+                assert bessel_j(m, x) == pytest.approx(float(special.jv(m, x)), abs=1e-12), (m, x)
+
 
 class TestHeron:
     def test_right_triangle_exact(self):
