@@ -44,13 +44,11 @@ from .numerics import (
     TorusRoot,
     bessel_j,
     heron_area,
-    integrate_q_substituted,
     solve_system,
 )
 from .oracle import (
     ConstraintSolution,
     OracleResult,
-    conservation_residual,
     draw_support_samples,
     oracle_amplitude,
     single_twisted_oracle,
@@ -89,12 +87,10 @@ __all__ = [
     "angle_set",
     "bessel_j",
     "cone_momentum",
-    "conservation_residual",
     "draw_support_samples",
     "field_amplitude",
     "fourier_weight",
     "heron_area",
-    "integrate_q_substituted",
     "intensity_map",
     "monochromatic_k_z",
     "oracle_amplitude",

@@ -216,9 +216,10 @@ def reduced_triple_amplitude(
     """Reduced triple-twisted matrix element (module docstring formula).
 
     Returns value 0 with in_support False outside |xi| < theta or outside the
-    open stripe. Inside the stripe, a triangle area below
+    open stripe. Inside the stripe, a triangle area that is 0 or below
     STRIPE_DEGENERACY_FLOOR * kappa_tilde^2 raises DegenerateSupportError
-    rather than returning a huge value.
+    rather than returning a huge value (or dividing by 0 once kappa_tilde^2
+    underflows).
     """
     model = model or AmplitudeModel()
     phase_power = m1 + m2 - m
@@ -230,7 +231,7 @@ def reduced_triple_amplitude(
     tri = triangle_geometry(kappa, angles.xi, geom.kappa1, geom.kappa2)
     if not tri.in_stripe:
         return ReducedAmplitude(0j, phase_power, False)
-    if tri.area < STRIPE_DEGENERACY_FLOOR * tri.kappa_tilde**2:
+    if tri.degenerate or tri.area < STRIPE_DEGENERACY_FLOOR * tri.kappa_tilde**2:
         raise DegenerateSupportError(
             f"triangle area {tri.area} below degeneracy floor inside the stripe"
         )

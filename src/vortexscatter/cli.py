@@ -152,7 +152,8 @@ def load_config(path: str) -> tuple[RunConfig | None, list[str]]:
         return None, [f"config: {exc}"]
 
 
-def _validate_common(cfg: RunConfig) -> list[str]:
+def validate(cfg: RunConfig, command: str) -> list[str]:
+    """Every violated precondition of the target command, as messages."""
     out = []
     for f in fields(cfg):
         value = getattr(cfg, f.name)
@@ -161,17 +162,15 @@ def _validate_common(cfg: RunConfig) -> list[str]:
     if not 0.0 < cfg.theta < 0.5 * math.pi:
         out.append("theta must satisfy 0 < theta < pi/2")
     for name in ("kappa0", "kappa01", "kappa02"):
-        if getattr(cfg, name) <= 0.0:
+        kappa = getattr(cfg, name)
+        if kappa <= 0.0:
             out.append(f"{name} must be positive")
+        elif command in ("eval", "map") and kappa * kappa < sys.float_info.min:
+            # the triangle area and the stripe angles divide by such squares
+            out.append(f"{name} too small: {name}^2 underflows below the smallest normal float")
     if cfg.sigma_rel <= 0.0:
         out.append("sigma_rel must be positive")
-    return out
-
-
-def validate(cfg: RunConfig, command: str) -> list[str]:
-    """Every violated precondition of the target command, as messages."""
-    out = _validate_common(cfg)
-    # math.sin raises on +-inf; _validate_common has reported it already
+    # math.sin raises on +-inf, which is reported above
     sin_t = math.sin(cfg.theta) if math.isfinite(cfg.theta) else math.nan
     if command != "field" and sin_t ** 2 < sys.float_info.min:
         # the closed form divides by sqrt(sin^2 theta - sin^2 xi)

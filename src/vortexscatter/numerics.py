@@ -31,10 +31,6 @@ _SERIES_CUTOFF = 10.0
 # converges super-exponentially in this padding.
 _MILLER_PAD = 40
 
-_NEWTON_FD_STEP = 1e-6
-# Determinant step: Richardson pair (h, h/2) on trigonometric residuals keeps
-# truncation ~h^4 and roundoff ~eps/h both near 1e-13.
-_DET_FD_STEP = 1e-3
 _MAX_NEWTON_STEP = 0.7  # rad; keeps multi-start iterates on their own basins
 _TWO_PI = 2.0 * math.pi
 
@@ -93,9 +89,8 @@ class RootFindSpec:
 class TorusRoot:
     """One root of a residual on the 3-torus.
 
-    ``jacobian_det`` is |det of the residual Jacobian| at the root: from the
-    Jacobian callable given to solve_system, or else from central finite
-    differences with one Richardson extrapolation.
+    ``jacobian_det`` is |det of the residual Jacobian| at the root, from the
+    Jacobian callable given to solve_system.
     """
 
     angles: np.ndarray
@@ -245,71 +240,6 @@ def stripe_substitution(a, b, w):
     return k1_sq, k1, 8.0 / k1
 
 
-def integrate_q_substituted(
-    integrand: Callable[[float], float],
-    theta: float,
-    spec: QuadratureSpec,
-    kappa: float = 1.0,
-) -> float:
-    """Integrate g(xi(q)) dq over the allowed region |q| < kappa sin(theta).
-
-    Uses q_substitution, under which sin(xi) = sin(theta) sin(u) and
-    dq / sqrt(sin^2 theta - sin^2 xi) = kappa du, so the endpoint
-    inverse-square-root divergence disappears analytically.
-    """
-    if not 0.0 < theta < 0.5 * math.pi:
-        raise ValueError("theta must lie in (0, pi/2)")
-    if kappa <= 0.0:
-        raise ValueError("kappa must be positive")
-    q_max = kappa * math.sin(theta)
-
-    def estimate(n: int) -> float:
-        q, wq = q_substitution(q_max, n)
-        return float(sum(w * integrand(math.asin(v / kappa)) for v, w in zip(q, wq)))
-
-    return refine_by_doubling(estimate, spec, "q integral")
-
-
-def _batchify(residual: Callable) -> Callable[[np.ndarray], np.ndarray]:
-    """Wrap a residual so it accepts an (N, 3) array and returns (N, 3)."""
-    state = {"vectorized": None}
-
-    def call(points: np.ndarray) -> np.ndarray:
-        points = np.atleast_2d(np.asarray(points, dtype=float))
-        if state["vectorized"] is None:
-            # What a scalar residual raises on an (N, 3) array; anything else
-            # is a genuine failure of a batched residual and propagates.
-            try:
-                out = np.asarray(residual(points), dtype=float)
-                state["vectorized"] = out.shape == points.shape
-            except (TypeError, ValueError, IndexError):
-                state["vectorized"] = False
-            if state["vectorized"]:
-                return out
-        if state["vectorized"]:
-            return np.asarray(residual(points), dtype=float)
-        return np.array([residual(row) for row in points], dtype=float)
-
-    return call
-
-
-def _fd_jacobian(f, points: np.ndarray, h: float) -> np.ndarray:
-    n, dim = points.shape
-    jac = np.empty((n, dim, dim))
-    for j in range(dim):
-        shift = np.zeros(dim)
-        shift[j] = h
-        jac[:, :, j] = (f(points + shift) - f(points - shift)) / (2.0 * h)
-    return jac
-
-
-def _richardson_det(f, point: np.ndarray, h: float = _DET_FD_STEP) -> float:
-    pts = point[None, :]
-    j1 = _fd_jacobian(f, pts, h)[0]
-    j2 = _fd_jacobian(f, pts, 0.5 * h)[0]
-    return float(np.linalg.det((4.0 * j2 - j1) / 3.0))
-
-
 def _torus_distance(points: np.ndarray, ref: np.ndarray) -> np.ndarray:
     """Largest per-angle separation modulo 2 pi of each row from ref."""
     d = np.abs(points - ref) % _TWO_PI
@@ -329,9 +259,9 @@ def _dedupe(points: np.ndarray, tol: float) -> list[int]:
 
 
 def solve_system(
-    residual: Callable,
+    residual: Callable[[np.ndarray], np.ndarray],
+    jacobian: Callable[[np.ndarray], np.ndarray],
     spec: RootFindSpec | None = None,
-    jacobian: Callable[[np.ndarray], np.ndarray] | None = None,
 ) -> tuple[list[TorusRoot], list[TorusRoot]]:
     """Find all roots of a smooth residual R^3 -> R^3 on the 3-torus.
 
@@ -344,14 +274,12 @@ def solve_system(
     (roots, degenerate): roots whose |Jacobian determinant| falls below
     residual_tol are reported separately and must not enter amplitude sums.
 
-    The residual may either map a single 3-vector to a 3-vector or map an
-    (N, 3) batch to an (N, 3) batch; batching is detected on first call.
-    jacobian, if given, maps an (N, 3) batch to the (N, 3, 3) derivatives
+    residual maps an (N, 3) batch of angle triples to the (N, 3) residuals;
+    jacobian maps the same batch to the (N, 3, 3) derivatives
     d residual_i / d angle_j and serves both the Newton steps and the
-    determinants; without it both come from central finite differences.
+    determinants.
     """
     spec = spec or RootFindSpec()
-    f = _batchify(residual)
     d = spec.start_grid_density
     # Irrational offset keeps the regular grid off exact Jacobian singularities.
     axis = (np.arange(d) + 0.5 + 0.1180339887) * _TWO_PI / d
@@ -365,7 +293,7 @@ def solve_system(
     for _ in range(spec.max_iterations):
         if active.shape[0] == 0:
             break
-        res = f(active)
+        res = residual(active)
         norms = np.max(np.abs(res), axis=1)
         done = norms <= spec.residual_tol
         if done.any():
@@ -378,10 +306,7 @@ def solve_system(
             back, back_norms = back[:, keep], back_norms[:, keep]
             if active.shape[0] == 0:
                 break
-        if jacobian is None:
-            jac = _fd_jacobian(f, active, _NEWTON_FD_STEP)
-        else:
-            jac = np.asarray(jacobian(active), dtype=float)
+        jac = np.asarray(jacobian(active), dtype=float)
         with np.errstate(all="ignore"):
             dets = np.linalg.det(jac)
             solvable = np.isfinite(dets) & (np.abs(dets) > 1e-300)
@@ -401,16 +326,13 @@ def solve_system(
         return [], []
 
     final = np.concatenate(settled) % _TWO_PI
-    final_norms = np.max(np.abs(f(final)), axis=1)
+    final_norms = np.max(np.abs(residual(final)), axis=1)
     order = np.argsort(final_norms, kind="stable")
     order = order[final_norms[order] <= spec.residual_tol]
     candidates = final[order]
     picked = _dedupe(candidates, spec.dedupe_tol)
     reps, rnorms = candidates[picked], final_norms[order][picked]
-    if jacobian is None:
-        dets = [abs(_richardson_det(f, angles)) for angles in reps]
-    else:
-        dets = np.abs(np.linalg.det(np.asarray(jacobian(reps), dtype=float))).tolist()
+    dets = np.abs(np.linalg.det(np.asarray(jacobian(reps), dtype=float))).tolist()
 
     roots: list[TorusRoot] = []
     degenerate: list[TorusRoot] = []

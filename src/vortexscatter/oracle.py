@@ -63,9 +63,11 @@ def _paraxial_scale(geom: CollisionGeometry, paraxial_scale: float | None) -> fl
 class _ConstraintKernel:
     """The conservation residual for one geometry, with its exact Jacobian.
 
-    Calling it with (phi, phi1, phi2) returns the residual (..., 3);
-    jacobian(phi, phi1, phi2) returns d residual_i / d (phi, phi1, phi2)_j
-    as (..., 3, 3), the derivative of the same cos/sin sum.
+    Calling it with (phi, phi1, phi2), scalars or equally shaped arrays,
+    returns k(phi) + p - k1(phi1) - k2(phi2) with p = (0, 0, -k_z) as
+    (..., 3); jacobian(phi, phi1, phi2) returns
+    d residual_i / d (phi, phi1, phi2)_j as (..., 3, 3), the derivative of
+    the same cos/sin sum.
     """
 
     def __init__(self, geom: CollisionGeometry, axis_azimuth: float):
@@ -101,39 +103,6 @@ class _ConstraintKernel:
         return np.stack([d_phi, d_phi1, d_phi2], axis=-1)
 
 
-def _residual_kernel(
-    geom: CollisionGeometry, paraxial_scale: float | None, axis_azimuth: float
-) -> _ConstraintKernel:
-    """Precompute frame data; return f(phi, phi1, phi2) -> residual (..., 3)
-    with f.jacobian(phi, phi1, phi2) -> (..., 3, 3)."""
-    _paraxial_scale(geom, paraxial_scale)  # validates; the K halves cancel below
-    return _ConstraintKernel(geom, axis_azimuth)
-
-
-def conservation_residual(
-    geom: CollisionGeometry,
-    phi,
-    phi1,
-    phi2,
-    paraxial_scale: float | None = None,
-    axis_azimuth: float = 0.0,
-):
-    """Components of k(phi) + p - k1(phi1) - k2(phi2).
-
-    The plane wave is p = (0, 0, -k_z). Final longitudinal components along
-    the tilted axis are k_{1z'} = (K + q)/2 and k_{2z'} = -(K - q)/2 with K
-    the paraxial scale; only their sum q enters the residual, so the root
-    system is exactly K-independent. Accepts scalars or equally shaped
-    arrays; returns shape (..., 3).
-    """
-    kernel = _residual_kernel(geom, paraxial_scale, axis_azimuth)
-    return kernel(
-        np.asarray(phi, dtype=float),
-        np.asarray(phi1, dtype=float),
-        np.asarray(phi2, dtype=float),
-    )
-
-
 def oracle_amplitude(
     geom: CollisionGeometry,
     m: int,
@@ -156,7 +125,7 @@ def oracle_amplitude(
     kappa = geom.initial.kappa
     kappa1, kappa2 = geom.kappa1, geom.kappa2
     big_k = _paraxial_scale(geom, paraxial_scale)
-    kernel = _residual_kernel(geom, big_k, axis_azimuth)
+    kernel = _ConstraintKernel(geom, axis_azimuth)
 
     def residual(points: np.ndarray) -> np.ndarray:
         return kernel(points[..., 0], points[..., 1], points[..., 2]) / kappa
@@ -164,7 +133,7 @@ def oracle_amplitude(
     def jacobian(points: np.ndarray) -> np.ndarray:
         return kernel.jacobian(points[..., 0], points[..., 1], points[..., 2]) / kappa
 
-    roots, degenerate = solve_system(residual, spec, jacobian=jacobian)
+    roots, degenerate = solve_system(residual, jacobian, spec)
     if degenerate:
         raise DegenerateJacobianError(
             f"{len(degenerate)} constraint solution(s) with singular Jacobian; "

@@ -147,6 +147,13 @@ class TestReducedTripleAmplitude:
         with pytest.raises(DegenerateSupportError):
             reduced_triple_amplitude(geom, 0, 0, 0)
 
+    def test_underflowing_area_raises(self):
+        # kappa_tilde^2 and the area underflow to 0, so the floor test alone
+        # reads 0 < 0 and the amplitude would divide by the zero area
+        geom = _geom(kappa=1e-160, kappa1=1e-160, kappa2=1e-160)
+        with pytest.raises(DegenerateSupportError):
+            reduced_triple_amplitude(geom, 5, 1, 0)
+
     def test_explicit_value(self):
         theta = 0.2
         q = 0.3 * math.sin(theta)

@@ -179,6 +179,10 @@ def test_mistyped_config_value_rejected(tmp_path, command, overrides, messages):
 
 
 _ONE_CELL = dict(m1_min=5, m1_max=5, m2_min=0, m2_max=0, q_nodes=4)
+# squares below the smallest normal float: eval would divide by a zero
+# triangle area and map would write nan from 0 / 0 stripe angles
+_TINY_KAPPAS = dict(kappa0=1e-160, kappa01=1e-160, kappa02=1e-160)
+_TINY_KAPPAS_EVAL = _eval_config(q=0.0, m1_min=1, m1_max=1, m2_min=0, m2_max=0, **_TINY_KAPPAS)
 
 
 @pytest.mark.parametrize(
@@ -201,6 +205,8 @@ _ONE_CELL = dict(m1_min=5, m1_max=5, m2_min=0, m2_max=0, q_nodes=4)
         ("eval", _eval_config(kappa0=1e200), "omega^2 must be finite"),
         ("map", dict(kappa0=1e200, **_ONE_CELL), "omega^2 must be finite"),
         ("map", dict(kappa02=1e-150, sigma_rel=1e-200, **_ONE_CELL), "packet profile: support"),
+        ("eval", _TINY_KAPPAS_EVAL, "kappa0 too small: kappa0^2 underflows"),
+        ("map", dict(_TINY_KAPPAS, **_ONE_CELL), "kappa02 too small: kappa02^2 underflows"),
     ],
 )
 def test_out_of_range_config_rejected(tmp_path, capsys, command, overrides, message):
@@ -512,6 +518,7 @@ def _configs(draw):
 @example(command="eval", config={"theta": math.inf})
 @example(command="map", config={"theta": math.inf, **_ONE_CELL})
 @example(command="oracle-check", config={"theta": -math.inf, "sample_count": 1})
+@example(command="eval", config=_TINY_KAPPAS_EVAL)
 def test_any_config_ends_in_an_exit_code(command, config):
     with tempfile.TemporaryDirectory() as tmp:
         path = os.path.join(tmp, "config.json")

@@ -12,13 +12,21 @@ from vortexscatter.numerics import (
     bessel_j,
     gauss_legendre_on,
     heron_area,
-    integrate_q_substituted,
+    q_substitution,
+    refine_by_doubling,
     solve_system,
     stripe_substitution,
 )
 from vortexscatter.numerics import _dedupe
 
-from _oracles import adaptive_open_quadrature, bessel_integral, bessel_series, sign_change_cells
+from _oracles import (
+    adaptive_open_quadrature,
+    bessel_integral,
+    bessel_series,
+    fd_jacobian,
+    richardson_det,
+    sign_change_cells,
+)
 
 
 class TestBessel:
@@ -116,6 +124,20 @@ class TestHeron:
             heron_area(-1.0, 2.0, 2.0)
         with pytest.raises(ValueError):
             heron_area(math.nan, 2.0, 2.0)
+
+
+def integrate_q_substituted(g_of_xi, theta, spec, kappa):
+    """Integral of g(xi) dq over |q| < kappa sin(theta), q = kappa sin(xi),
+    by q_substitution nodes doubled until the spec's tolerance is met. Under
+    it sin(xi) = sin(theta) sin(u), so an inverse square root
+    1/sqrt(sin^2 theta - sin^2 xi) at the edges cancels analytically."""
+    q_max = kappa * math.sin(theta)
+
+    def estimate(n):
+        q, wq = q_substitution(q_max, n)
+        return float(sum(w * g_of_xi(math.asin(v / kappa)) for v, w in zip(q, wq)))
+
+    return refine_by_doubling(estimate, spec, "q integral")
 
 
 class TestQuadrature:
@@ -232,6 +254,10 @@ def _embedded_two_root_residual(points):
     return np.stack([rx, ry, rz], axis=-1)
 
 
+def _fd(residual):
+    return lambda points: fd_jacobian(residual, points, 1e-6)
+
+
 def _embedded_two_root_jacobian(points):
     phi, phi1, phi2 = points[..., 0], points[..., 1], points[..., 2]
     x = phi - 0.25 * math.pi
@@ -246,7 +272,9 @@ def _embedded_two_root_jacobian(points):
 
 class TestSolveSystem:
     def test_two_root_geometry(self):
-        roots, degenerate = solve_system(_embedded_two_root_residual)
+        roots, degenerate = solve_system(
+            _embedded_two_root_residual, _fd(_embedded_two_root_residual)
+        )
         assert not degenerate
         assert len(roots) == 2
         for root in roots:
@@ -262,24 +290,17 @@ class TestSolveSystem:
             rz = np.sin(x) + 1.0 - np.cos(x)
             return np.stack([rx, ry, rz], axis=-1)
 
-        roots, degenerate = solve_system(residual)
+        roots, degenerate = solve_system(residual, _fd(residual))
         assert roots == [] and degenerate == []
 
     def test_grid_doubling_never_loses_roots(self):
-        base = solve_system(_embedded_two_root_residual, RootFindSpec(start_grid_density=3))
-        dense = solve_system(_embedded_two_root_residual, RootFindSpec(start_grid_density=6))
+        fd = _fd(_embedded_two_root_residual)
+        base = solve_system(_embedded_two_root_residual, fd, RootFindSpec(start_grid_density=3))
+        dense = solve_system(_embedded_two_root_residual, fd, RootFindSpec(start_grid_density=6))
         assert len(dense[0]) >= len(base[0])
 
-    def test_scalar_residual_supported(self):
-        def scalar_residual(angles):
-            return _embedded_two_root_residual(np.asarray(angles)[None, :])[0]
-
-        roots, _ = solve_system(scalar_residual, RootFindSpec(start_grid_density=4))
-        assert len(roots) == 2
-
     def test_batched_residual_error_propagates(self):
-        # only what a scalar residual raises on an (N, 3) batch means "call
-        # me row by row"; any other error is not retried
+        # an error of the residual is not retried or swallowed
         calls = []
 
         def failing_residual(points):
@@ -287,23 +308,26 @@ class TestSolveSystem:
             raise ZeroDivisionError("residual failed")
 
         with pytest.raises(ZeroDivisionError):
-            solve_system(failing_residual, RootFindSpec(start_grid_density=2))
+            solve_system(
+                failing_residual, _fd(failing_residual), RootFindSpec(start_grid_density=2)
+            )
         assert calls == [(8, 3)]
 
     def test_exact_jacobian_finds_the_same_roots(self):
-        fd_roots, _ = solve_system(_embedded_two_root_residual)
-        roots, degenerate = solve_system(
-            _embedded_two_root_residual, jacobian=_embedded_two_root_jacobian
-        )
+        fd_roots, _ = solve_system(_embedded_two_root_residual, _fd(_embedded_two_root_residual))
+        roots, degenerate = solve_system(_embedded_two_root_residual, _embedded_two_root_jacobian)
         assert not degenerate
         assert len(roots) == len(fd_roots) == 2
         for root, fd_root in zip(roots, fd_roots):
             np.testing.assert_allclose(root.angles, fd_root.angles, rtol=0, atol=1e-12)
-            assert root.jacobian_det == pytest.approx(fd_root.jacobian_det, rel=1e-10)
+            richardson = abs(richardson_det(_embedded_two_root_residual, root.angles))
+            assert root.jacobian_det == pytest.approx(richardson, rel=1e-10)
 
     def test_wide_merge_radius_keeps_both_roots(self):
         roots, degenerate = solve_system(
-            _embedded_two_root_residual, RootFindSpec(dedupe_tol=1e-2)
+            _embedded_two_root_residual,
+            _fd(_embedded_two_root_residual),
+            RootFindSpec(dedupe_tol=1e-2),
         )
         assert not degenerate
         assert len(roots) == 2
@@ -330,7 +354,7 @@ class TestSolveSystem:
             assert _dedupe(points, 1e-6) == reference(points, 1e-6)
 
     def test_dense_grid_scan_agreement(self):
-        roots, _ = solve_system(_embedded_two_root_residual)
+        roots, _ = solve_system(_embedded_two_root_residual, _fd(_embedded_two_root_residual))
         clusters = sign_change_cells(_embedded_two_root_residual, n=28)
         assert len(clusters) == len(roots)
         cell = 2.0 * math.pi / 28

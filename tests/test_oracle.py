@@ -12,13 +12,13 @@ from vortexscatter.kinematics import (
 )
 from vortexscatter.numerics import RootFindSpec
 from vortexscatter.oracle import (
-    conservation_residual,
+    _ConstraintKernel,
     draw_support_samples,
     oracle_amplitude,
     single_twisted_oracle,
 )
 
-from _oracles import certified_root_scan, sign_change_cells
+from _oracles import certified_root_scan, fd_jacobian, richardson_det, sign_change_cells
 
 TWO_PI = 2.0 * math.pi
 
@@ -56,34 +56,34 @@ class TestConservationResidual:
             1e-12,
             1e-12,
         )
-        res = conservation_residual(geom, 0.0, 1.0, 2.0)
+        res = _ConstraintKernel(geom, 0.0)(0.0, 1.0, 2.0)
         assert np.linalg.norm(res) <= 2.0 * kappa
 
     def test_analytic_construction_is_root(self):
         geom = _geom()
+        kernel = _ConstraintKernel(geom, 0.0)
         for phi, phi1, phi2 in _analytic_solutions(geom):
-            res = conservation_residual(geom, phi, phi1, phi2)
+            res = kernel(phi, phi1, phi2)
             assert np.max(np.abs(res)) < 1e-10 * geom.initial.kappa
 
     def test_out_of_stripe_has_no_sign_change_triple(self):
         geom = _geom(kappa1=0.2, kappa2=3.0)  # violates the stripe
+        kernel = _ConstraintKernel(geom, 0.0)
         kappa = geom.initial.kappa
 
         def batch(points):
-            return (
-                conservation_residual(
-                    geom, points[..., 0], points[..., 1], points[..., 2]
-                )
-                / kappa
-            )
+            return kernel(points[..., 0], points[..., 1], points[..., 2]) / kappa
 
         assert sign_change_cells(batch, n=20) == []
 
     def test_k_independence_is_exact(self):
+        # only q = k_{1z'} + k_{2z'} enters the residual, never K itself
         geom = _geom()
-        r1 = conservation_residual(geom, 0.3, 1.2, 2.1, paraxial_scale=50.0)
-        r2 = conservation_residual(geom, 0.3, 1.2, 2.1, paraxial_scale=100.0)
-        np.testing.assert_array_equal(r1, r2)
+        a = oracle_amplitude(geom, 4, 3, -2, paraxial_scale=50.0)
+        b = oracle_amplitude(geom, 4, 3, -2, paraxial_scale=100.0)
+        assert len(a.solutions) == 4
+        assert a.solutions == b.solutions
+        assert a.amplitude == b.amplitude
 
 
 class TestOracleAmplitude:
@@ -169,11 +169,9 @@ class TestOracleAmplitude:
 
     def test_solution_count_and_values_vs_dense_scan(self):
         # sign-certification scan, fully independent of Newton and Jacobians
-        from vortexscatter.oracle import _residual_kernel
-
         rng = np.random.default_rng(2024)
         for geom, m, m1, m2 in draw_support_samples(rng, 100, theta=0.25):
-            kernel = _residual_kernel(geom, None, 0.0)
+            kernel = _ConstraintKernel(geom, 0.0)
             kappa = geom.initial.kappa
 
             def batch(points):
@@ -197,29 +195,23 @@ class TestOracleAmplitude:
 
 class TestAnalyticJacobian:
     def test_matches_finite_differences(self):
-        from vortexscatter.numerics import _fd_jacobian
-        from vortexscatter.oracle import _residual_kernel
-
         rng = np.random.default_rng(11)
         for geom, _, _, _ in draw_support_samples(rng, 5, theta=0.25):
-            kernel = _residual_kernel(geom, None, 0.9)
+            kernel = _ConstraintKernel(geom, 0.9)
             points = rng.uniform(0.0, TWO_PI, (20, 3))
             exact = kernel.jacobian(points[:, 0], points[:, 1], points[:, 2])
-            fd = _fd_jacobian(lambda p: kernel(p[:, 0], p[:, 1], p[:, 2]), points, 1e-6)
+            fd = fd_jacobian(lambda p: kernel(p[:, 0], p[:, 1], p[:, 2]), points, 1e-6)
             np.testing.assert_allclose(exact, fd, rtol=0, atol=1e-8)
 
     def test_det_matches_richardson_at_the_roots(self):
-        from vortexscatter.numerics import _richardson_det
-        from vortexscatter.oracle import _residual_kernel
-
         geom = _geom()
-        kernel = _residual_kernel(geom, None, 0.0)
+        kernel = _ConstraintKernel(geom, 0.0)
         result = oracle_amplitude(geom, 3, 2, -1)
         assert len(result.solutions) == 4
         for sol in result.solutions:
             point = np.array([sol.phi, sol.phi1, sol.phi2])
             exact = abs(np.linalg.det(kernel.jacobian(*point)))
-            richardson = abs(_richardson_det(lambda p: kernel(p[:, 0], p[:, 1], p[:, 2]), point))
+            richardson = abs(richardson_det(lambda p: kernel(p[:, 0], p[:, 1], p[:, 2]), point))
             assert exact == pytest.approx(richardson, rel=1e-10)
             assert sol.jacobian_det == pytest.approx(exact, rel=1e-12)
 
