@@ -237,15 +237,11 @@ def _range_problems(cfg: RunConfig, command: str) -> list[str]:
     return []
 
 
-def _initial_state(cfg: RunConfig) -> TwistedState:
-    return TwistedState.massless(cfg.kappa0, cfg.m, _KZ_FACTOR * cfg.kappa0)
-
-
 def _geometry(cfg: RunConfig) -> CollisionGeometry:
     return CollisionGeometry(
         theta=cfg.theta,
         q=cfg.q,
-        initial=_initial_state(cfg),
+        initial=TwistedState.massless(cfg.kappa0, cfg.m, _KZ_FACTOR * cfg.kappa0),
         kappa1=cfg.kappa01,
         kappa2=cfg.kappa02,
     )
@@ -365,7 +361,7 @@ def cmd_map(cfg: RunConfig, out_path: str) -> int:
     try:
         result = intensity_map(
             _profiles(cfg),
-            _geometry_template(cfg),
+            _geometry(cfg),
             cfg.m,
             (cfg.m1_min, cfg.m1_max),
             (cfg.m2_min, cfg.m2_max),
@@ -392,16 +388,6 @@ def cmd_map(cfg: RunConfig, out_path: str) -> int:
     if cfg.plot_script:
         _write_text(out_path + ".gp", _PLOT_TEMPLATE.format(csv=out_path))
     return EXIT_OK
-
-
-def _geometry_template(cfg: RunConfig) -> CollisionGeometry:
-    return CollisionGeometry(
-        theta=cfg.theta,
-        q=0.0,
-        initial=_initial_state(cfg),
-        kappa1=cfg.kappa01,
-        kappa2=cfg.kappa02,
-    )
 
 
 def cmd_field(cfg: RunConfig, out_path: str) -> int:

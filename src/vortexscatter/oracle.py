@@ -31,8 +31,6 @@ from .errors import DegenerateJacobianError
 from .kinematics import CollisionGeometry, TwistedState, tilt_frame
 from .numerics import RootFindSpec, solve_system
 
-_DEFAULT_PARAXIAL_FACTOR = 100.0
-
 
 @dataclass(frozen=True)
 class ConstraintSolution:
@@ -49,15 +47,6 @@ class ConstraintSolution:
 class OracleResult:
     solutions: tuple[ConstraintSolution, ...]
     amplitude: complex
-    normalization_tag: str
-
-
-def _paraxial_scale(geom: CollisionGeometry, paraxial_scale: float | None) -> float:
-    if paraxial_scale is not None:
-        if paraxial_scale <= 0.0:
-            raise ValueError("paraxial_scale must be positive")
-        return paraxial_scale
-    return _DEFAULT_PARAXIAL_FACTOR * max(geom.initial.kappa, geom.kappa1, geom.kappa2)
 
 
 class _ConstraintKernel:
@@ -76,8 +65,7 @@ class _ConstraintKernel:
         ca, sa = math.cos(axis_azimuth), math.sin(axis_azimuth)
         self.gx = np.array([ca, sa, 0.0])  # initial azimuth is measured from global x
         self.gy = np.array([-sa, ca, 0.0])
-        # k_{1z'} + k_{2z'} = (K + q)/2 - (K - q)/2 = q, evaluated in the
-        # cancelled form so the root system is K-independent to the last bit
+        # only q = k_{1z'} + k_{2z'} enters, never the longitudinal scale
         self.offset = geom.q * ez
 
     @staticmethod
@@ -109,12 +97,12 @@ def oracle_amplitude(
     m1: int,
     m2: int,
     spec: RootFindSpec | None = None,
-    paraxial_scale: float | None = None,
     axis_azimuth: float = 0.0,
     model: AmplitudeModel | None = None,
 ) -> OracleResult:
     """Sum the decomposition weights over all constraint solutions.
 
+    Only geom.q enters the constraints, never the beam's k_z.
     Out-of-support geometries simply produce no roots and an amplitude of 0.
     A solution with singular Jacobian raises DegenerateJacobianError: the
     configuration sits too close to a support boundary for the inverse-
@@ -124,7 +112,6 @@ def oracle_amplitude(
     model = model or AmplitudeModel()
     kappa = geom.initial.kappa
     kappa1, kappa2 = geom.kappa1, geom.kappa2
-    big_k = _paraxial_scale(geom, paraxial_scale)
     kernel = _ConstraintKernel(geom, axis_azimuth)
 
     def residual(points: np.ndarray) -> np.ndarray:
@@ -150,11 +137,7 @@ def oracle_amplitude(
         det_raw = root.jacobian_det * kappa**3  # undo the residual normalization
         amplitude += w0 * w1 * w2 * (kappa * kappa1 * kappa2) * model.m0 / det_raw
         solutions.append(ConstraintSolution(phi, phi1, phi2, det_raw))
-    return OracleResult(
-        solutions=tuple(solutions),
-        amplitude=amplitude,
-        normalization_tag=f"cone-weights*radial-measure;K={big_k:.6g}",
-    )
+    return OracleResult(solutions=tuple(solutions), amplitude=amplitude)
 
 
 def single_twisted_oracle(
@@ -172,37 +155,34 @@ def single_twisted_oracle(
     model = model or AmplitudeModel()
     k12 = np.asarray(k1, dtype=float) + np.asarray(k2, dtype=float)
     mod = float(np.hypot(k12[0], k12[1]))
-    if abs(mod - state.kappa) > 1e-9 * max(state.kappa, 1.0):
-        return 0j
     azimuth = float(np.arctan2(k12[1], k12[0]))
-    weight = fourier_weight(state.kappa, state.m, mod, azimuth).phase
-    return weight * model.m0 / (2.0 * math.pi) ** 2
+    weight = fourier_weight(state.kappa, state.m, mod, azimuth)
+    if not weight.on_cone:
+        return 0j
+    return weight.phase * model.m0 / (2.0 * math.pi) ** 2
 
 
 def draw_support_samples(
     rng: np.random.Generator,
     count: int,
     theta: float = 0.2,
-    kappa_range: tuple[float, float] = (0.6, 1.8),
-    xi_margin: float = 0.9,
-    area_margin: float = 0.05,
-    helicity_max: int = 6,
     cos_floor: float = 0.1,
-    k_z_factor: float = 40.0,
 ) -> list[tuple[CollisionGeometry, int, int, int]]:
     """Seeded in-support configurations for oracle/closed-form comparisons.
 
-    Triangles are built from their inner angles (law of sines), so samples
-    are in-stripe by construction, with |xi| < xi_margin * theta and triangle
-    area > area_margin * kappa_tilde^2. Samples where either amplitude cosine
-    falls below cos_floor are rejected: there the element vanishes and the
-    ratio of the two evaluations degenerates to 0/0.
+    kappa is uniform on [0.6, 1.8], the beam's k_z is 40 kappa and m, m1, m2
+    are uniform on -6..6. Triangles are built from their inner angles (law of
+    sines), so samples are in-stripe by construction, with |xi| < 0.9 theta,
+    area > 0.05 kappa_tilde^2 and kappa1, kappa2 in (0.05, 5) kappa_tilde.
+    Samples where either amplitude cosine falls below cos_floor are rejected:
+    there the element vanishes and the ratio of the two evaluations
+    degenerates to 0/0.
     """
     samples = []
     sin_t, tan_t = math.sin(theta), math.tan(theta)
     while len(samples) < count:
-        kappa = rng.uniform(*kappa_range)
-        xi = xi_margin * theta * rng.uniform(-1.0, 1.0)
+        kappa = rng.uniform(0.6, 1.8)
+        xi = 0.9 * theta * rng.uniform(-1.0, 1.0)
         q = kappa * math.sin(xi)
         kt = kappa * math.cos(xi)
         d1 = rng.uniform(0.15, math.pi - 0.3)
@@ -214,18 +194,18 @@ def draw_support_samples(
         kappa1 = kt * math.sin(d2) / s12
         kappa2 = kt * math.sin(d1) / s12
         area = 0.5 * kt * kappa1 * math.sin(d1)
-        if area <= area_margin * kt * kt:
+        if area <= 0.05 * kt * kt:
             continue
         if not (0.05 * kt < kappa1 < 5.0 * kt and 0.05 * kt < kappa2 < 5.0 * kt):
             continue
-        m, m1, m2 = (int(v) for v in rng.integers(-helicity_max, helicity_max + 1, 3))
+        m, m1, m2 = (int(v) for v in rng.integers(-6, 7, 3))
         phi_star = math.acos(math.sin(xi) / sin_t)
         phi_tilde = math.acos(math.tan(xi) / tan_t)
         if abs(math.cos(m * phi_star - (m1 - m2) * phi_tilde)) < cos_floor:
             continue
         if abs(math.cos(m1 * d1 + m2 * d2)) < cos_floor:
             continue
-        initial = TwistedState.massless(kappa, m, k_z_factor * kappa)
+        initial = TwistedState.massless(kappa, m, 40.0 * kappa)
         geom = CollisionGeometry(theta=theta, q=q, initial=initial, kappa1=kappa1, kappa2=kappa2)
         samples.append((geom, m, m1, m2))
     return samples

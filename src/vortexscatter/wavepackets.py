@@ -133,10 +133,6 @@ class IntensityMap:
                 total += float(self.weights[i, j])
         return total
 
-    def diagonal_argmax(self, d_min: int, d_max: int) -> int:
-        sums = {d: self.diagonal_sum(d) for d in range(d_min, d_max + 1)}
-        return max(sums, key=sums.get)
-
     def marginal_std(self, axis: int) -> float:
         marginal = self.weights.sum(axis=1 - axis)
         values = self.m1_values if axis == 0 else self.m2_values
@@ -234,9 +230,12 @@ def smeared_amplitude(
 
     Only theta is read from geom_template; the kappa moduli are integrated
     over the three profiles. Returns 0 when q lies outside every allowed
-    region over the initial packet's support. Node counts double until the
-    estimate moves by less than the quadrature tolerance.
+    region over the initial packet's support (ValueError if q is not
+    finite). Node counts double until the estimate moves by less than the
+    quadrature tolerance.
     """
+    if not math.isfinite(q):
+        raise ValueError("q must be finite")
     model = model or AmplitudeModel()
     theta = geom_template.theta
 

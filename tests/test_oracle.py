@@ -77,10 +77,13 @@ class TestConservationResidual:
         assert sign_change_cells(batch, n=20) == []
 
     def test_k_independence_is_exact(self):
-        # only q = k_{1z'} + k_{2z'} enters the residual, never K itself
+        # only q = k_{1z'} + k_{2z'} enters the residual, never the beam's k_z
         geom = _geom()
-        a = oracle_amplitude(geom, 4, 3, -2, paraxial_scale=50.0)
-        b = oracle_amplitude(geom, 4, 3, -2, paraxial_scale=100.0)
+        doubled = CollisionGeometry(
+            geom.theta, geom.q, TwistedState.massless(1.0, 0, 80.0), geom.kappa1, geom.kappa2
+        )
+        a = oracle_amplitude(geom, 4, 3, -2)
+        b = oracle_amplitude(doubled, 4, 3, -2)
         assert len(a.solutions) == 4
         assert a.solutions == b.solutions
         assert a.amplitude == b.amplitude
@@ -135,12 +138,6 @@ class TestOracleAmplitude:
         assert len(b.solutions) >= len(a.solutions)
         assert abs(b.amplitude - a.amplitude) <= 1e-10 * abs(a.amplitude)
 
-    def test_invariant_under_k_doubling(self):
-        geom = _geom()
-        a = oracle_amplitude(geom, 4, 3, -2, paraxial_scale=200.0)
-        b = oracle_amplitude(geom, 4, 3, -2, paraxial_scale=400.0)
-        assert abs(b.amplitude - a.amplitude) <= 1e-10 * abs(a.amplitude)
-
     def test_rotation_invariance_about_beam_axis(self):
         # rotating the whole event (tilt axis and all azimuth references)
         # about the beam axis is a pure relabeling: the amplitude must not move
@@ -162,10 +159,6 @@ class TestOracleAmplitude:
             a = oracle_amplitude(geom, m, m1, m2)
             b = oracle_amplitude(swapped, m, -m2, -m1)
             assert abs(b.amplitude) == pytest.approx(abs(a.amplitude), rel=1e-9)
-
-    def test_normalization_tag_records_scale(self):
-        result = oracle_amplitude(_geom(), 0, 0, 0, paraxial_scale=123.0)
-        assert "123" in result.normalization_tag
 
     def test_solution_count_and_values_vs_dense_scan(self):
         # sign-certification scan, fully independent of Newton and Jacobians

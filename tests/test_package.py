@@ -1,10 +1,12 @@
 import ast
+import math
 import pathlib
 import sys
 
 import vortexscatter
 
 PACKAGE_DIR = pathlib.Path(vortexscatter.__file__).parent
+README = pathlib.Path(__file__).resolve().parents[1] / "README.md"
 RUNTIME_IMPORTS = set(sys.stdlib_module_names) | {"numpy", "vortexscatter"}
 
 
@@ -26,3 +28,12 @@ def test_runtime_imports_only_stdlib_and_numpy():
                 continue
             foreign += [f"{path.name}: {n}" for n in names if n.split(".")[0] not in RUNTIME_IMPORTS]
     assert foreign == []
+
+
+def test_readme_library_example_runs():
+    text = README.read_text(encoding="utf-8")
+    block = text.split("```python\n", 1)[1].split("```", 1)[0]
+    namespace = {}
+    exec(block, namespace)
+    assert abs(namespace["ratio"] / (2.0 * math.pi) ** 1.5 - 1.0) < 1e-9
+    assert namespace["result"].weights.shape == (21, 21)

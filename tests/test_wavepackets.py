@@ -124,6 +124,22 @@ class TestSmearedAmplitude:
         loose = smeared_amplitude(*args, QuadratureSpec(node_count=8, rel_tol=1.0, max_refinements=1))
         assert unit_imag_power(2) * fine == loose
 
+    def test_non_finite_q_rejected_before_any_slice(self, monkeypatch):
+        import vortexscatter.wavepackets as wavepackets_module
+
+        sizes = []
+        build = wavepackets_module._build_q_slice
+
+        def counting_build(profiles, theta, q, n):
+            sizes.append(n)
+            return build(profiles, theta, q, n)
+
+        monkeypatch.setattr(wavepackets_module, "_build_q_slice", counting_build)
+        quad = QuadratureSpec(node_count=8, max_refinements=3)
+        with pytest.raises(ValueError, match="q must be finite"):
+            smeared_amplitude(_profiles(), _template(), math.nan, 5, 5, 0, quad)
+        assert sizes == []
+
 
 def _cell_grid(sl, m, m1_values, m2_values):
     return np.array(
