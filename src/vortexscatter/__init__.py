@@ -5,7 +5,6 @@ orbital-helicity intensity maps.
 """
 
 from .amplitudes import (
-    AmplitudeModel,
     PlaneWaveLimitReport,
     ReducedAmplitude,
     TwoBodyBranch,
@@ -63,7 +62,6 @@ from .wavepackets import (
 __version__ = "0.1.0"
 
 __all__ = [
-    "AmplitudeModel",
     "AngleSet",
     "CollisionGeometry",
     "ConstraintSolution",

@@ -1,13 +1,14 @@
 """Closed-form scattering matrix elements for twisted states.
 
 The dynamical amplitude is treated as a constant M0 (paraxial approximation:
-it varies slowly over the momentum cones and is taken at the mean momenta),
-so everything below is pure kinematics of the momentum deltas.
+it varies slowly over the momentum cones and is taken at the mean momenta)
+and factored out: every amplitude here is in units of M0, so everything below
+is pure kinematics of the momentum deltas.
 
 Single-twisted element (initial beam twisted, both finals projected on plane
 waves), with k12 = k1_perp + k2_perp:
 
-    S ~ (-i)^m e^{i m phi12} delta(kappa - k12) M0 / ((2 pi)^{3/2} sqrt(kappa))
+    S ~ (-i)^m e^{i m phi12} delta(kappa - k12) / ((2 pi)^{3/2} sqrt(kappa))
 
 Triple-twisted reduced element (both finals twisted, azimuths measured about
 each particle's own mean propagation direction from the shared x' axis), with
@@ -15,7 +16,7 @@ the overall factor i delta(E_f - E_i) / sqrt(2 pi) dropped by convention:
 
     S~ = i^{m1+m2-m} (2/Delta) sqrt(kappa1 kappa2 / kappa)
          cos[m phi* - (m1 - m2) phi~*] cos[m1 delta1 + m2 delta2]
-         / sqrt(sin^2 theta - sin^2 xi) * M0
+         / sqrt(sin^2 theta - sin^2 xi)
 
 supported on |xi| < theta and on the open stripe
 |kappa1 - kappa2| < kappa cos(xi) < kappa1 + kappa2.
@@ -48,17 +49,6 @@ _I_POWERS = (1 + 0j, 1j, -1 + 0j, -1j)
 def unit_imag_power(n: int) -> complex:
     """i**n, exact for any integer n."""
     return _I_POWERS[n % 4]
-
-
-@dataclass(frozen=True)
-class AmplitudeModel:
-    """The factored-out dynamical amplitude, a single complex constant."""
-
-    m0: complex = 1.0 + 0j
-
-    def __post_init__(self):
-        if not (math.isfinite(self.m0.real) and math.isfinite(self.m0.imag)):
-            raise ValueError("m0 must be finite")
 
 
 @dataclass(frozen=True)
@@ -186,7 +176,6 @@ def single_twisted_amplitude(
     state: TwistedState,
     k12_mod: float,
     phi12: float,
-    model: AmplitudeModel | None = None,
 ) -> SingleTwistedValue:
     """Single-twisted element: smooth part of the radial delta at k12 = kappa.
 
@@ -196,13 +185,12 @@ def single_twisted_amplitude(
     """
     if k12_mod < 0.0:
         raise ValueError("k12_mod must be non-negative")
-    model = model or AmplitudeModel()
     on = abs(k12_mod - state.kappa) <= _RADIAL_SUPPORT_RTOL * max(state.kappa, 1.0)
     if not on:
         return SingleTwistedValue(0j, False)
     m = state.m
     phase = unit_imag_power(-m) * complex(math.cos(m * phi12), math.sin(m * phi12))
-    smooth = phase * model.m0 / ((2.0 * math.pi) ** 1.5 * math.sqrt(state.kappa))
+    smooth = phase / ((2.0 * math.pi) ** 1.5 * math.sqrt(state.kappa))
     return SingleTwistedValue(smooth, True)
 
 
@@ -211,7 +199,6 @@ def reduced_triple_amplitude(
     m: int,
     m1: int,
     m2: int,
-    model: AmplitudeModel | None = None,
 ) -> ReducedAmplitude:
     """Reduced triple-twisted matrix element (module docstring formula).
 
@@ -221,11 +208,11 @@ def reduced_triple_amplitude(
     rather than returning a huge value (or dividing by 0 once kappa_tilde^2
     underflows).
     """
-    model = model or AmplitudeModel()
     phase_power = m1 + m2 - m
     kappa = geom.initial.kappa
     sin_t = math.sin(geom.theta)
-    if abs(geom.q) >= kappa * sin_t:
+    sin_xi = geom.q / kappa
+    if abs(sin_xi) >= sin_t:  # the region test of angle_set, on the same rounded sin(xi)
         return ReducedAmplitude(0j, phase_power, False)
     angles = angle_set(geom)
     tri = triangle_geometry(kappa, angles.xi, geom.kappa1, geom.kappa2)
@@ -235,7 +222,6 @@ def reduced_triple_amplitude(
         raise DegenerateSupportError(
             f"triangle area {tri.area} below degeneracy floor inside the stripe"
         )
-    sin_xi = geom.q / kappa
     root = math.sqrt((sin_t - sin_xi) * (sin_t + sin_xi))
     magnitude = (
         (2.0 / tri.area)
@@ -244,7 +230,9 @@ def reduced_triple_amplitude(
         * math.cos(m1 * tri.delta1 + m2 * tri.delta2)
         / root
     )
-    value = unit_imag_power(phase_power) * magnitude * model.m0
+    # + 0.0 turns the -0.0 component of a purely real or imaginary value into
+    # 0.0, so the signed zeros in `eval` output stay as they have always been
+    value = unit_imag_power(phase_power) * magnitude + 0.0
     return ReducedAmplitude(value, phase_power, True)
 
 
@@ -254,7 +242,6 @@ def plane_wave_limit_check(
     m1: int,
     test_weight: Callable[[float], float],
     epsilon_list: Sequence[float],
-    model: AmplitudeModel | None = None,
 ) -> PlaneWaveLimitReport:
     """Check the second-particle plane-wave limit kappa2 -> 0 with m2 = 0.
 
@@ -264,13 +251,12 @@ def plane_wave_limit_check(
     (and delta1 -> 0), giving
 
         L = i^{m1-m} (4 pi / kt) sqrt(2 pi kt / kappa) w(kt)
-            cos(m phi* - m1 phi~*) M0 / sqrt(sin^2 theta - sin^2 xi).
+            cos(m phi* - m1 phi~*) / sqrt(sin^2 theta - sin^2 xi).
 
     The report records each value against L; the tail below eps = 0.1 must be
     monotone, otherwise ``monotone`` is False (a failure report, not an
     exception).
     """
-    model = model or AmplitudeModel()
     eps_sorted = sorted(float(e) for e in epsilon_list)
     if not eps_sorted or eps_sorted[0] <= 0.0:
         raise ValueError("epsilon_list must contain positive values")
@@ -284,7 +270,7 @@ def plane_wave_limit_check(
     sin_xi = geom.q / kappa
     root = math.sqrt((sin_t - sin_xi) * (sin_t + sin_xi))
     cos_a = math.cos(m * angles.phi_star - m1 * angles.phi_tilde_star)
-    phase = unit_imag_power(m1 - m) * model.m0
+    phase = unit_imag_power(m1 - m)
 
     limit = phase * (4.0 * math.pi / kt) * math.sqrt(2.0 * math.pi * kt / kappa) * float(
         test_weight(kt)

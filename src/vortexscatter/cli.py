@@ -180,7 +180,8 @@ def validate(cfg: RunConfig, command: str) -> list[str]:
             out.append("eval requires m1_min == m1_max (a single m1)")
         if cfg.m2_min != cfg.m2_max:
             out.append("eval requires m2_min == m2_max (a single m2)")
-        if abs(cfg.q) >= cfg.kappa0 * sin_t:
+        # the same test as angle_set, on the rounded q / kappa0
+        if cfg.kappa0 > 0.0 and abs(cfg.q / cfg.kappa0) >= sin_t:
             out.append("|q| >= kappa0*sin(theta): outside the allowed q region")
     elif command == "map":
         if cfg.m1_min > cfg.m1_max:

@@ -172,21 +172,23 @@ def angle_set(geom: CollisionGeometry) -> AngleSet:
     """Tilt angle and characteristic azimuths for a collision geometry.
 
     Raises DomainError when |q| >= kappa (xi undefined) and
-    SupportRegionError when |q| >= kappa sin(theta) (outside the allowed
+    SupportRegionError when |q / kappa| >= sin(theta) (outside the allowed
     region; the boundary is excluded).
     """
     kappa = geom.initial.kappa
     if abs(geom.q) >= kappa:
         raise DomainError(f"xi undefined: |q| = {abs(geom.q)} >= kappa = {kappa}")
     sin_t = math.sin(geom.theta)
-    if abs(geom.q) >= kappa * sin_t:
-        raise SupportRegionError(
-            f"outside allowed q region: |q| = {abs(geom.q)} >= kappa sin(theta) = {kappa * sin_t}"
-        )
     sin_xi = geom.q / kappa
+    # decided on the rounded sin(xi) the formulas use: one ulp inside
+    # |q| < kappa sin(theta), q / kappa can still round up to sin(theta)
+    if abs(sin_xi) >= sin_t:
+        raise SupportRegionError(
+            f"outside allowed q region: |q| / kappa = {abs(sin_xi)} >= sin(theta) = {sin_t}"
+        )
     xi = math.asin(sin_xi)
     phi_star = math.acos(sin_xi / sin_t)
-    phi_tilde_star = math.acos(math.tan(xi) / math.tan(geom.theta))
+    phi_tilde_star = math.acos(min(1.0, max(-1.0, math.tan(xi) / math.tan(geom.theta))))
     return AngleSet(xi=xi, phi_star=phi_star, phi_tilde_star=phi_tilde_star)
 
 

@@ -7,9 +7,10 @@ gives the determinants) and sums the plane-wave decomposition weights over the
 solutions with inverse-|Jacobian| factors:
 
     amplitude = sum_roots  a(kappa, m; phi) a*(kappa1, m1; phi1) a*(kappa2, m2; phi2)
-                           * kappa kappa1 kappa2 * M0 / |det dF/d(phi, phi1, phi2)|
+                           * kappa kappa1 kappa2 / |det dF/d(phi, phi1, phi2)|
 
-where the kappa_i product is the radial measure collected by the cone deltas.
+in units of M0, where the kappa_i product is the radial measure collected by
+the cone deltas.
 None of the closed-form ingredients (phi*, triangle area, inner angles) are
 reused here; that independence is the point.
 
@@ -26,7 +27,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .amplitudes import AmplitudeModel, fourier_weight
+from .amplitudes import fourier_weight
 from .errors import DegenerateJacobianError
 from .kinematics import CollisionGeometry, TwistedState, tilt_frame
 from .numerics import RootFindSpec, solve_system
@@ -50,13 +51,13 @@ class OracleResult:
 
 
 class _ConstraintKernel:
-    """The conservation residual for one geometry, with its exact Jacobian.
+    """The conservation residual for one geometry, with its exact Jacobian,
+    in the batch form of solve_system.
 
-    Calling it with (phi, phi1, phi2), scalars or equally shaped arrays,
-    returns k(phi) + p - k1(phi1) - k2(phi2) with p = (0, 0, -k_z) as
-    (..., 3); jacobian(phi, phi1, phi2) returns
-    d residual_i / d (phi, phi1, phi2)_j as (..., 3, 3), the derivative of
-    the same cos/sin sum.
+    Calling it with a (..., 3) array of (phi, phi1, phi2) triples returns
+    (k(phi) + p - k1(phi1) - k2(phi2)) / kappa with p = (0, 0, -k_z) as
+    (..., 3); jacobian(points) returns d residual_i / d (phi, phi1, phi2)_j
+    as (..., 3, 3), the derivative of the same cos/sin sum, also over kappa.
     """
 
     def __init__(self, geom: CollisionGeometry, axis_azimuth: float):
@@ -69,26 +70,25 @@ class _ConstraintKernel:
         self.offset = geom.q * ez
 
     @staticmethod
-    def _cos_sin(*angles):
+    def _cos_sin(points):
         out = []
-        for a in angles:
-            a = np.asarray(a, dtype=float)
-            out.extend((np.cos(a)[..., None], np.sin(a)[..., None]))
+        for j in range(3):
+            out.extend((np.cos(points[..., j])[..., None], np.sin(points[..., j])[..., None]))
         return out
 
-    def __call__(self, phi, phi1, phi2):
-        c, s, c1, s1, c2, s2 = self._cos_sin(phi, phi1, phi2)
+    def __call__(self, points):
+        c, s, c1, s1, c2, s2 = self._cos_sin(points)
         initial = self.kappa * (c * self.gx + s * self.gy)  # k + p: the k_z parts cancel
         final1 = self.kappa1 * (c1 * self.ex + s1 * self.ey)
         final2 = self.kappa2 * (c2 * self.ex - s2 * self.ey)  # own-frame azimuth
-        return initial - final1 - final2 - self.offset
+        return (initial - final1 - final2 - self.offset) / self.kappa
 
-    def jacobian(self, phi, phi1, phi2):
-        c, s, c1, s1, c2, s2 = self._cos_sin(phi, phi1, phi2)
+    def jacobian(self, points):
+        c, s, c1, s1, c2, s2 = self._cos_sin(points)
         d_phi = self.kappa * (c * self.gy - s * self.gx)
         d_phi1 = self.kappa1 * (s1 * self.ex - c1 * self.ey)
         d_phi2 = self.kappa2 * (s2 * self.ex + c2 * self.ey)
-        return np.stack([d_phi, d_phi1, d_phi2], axis=-1)
+        return np.stack([d_phi, d_phi1, d_phi2], axis=-1) / self.kappa
 
 
 def oracle_amplitude(
@@ -98,7 +98,6 @@ def oracle_amplitude(
     m2: int,
     spec: RootFindSpec | None = None,
     axis_azimuth: float = 0.0,
-    model: AmplitudeModel | None = None,
 ) -> OracleResult:
     """Sum the decomposition weights over all constraint solutions.
 
@@ -109,18 +108,10 @@ def oracle_amplitude(
     Jacobian weight to mean anything.
     """
     spec = spec or RootFindSpec()
-    model = model or AmplitudeModel()
     kappa = geom.initial.kappa
     kappa1, kappa2 = geom.kappa1, geom.kappa2
     kernel = _ConstraintKernel(geom, axis_azimuth)
-
-    def residual(points: np.ndarray) -> np.ndarray:
-        return kernel(points[..., 0], points[..., 1], points[..., 2]) / kappa
-
-    def jacobian(points: np.ndarray) -> np.ndarray:
-        return kernel.jacobian(points[..., 0], points[..., 1], points[..., 2]) / kappa
-
-    roots, degenerate = solve_system(residual, jacobian, spec)
+    roots, degenerate = solve_system(kernel, kernel.jacobian, spec)
     if degenerate:
         raise DegenerateJacobianError(
             f"{len(degenerate)} constraint solution(s) with singular Jacobian; "
@@ -135,7 +126,7 @@ def oracle_amplitude(
         w1 = fourier_weight(kappa1, m1, kappa1, phi1).phase.conjugate()
         w2 = fourier_weight(kappa2, m2, kappa2, phi2).phase.conjugate()
         det_raw = root.jacobian_det * kappa**3  # undo the residual normalization
-        amplitude += w0 * w1 * w2 * (kappa * kappa1 * kappa2) * model.m0 / det_raw
+        amplitude += w0 * w1 * w2 * (kappa * kappa1 * kappa2) / det_raw
         solutions.append(ConstraintSolution(phi, phi1, phi2, det_raw))
     return OracleResult(solutions=tuple(solutions), amplitude=amplitude)
 
@@ -144,7 +135,6 @@ def single_twisted_oracle(
     state: TwistedState,
     k1,
     k2,
-    model: AmplitudeModel | None = None,
 ) -> complex:
     """Single-twisted element by the same delta reduction in two dimensions.
 
@@ -152,14 +142,13 @@ def single_twisted_oracle(
     the decomposition weight there (over (2 pi)^2 from the measure), 0 off
     the cone. Matches the closed form on support and vanishes at k1 = -k2.
     """
-    model = model or AmplitudeModel()
     k12 = np.asarray(k1, dtype=float) + np.asarray(k2, dtype=float)
     mod = float(np.hypot(k12[0], k12[1]))
     azimuth = float(np.arctan2(k12[1], k12[0]))
     weight = fourier_weight(state.kappa, state.m, mod, azimuth)
     if not weight.on_cone:
         return 0j
-    return weight.phase * model.m0 / (2.0 * math.pi) ** 2
+    return weight.phase / (2.0 * math.pi) ** 2
 
 
 def draw_support_samples(

@@ -46,7 +46,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .amplitudes import AmplitudeModel, unit_imag_power
+from .amplitudes import unit_imag_power
 from .errors import SupportRegionError
 from .kinematics import CollisionGeometry
 from .numerics import (
@@ -224,7 +224,6 @@ def smeared_amplitude(
     m1: int,
     m2: int,
     quad: QuadratureSpec,
-    model: AmplitudeModel | None = None,
 ) -> complex:
     """Packet-weighted amplitude at fixed q.
 
@@ -236,7 +235,6 @@ def smeared_amplitude(
     """
     if not math.isfinite(q):
         raise ValueError("q must be finite")
-    model = model or AmplitudeModel()
     theta = geom_template.theta
 
     def estimate(n: int) -> float:
@@ -244,7 +242,7 @@ def smeared_amplitude(
         return 0.0 if sl is None else _cell_value(sl, m, m1, m2)
 
     value = refine_by_doubling(estimate, quad, f"smeared amplitude at q = {q}")
-    return unit_imag_power(m1 + m2 - m) * model.m0 * value
+    return unit_imag_power(m1 + m2 - m) * value
 
 
 def _helicity_phases(delta: np.ndarray, first: int, count: int) -> np.ndarray:
@@ -332,19 +330,9 @@ def intensity_map(
             "intensity map vanished everywhere; configuration has no support"
         )
     rel_delta = np.abs(fine - coarse) / np.maximum(np.abs(fine), 1e-6 * peak)
-    metadata = {
-        "m": int(m),
-        "theta": float(theta),
-        "profiles": [(p.kappa0, p.sigma) for p in profiles],
-        "node_count": quad.node_count,
-        "q_nodes": q_nodes,
-        "cell_rel_delta": rel_delta,
-        "max_cell_rel_delta": float(rel_delta.max()),
-        "raw_peak": peak,
-    }
     return IntensityMap(
         m1_range=(int(m1_range[0]), int(m1_range[1])),
         m2_range=(int(m2_range[0]), int(m2_range[1])),
         weights=fine / peak,
-        metadata=metadata,
+        metadata={"cell_rel_delta": rel_delta, "max_cell_rel_delta": float(rel_delta.max())},
     )

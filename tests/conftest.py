@@ -1,13 +1,3 @@
-import pathlib
-import sys
-
-# Allow running the suite from a source checkout without installation.
-_SRC = pathlib.Path(__file__).resolve().parents[1] / "src"
-try:
-    import vortexscatter  # noqa: F401
-except ImportError:
-    sys.path.insert(0, str(_SRC))
-
 from hypothesis import settings
 
 settings.register_profile("numeric", deadline=None, max_examples=150)

@@ -4,7 +4,6 @@ import numpy as np
 import pytest
 
 from vortexscatter.amplitudes import (
-    AmplitudeModel,
     fourier_weight,
     plane_wave_limit_check,
     reduced_triple_amplitude,
@@ -137,6 +136,17 @@ class TestReducedTripleAmplitude:
     def test_outside_q_region_zero(self):
         amp = reduced_triple_amplitude(_geom(q=0.5), 2, 1, 1)
         assert amp.value == 0j and not amp.in_support
+        # one ulp inside |q| < kappa sin(theta), where q / kappa rounds to sin(theta)
+        # and sqrt(sin^2 theta - sin^2 xi) would be exactly 0
+        edge = _geom(
+            theta=0.5768321621309331,
+            q=3.9705274847427057,
+            kappa=7.280409986954765,
+            kappa1=6.552368988259288,
+            kappa2=5.096286990868335,
+        )
+        amp = reduced_triple_amplitude(edge, 1, 1, 0)
+        assert amp.value == 0j and not amp.in_support
 
     def test_degenerate_raises(self):
         # a sliver triangle: in-stripe but with area / kappa_tilde^2 ~ 5e-10,
@@ -158,7 +168,7 @@ class TestReducedTripleAmplitude:
         theta = 0.2
         q = 0.3 * math.sin(theta)
         geom = _geom(theta=theta, q=q, kappa=1.0, kappa1=0.9, kappa2=0.7)
-        amp = reduced_triple_amplitude(geom, 5, 6, 1, AmplitudeModel(2.0 + 0j))
+        amp = reduced_triple_amplitude(geom, 5, 6, 1)
         angles = angle_set(geom)
         xi = angles.xi
         kt = math.cos(xi)
@@ -174,7 +184,6 @@ class TestReducedTripleAmplitude:
             * math.cos(5 * angles.phi_star - 5 * angles.phi_tilde_star)
             * math.cos(6 * d1 + 1 * d2)
             / math.sqrt(math.sin(theta) ** 2 - math.sin(xi) ** 2)
-            * 2.0
         )
         assert amp.value == pytest.approx(expected, rel=1e-13)
         assert amp.phase_power == 2

@@ -52,6 +52,15 @@ def _eval_config(**overrides):
     return base
 
 
+# |q| is one ulp below kappa0 sin(theta), but q / kappa0 rounds to sin(theta) or
+# above: formerly a math domain error in angle_set and a division by a zero root
+_EDGE_Q_ANGLES = _eval_config(theta=0.6424507411017956, kappa0=5.7994810873570755, q=3.4748134637392347)
+_EDGE_Q_ROOT = _eval_config(
+    theta=0.5768321621309331, kappa0=7.280409986954765, kappa01=6.552368988259288,
+    kappa02=5.096286990868335, q=3.9705274847427057, m=1, m1_min=1, m1_max=1, m2_min=0, m2_max=0,
+)
+
+
 class TestEval:
     def test_generic_round_trip(self, tmp_path):
         cfg = _write_config(tmp_path, **_eval_config())
@@ -86,11 +95,19 @@ class TestEval:
         assert abs(payload["value_re"]) < 1e-12
 
     def test_q_region_validation_names_inequality(self, tmp_path, capsys):
-        cfg = _write_config(tmp_path, **_eval_config(q=0.9))
+        for config in (_eval_config(q=0.9), _EDGE_Q_ANGLES, _EDGE_Q_ROOT):
+            cfg = _write_config(tmp_path, **config)
+            out = tmp_path / "out.json"
+            assert main(["eval", "--config", str(cfg), "--out", str(out)]) == EXIT_CONFIG
+            err = capsys.readouterr().err
+            assert "kappa0*sin(theta)" in err
+
+    def test_pure_imaginary_value_has_positive_zero_real_part(self, tmp_path):
+        # phase power 1: value_re is a signed zero, and `eval` has always written +0.0
+        cfg = _write_config(tmp_path, **_eval_config(m2_min=0, m2_max=0))
         out = tmp_path / "out.json"
-        assert main(["eval", "--config", str(cfg), "--out", str(out)]) == EXIT_CONFIG
-        err = capsys.readouterr().err
-        assert "kappa0*sin(theta)" in err
+        assert main(["eval", "--config", str(cfg), "--out", str(out)]) == EXIT_OK
+        assert '"value_re": 0.0,' in out.read_text()
 
     def test_all_violations_listed(self, tmp_path, capsys):
         cfg = _write_config(
@@ -519,6 +536,9 @@ def _configs(draw):
 @example(command="map", config={"theta": math.inf, **_ONE_CELL})
 @example(command="oracle-check", config={"theta": -math.inf, "sample_count": 1})
 @example(command="eval", config=_TINY_KAPPAS_EVAL)
+@example(command="eval", config=_EDGE_Q_ANGLES)
+@example(command="eval", config=_EDGE_Q_ROOT)
+@example(command="eval", config={"kappa0": 0.0})
 def test_any_config_ends_in_an_exit_code(command, config):
     with tempfile.TemporaryDirectory() as tmp:
         path = os.path.join(tmp, "config.json")

@@ -116,6 +116,9 @@ class TestAngleSet:
     def test_boundary_excluded(self):
         with pytest.raises(SupportRegionError):
             angle_set(_geom(q=math.sin(0.2)))  # |q| = kappa sin(theta)
+        # |q| is one ulp below kappa sin(theta), but q / kappa rounds to sin(theta)
+        with pytest.raises(SupportRegionError):
+            angle_set(_geom(theta=0.6424507411017956, q=3.4748134637392347, kappa=5.7994810873570755))
 
     def test_xi_undefined(self):
         with pytest.raises(DomainError):

@@ -56,25 +56,19 @@ class TestConservationResidual:
             1e-12,
             1e-12,
         )
-        res = _ConstraintKernel(geom, 0.0)(0.0, 1.0, 2.0)
-        assert np.linalg.norm(res) <= 2.0 * kappa
+        res = _ConstraintKernel(geom, 0.0)(np.array([0.0, 1.0, 2.0]))
+        assert np.linalg.norm(res) <= 2.0
 
     def test_analytic_construction_is_root(self):
         geom = _geom()
         kernel = _ConstraintKernel(geom, 0.0)
-        for phi, phi1, phi2 in _analytic_solutions(geom):
-            res = kernel(phi, phi1, phi2)
-            assert np.max(np.abs(res)) < 1e-10 * geom.initial.kappa
+        for triple in _analytic_solutions(geom):
+            res = kernel(np.array(triple))
+            assert np.max(np.abs(res)) < 1e-10
 
     def test_out_of_stripe_has_no_sign_change_triple(self):
         geom = _geom(kappa1=0.2, kappa2=3.0)  # violates the stripe
-        kernel = _ConstraintKernel(geom, 0.0)
-        kappa = geom.initial.kappa
-
-        def batch(points):
-            return kernel(points[..., 0], points[..., 1], points[..., 2]) / kappa
-
-        assert sign_change_cells(batch, n=20) == []
+        assert sign_change_cells(_ConstraintKernel(geom, 0.0), n=20) == []
 
     def test_k_independence_is_exact(self):
         # only q = k_{1z'} + k_{2z'} enters the residual, never the beam's k_z
@@ -164,13 +158,7 @@ class TestOracleAmplitude:
         # sign-certification scan, fully independent of Newton and Jacobians
         rng = np.random.default_rng(2024)
         for geom, m, m1, m2 in draw_support_samples(rng, 100, theta=0.25):
-            kernel = _ConstraintKernel(geom, 0.0)
-            kappa = geom.initial.kappa
-
-            def batch(points):
-                return kernel(points[..., 0], points[..., 1], points[..., 2]) / kappa
-
-            scanned = certified_root_scan(batch, depth=12)
+            scanned = certified_root_scan(_ConstraintKernel(geom, 0.0), depth=12)
             result = oracle_amplitude(geom, m, m1, m2)
             assert len(scanned) == len(result.solutions) == 4
             for sol in result.solutions:
@@ -192,8 +180,8 @@ class TestAnalyticJacobian:
         for geom, _, _, _ in draw_support_samples(rng, 5, theta=0.25):
             kernel = _ConstraintKernel(geom, 0.9)
             points = rng.uniform(0.0, TWO_PI, (20, 3))
-            exact = kernel.jacobian(points[:, 0], points[:, 1], points[:, 2])
-            fd = fd_jacobian(lambda p: kernel(p[:, 0], p[:, 1], p[:, 2]), points, 1e-6)
+            exact = kernel.jacobian(points)
+            fd = fd_jacobian(kernel, points, 1e-6)
             np.testing.assert_allclose(exact, fd, rtol=0, atol=1e-8)
 
     def test_det_matches_richardson_at_the_roots(self):
@@ -203,10 +191,11 @@ class TestAnalyticJacobian:
         assert len(result.solutions) == 4
         for sol in result.solutions:
             point = np.array([sol.phi, sol.phi1, sol.phi2])
-            exact = abs(np.linalg.det(kernel.jacobian(*point)))
-            richardson = abs(richardson_det(lambda p: kernel(p[:, 0], p[:, 1], p[:, 2]), point))
+            exact = abs(np.linalg.det(kernel.jacobian(point)))
+            richardson = abs(richardson_det(kernel, point))
             assert exact == pytest.approx(richardson, rel=1e-10)
-            assert sol.jacobian_det == pytest.approx(exact, rel=1e-12)
+            # the solution carries the determinant of the raw residual
+            assert sol.jacobian_det == pytest.approx(exact * geom.initial.kappa**3, rel=1e-12)
 
     def test_few_residual_calls_per_solve(self, monkeypatch):
         import vortexscatter.oracle as oracle_module
