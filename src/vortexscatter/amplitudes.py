@@ -132,10 +132,9 @@ def single_twisted_solutions(
         phi1  = phi2 +/- arccos((kappa^2 - k1^2 - k2^2) / (2 k1 k2))
         phi12 = phi2 +/- arccos((kappa^2 + k2^2 - k1^2) / (2 kappa k2))
 
-    with correlated signs. Each returned branch is verified by reconstructing
-    k1 + k2 and checking it lands on the kappa cone at azimuth phi12.
-    Tangency collapses the branches into one, flagged degenerate; when the
-    circles do not intersect a SupportRegionError is raised.
+    with correlated signs. Tangency collapses the branches into one, flagged
+    degenerate; when the circles do not intersect a SupportRegionError is
+    raised.
     """
     if kappa <= 0.0 or k1_mod <= 0.0 or k2_mod <= 0.0:
         raise ValueError("all moduli must be positive")
@@ -155,21 +154,8 @@ def single_twisted_solutions(
     for s in signs:
         phi1 = phi2 + s * alpha
         phi12 = phi2 + s * beta
-        _check_branch(kappa, k1_mod, k2_mod, phi1, phi2, phi12)
         branches.append(TwoBodyBranch(sign=s, phi1=phi1, phi12=phi12, degenerate=tangent))
     return branches
-
-
-def _check_branch(kappa, k1, k2, phi1, phi2, phi12):
-    sx = k1 * math.cos(phi1) + k2 * math.cos(phi2)
-    sy = k1 * math.sin(phi1) + k2 * math.sin(phi2)
-    mod = math.hypot(sx, sy)
-    if abs(mod - kappa) > 1e-9 * kappa:
-        raise AssertionError("branch reconstruction left the momentum cone")
-    mismatch = math.atan2(sy, sx) - phi12
-    mismatch = (mismatch + math.pi) % (2.0 * math.pi) - math.pi
-    if abs(mismatch) > 1e-9:
-        raise AssertionError("branch azimuth phi12 inconsistent with reconstruction")
 
 
 def single_twisted_amplitude(
@@ -202,6 +188,7 @@ def reduced_triple_amplitude(
 ) -> ReducedAmplitude:
     """Reduced triple-twisted matrix element (module docstring formula).
 
+    The helicity is the m argument; of geom.initial only kappa is read.
     Returns value 0 with in_support False outside |xi| < theta or outside the
     open stripe. Inside the stripe, a triangle area that is 0 or below
     STRIPE_DEGENERACY_FLOOR * kappa_tilde^2 raises DegenerateSupportError

@@ -82,12 +82,12 @@ class RunConfig:
     field_packet: bool = False
     plot_script: bool = False
     q_nodes: int = 64
+    node_count: int = 24
     map_cell_rtol: float = 1e-2
-    quadrature: QuadratureSpec = QuadratureSpec(node_count=24, rel_tol=1e-6)
     root_find: RootFindSpec = RootFindSpec()
 
 
-_SPEC_FIELDS = {"quadrature": QuadratureSpec, "root_find": RootFindSpec}
+_SPEC_FIELDS = {"root_find": RootFindSpec}
 # declared field type -> (accepted JSON value types, name in messages)
 _VALUE_TYPES = {
     int: ((int,), "an integer"),
@@ -190,6 +190,8 @@ def validate(cfg: RunConfig, command: str) -> list[str]:
             out.append("m2_min must not exceed m2_max")
         if cfg.q_nodes < 2:
             out.append("q_nodes must be >= 2")
+        if cfg.node_count < 2:
+            out.append("node_count must be >= 2")
         if cfg.map_cell_rtol <= 0.0:
             out.append("map_cell_rtol must be positive")
     elif command == "oracle-check":
@@ -366,7 +368,7 @@ def cmd_map(cfg: RunConfig, out_path: str) -> int:
             cfg.m,
             (cfg.m1_min, cfg.m1_max),
             (cfg.m2_min, cfg.m2_max),
-            cfg.quadrature,
+            QuadratureSpec(node_count=cfg.node_count),
             q_nodes=cfg.q_nodes,
         )
     except ConvergenceError as exc:

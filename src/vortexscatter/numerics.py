@@ -48,7 +48,6 @@ class QuadratureSpec:
     """Controls for refinable Gauss-Legendre quadrature."""
 
     node_count: int = 32
-    abs_tol: float = 0.0
     rel_tol: float = 1e-9
     max_refinements: int = 8
 
@@ -56,10 +55,8 @@ class QuadratureSpec:
         _reject_non_finite(self)
         if self.node_count < 2:
             raise ValueError("node_count must be >= 2")
-        if self.abs_tol < 0.0 or self.rel_tol < 0.0:
-            raise ValueError("tolerances must be non-negative")
-        if self.abs_tol == 0.0 and self.rel_tol == 0.0:
-            raise ValueError("at least one of abs_tol, rel_tol must be positive")
+        if self.rel_tol <= 0.0:
+            raise ValueError("rel_tol must be positive")
         if self.max_refinements < 1:
             raise ValueError("max_refinements must be >= 1")
 
@@ -199,7 +196,8 @@ def gauss_legendre_on(a: float, b: float, n: int) -> tuple[np.ndarray, np.ndarra
 
 def refine_by_doubling(estimate: Callable[[int], float], spec: QuadratureSpec, what: str) -> float:
     """estimate(n) for n = spec.node_count, 2n, 4n, ... until two successive
-    values agree within the spec's tolerance; returns the finer one.
+    values agree to spec.rel_tol relative to the finer one (two exact zeros
+    agree); returns the finer one.
 
     Raises ConvergenceError carrying the last two estimates after
     spec.max_refinements doublings.
@@ -210,7 +208,7 @@ def refine_by_doubling(estimate: Callable[[int], float], spec: QuadratureSpec, w
         prev = cur
         n *= 2
         cur = estimate(n)
-        if abs(cur - prev) <= max(spec.abs_tol, spec.rel_tol * abs(cur)):
+        if abs(cur - prev) <= spec.rel_tol * abs(cur):
             return cur
     raise ConvergenceError(f"{what} did not converge at {n} nodes", estimates=(prev, cur))
 

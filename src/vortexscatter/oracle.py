@@ -101,7 +101,8 @@ def oracle_amplitude(
 ) -> OracleResult:
     """Sum the decomposition weights over all constraint solutions.
 
-    Only geom.q enters the constraints, never the beam's k_z.
+    Only geom.q enters the constraints, never the beam's k_z. The helicity
+    is the m argument; of geom.initial only kappa is read.
     Out-of-support geometries simply produce no roots and an amplitude of 0.
     A solution with singular Jacobian raises DegenerateJacobianError: the
     configuration sits too close to a support boundary for the inverse-

@@ -227,11 +227,11 @@ def smeared_amplitude(
 ) -> complex:
     """Packet-weighted amplitude at fixed q.
 
-    Only theta is read from geom_template; the kappa moduli are integrated
-    over the three profiles. Returns 0 when q lies outside every allowed
-    region over the initial packet's support (ValueError if q is not
-    finite). Node counts double until the estimate moves by less than the
-    quadrature tolerance.
+    Only theta is read from geom_template (the helicity is the m argument);
+    the kappa moduli are integrated over the three profiles. Returns 0 when
+    q lies outside every allowed region over the initial packet's support
+    (ValueError if q is not finite). Node counts double until the estimate
+    moves by less than the quadrature tolerance.
     """
     if not math.isfinite(q):
         raise ValueError("q must be finite")
@@ -314,7 +314,9 @@ def intensity_map(
     clusters nodes toward the edges of the allowed region, folded onto its
     q >= 0 half by the parity of |A|^2. Each cell is
     evaluated at quad.node_count and at twice that; the relative change is
-    recorded per cell in metadata["cell_rel_delta"].
+    recorded per cell in metadata["cell_rel_delta"]. Of quad only node_count
+    is read: the caller judges that change (the CLI against map_cell_rtol).
+    Only theta is read from geom_template (the helicity is the m argument).
     """
     if m1_range[0] > m1_range[1] or m2_range[0] > m2_range[1]:
         raise ValueError("helicity ranges must be non-empty")

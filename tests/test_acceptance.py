@@ -282,7 +282,7 @@ def test_criterion_8_cli_determinism(tmp_path):
         "oracle-check": dict(sample_count=3, seed=12345),
         "map": dict(
             m=5, m1_min=4, m1_max=6, m2_min=-1, m2_max=1,
-            quadrature={"node_count": 16, "rel_tol": 1e-6}, q_nodes=48,
+            node_count=16, q_nodes=48,
         ),
         "field": dict(m=1, kappa0=1.0, grid_n=5, r_max=4.0),
     }

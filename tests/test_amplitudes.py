@@ -83,6 +83,18 @@ class TestSingleTwistedSolutions:
                 mismatch = (math.atan2(sy, sx) - br.phi12 + math.pi) % (2.0 * math.pi) - math.pi
                 assert abs(mismatch) < 1e-12
 
+    def test_back_to_back_edge(self):
+        # kappa << k1 ~ k2 (the vortex line), 3.0e-4 relative to kappa inside
+        # the inner edge |k1 - k2|
+        kappa, k1, k2, phi2 = 0.002667389431674221, 3.008844769848077, 3.011511363222533, 0.3
+        branches = single_twisted_solutions(kappa, k1, k2, phi2)
+        expected = circle_intersection_azimuths(kappa, k1, k2, phi2)
+        assert len(branches) == len(expected) == 2
+        for br, (phi1, phi12) in zip(branches, expected):
+            assert not br.degenerate
+            assert abs(math.remainder(br.phi1 - phi1, 2.0 * math.pi)) < 1e-9
+            assert abs(math.remainder(br.phi12 - phi12, 2.0 * math.pi)) < 1e-9
+
     def test_against_bisection_oracle(self):
         rng = np.random.default_rng(29)
         for _ in range(300):

@@ -149,17 +149,18 @@ def test_non_finite_config_rejected(tmp_path, capsys, command, overrides):
     assert not out.exists()
 
 
+# The map's QuadratureSpec has no CLI path (cmd_map builds it from node_count),
+# so only its constructor is checked.
 @pytest.mark.parametrize(
     "command, spec, key, name",
-    [
-        ("map", QuadratureSpec, "quadrature", "rel_tol"),
-        ("oracle-check", RootFindSpec, "root_find", "residual_tol"),
-    ],
+    [("oracle-check", RootFindSpec, "root_find", "residual_tol")],
 )
 def test_non_finite_tolerance_rejected(tmp_path, capsys, command, spec, key, name):
     for bad in (math.nan, math.inf):
         with pytest.raises(ValueError, match=f"{name} must be finite"):
             spec(**{name: bad})
+        with pytest.raises(ValueError, match="rel_tol must be finite"):
+            QuadratureSpec(rel_tol=bad)
     cfg = _write_config(tmp_path, **{key: {name: math.nan}})
     out = tmp_path / "out"
     assert main([command, "--config", str(cfg), "--out", str(out)]) == EXIT_CONFIG
@@ -175,11 +176,11 @@ def test_non_finite_tolerance_rejected(tmp_path, capsys, command, spec, key, nam
         ("map", {"q_nodes": 2.5}, ["q_nodes must be an integer"]),
         (
             "map",
-            {"q_nodes": True, "plot_script": 1, "quadrature": {"node_count": 24.0}},
+            {"q_nodes": True, "plot_script": 1, "node_count": 24.0},
             [
                 "q_nodes must be an integer",
                 "plot_script must be true or false",
-                "quadrature: node_count must be an integer",
+                "node_count must be an integer",
             ],
         ),
     ],
@@ -319,7 +320,7 @@ class TestMap:
         cfg = _write_config(
             tmp_path,
             m=5, m1_min=5, m1_max=5, m2_min=0, m2_max=0,
-            quadrature={"node_count": 12, "rel_tol": 1e-6}, q_nodes=32,
+            node_count=12, q_nodes=32,
         )
         out = tmp_path / "map.csv"
         assert main(["map", "--config", str(cfg), "--out", str(out)]) == EXIT_OK
@@ -329,7 +330,7 @@ class TestMap:
         cfg = _write_config(
             tmp_path,
             m=5, m1_min=4, m1_max=6, m2_min=-1, m2_max=1,
-            quadrature={"node_count": 16, "rel_tol": 1e-6}, q_nodes=48,
+            node_count=16, q_nodes=48,
             plot_script=True,
         )
         out = tmp_path / "map.csv"
@@ -343,11 +344,18 @@ class TestMap:
         assert (tmp_path / "map.csv.gp").exists()
         assert str(out) in (tmp_path / "map.csv.gp").read_text()
 
+    def test_quadrature_object_is_an_unknown_key(self, tmp_path, capsys):
+        cfg = _write_config(tmp_path, quadrature={"node_count": 24, "rel_tol": 1e-6})
+        out = tmp_path / "map.csv"
+        assert main(["map", "--config", str(cfg), "--out", str(out)]) == EXIT_CONFIG
+        assert "unknown config key: 'quadrature'" in capsys.readouterr().err
+        assert not out.exists()
+
     def test_underresolved_map_aborts_with_partial(self, tmp_path, capsys):
         cfg = _write_config(
             tmp_path,
             m=5, m1_min=4, m1_max=6, m2_min=-1, m2_max=1,
-            quadrature={"node_count": 6, "rel_tol": 1e-6}, q_nodes=24,
+            node_count=6, q_nodes=24,
             map_cell_rtol=1e-4,
         )
         out = tmp_path / "map.csv"
@@ -452,7 +460,7 @@ class TestSubprocessDeterminism:
         cfg = _write_config(
             tmp_path,
             m=5, m1_min=4, m1_max=5, m2_min=0, m2_max=1,
-            quadrature={"node_count": 10, "rel_tol": 1e-6}, q_nodes=24,
+            node_count=10, q_nodes=24,
             map_cell_rtol=1.0,
         )
         outputs = []
@@ -474,11 +482,8 @@ _WRONG_TYPES = st.one_of(
     st.lists(st.integers(0, 3), max_size=2),
     st.sampled_from(["0.2", 5.5, True]),
 )
-_SIZE_CAPS = {"sample_count": 3, "grid_n": 4, "q_nodes": 4}
-_SPEC_CAPS = {
-    "quadrature": {"node_count": 8, "max_refinements": 2},
-    "root_find": {"max_iterations": 30, "start_grid_density": 3},
-}
+_SIZE_CAPS = {"sample_count": 3, "grid_n": 4, "q_nodes": 4, "node_count": 8}
+_SPEC_CAPS = {"root_find": {"max_iterations": 30, "start_grid_density": 3}}
 
 
 def _typed(kind, cap=6):

@@ -1,9 +1,11 @@
 import ast
+import json
 import math
 import pathlib
 import sys
 
 import vortexscatter
+from vortexscatter.cli import EXIT_OK, load_config, main, validate
 
 PACKAGE_DIR = pathlib.Path(vortexscatter.__file__).parent
 README = pathlib.Path(__file__).resolve().parents[1] / "README.md"
@@ -37,3 +39,18 @@ def test_readme_library_example_runs():
     exec(block, namespace)
     assert abs(namespace["ratio"] / (2.0 * math.pi) ** 1.5 - 1.0) < 1e-9
     assert namespace["result"].weights.shape == (21, 21)
+
+
+def test_readme_configs_are_valid(tmp_path):
+    text = README.read_text(encoding="utf-8")
+    blocks = [b.split("```", 1)[0] for b in text.split("```json\n")[1:]]
+    assert len(blocks) == 2
+    for command, block in zip(("eval", "map"), blocks):
+        path = tmp_path / f"{command}.json"
+        path.write_text(block, encoding="utf-8")
+        cfg, problems = load_config(str(path))
+        assert problems == [], (command, problems)
+        assert validate(cfg, command) == [], command
+    out = tmp_path / "amplitude.json"
+    assert main(["eval", "--config", str(tmp_path / "eval.json"), "--out", str(out)]) == EXIT_OK
+    assert json.loads(out.read_text(encoding="utf-8"))["in_support"] is True
