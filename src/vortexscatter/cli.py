@@ -26,12 +26,7 @@ from dataclasses import dataclass, fields
 import numpy as np
 
 from .amplitudes import reduced_triple_amplitude
-from .errors import (
-    ConvergenceError,
-    DegenerateJacobianError,
-    DegenerateSupportError,
-    SupportRegionError,
-)
+from .errors import DegenerateJacobianError, DegenerateSupportError, SupportRegionError
 from .kinematics import (
     CollisionGeometry,
     TwistedState,
@@ -42,7 +37,6 @@ from .numerics import (
     MAX_BESSEL_ARGUMENT,
     MAX_BESSEL_ORDER,
     QuadratureSpec,
-    RootFindSpec,
     bessel_j,
     gauss_legendre_on,
 )
@@ -84,10 +78,8 @@ class RunConfig:
     q_nodes: int = 64
     node_count: int = 24
     map_cell_rtol: float = 1e-2
-    root_find: RootFindSpec = RootFindSpec()
 
 
-_SPEC_FIELDS = {"root_find": RootFindSpec}
 # declared field type -> (accepted JSON value types, name in messages)
 _VALUE_TYPES = {
     int: ((int,), "an integer"),
@@ -96,19 +88,26 @@ _VALUE_TYPES = {
 }
 
 
-def _type_problems(cls, raw: dict, prefix: str) -> list[str]:
+def _type_problems(raw: dict) -> list[str]:
     """One message per value of raw that does not fit the declared type of the
-    field of cls it sets: an int field takes an integer, a float field an
-    integer or a float, and only a bool field takes true or false."""
+    RunConfig field it sets: an int field takes an integer, a float field an
+    integer or a float, and only a bool field takes true or false. JSON
+    integers have no size limit: an int field takes only a 64-bit one (numpy
+    takes the seed at any size), a float field only one within the float
+    range."""
     out = []
-    hints = typing.get_type_hints(cls)
+    hints = typing.get_type_hints(RunConfig)
     for key, value in raw.items():
         kind = hints.get(key)
         if kind not in _VALUE_TYPES:
             continue
         accepted, name = _VALUE_TYPES[kind]
         if not isinstance(value, accepted) or isinstance(value, bool) != (kind is bool):
-            out.append(f"{prefix}{key} must be {name}, got {value!r}")
+            out.append(f"{key} must be {name}, got {value!r}")
+        elif kind is int and key != "seed" and not -(2**63) <= value < 2**63:
+            out.append(f"{key} must lie in [-2**63, 2**63)")
+        elif kind is float and isinstance(value, int) and abs(value) > sys.float_info.max:
+            out.append(f"{key} must be finite")
     return out
 
 
@@ -117,39 +116,19 @@ def load_config(path: str) -> tuple[RunConfig | None, list[str]]:
     try:
         with open(path, "r", encoding="utf-8") as fh:
             raw = json.load(fh)
-    except (OSError, json.JSONDecodeError) as exc:
+    # ValueError covers malformed JSON, bytes that are not UTF-8 and integer
+    # literals beyond Python's digit limit for int conversion
+    except (OSError, ValueError) as exc:
         return None, [f"cannot read config: {exc}"]
     if not isinstance(raw, dict):
         return None, ["config must be a JSON object"]
 
-    violations: list[str] = []
     known = {f.name for f in fields(RunConfig)}
-    unknown = sorted(set(raw) - known)
-    violations.extend(f"unknown config key: {k!r}" for k in unknown)
-
-    violations.extend(_type_problems(RunConfig, raw, ""))
-    kwargs = {}
-    for key, value in raw.items():
-        if key not in known:
-            continue
-        spec = _SPEC_FIELDS.get(key)
-        if spec is None:
-            kwargs[key] = value
-            continue
-        problems = _type_problems(spec, value, f"{key}: ") if isinstance(value, dict) else []
-        if problems:
-            violations.extend(problems)
-            continue
-        try:
-            kwargs[key] = spec(**value)
-        except (TypeError, ValueError) as exc:
-            violations.append(f"{key}: {exc}")
+    violations = [f"unknown config key: {k!r}" for k in sorted(set(raw) - known)]
+    violations.extend(_type_problems(raw))
     if violations:
         return None, violations
-    try:
-        return RunConfig(**kwargs), []
-    except (TypeError, ValueError) as exc:
-        return None, [f"config: {exc}"]
+    return RunConfig(**raw), []
 
 
 def validate(cfg: RunConfig, command: str) -> list[str]:
@@ -219,10 +198,10 @@ def _range_problems(cfg: RunConfig, command: str) -> list[str]:
     k_z = _KZ_FACTOR * cfg.kappa0
     if not math.isfinite(k_z):
         return [f"{_KZ_FACTOR:g} * kappa0 (the k_z of the beam modes) must be finite"]
-    name, kappa_max = "kappa0", cfg.kappa0
+    name, kappa_max, reach = "kappa0", cfg.kappa0, 0.0
     try:
         if command == "map":
-            _profiles(cfg)
+            reach = sum(p.support[1] for p in _profiles(cfg))
         if command == "field" and cfg.field_packet:
             name = "the packet's largest kappa"
             kappa_max = WavePacketProfile(cfg.kappa0, cfg.sigma_rel * cfg.kappa0).support[1]
@@ -232,6 +211,9 @@ def _range_problems(cfg: RunConfig, command: str) -> list[str]:
         TwistedState.massless(kappa_max, cfg.m, k_z)
     except ValueError as exc:
         return [f"beam mode at {name} = {kappa_max:g}: {exc}"]
+    if not math.isfinite(reach * reach):
+        # bounds every square and product of momenta in a map's q slice
+        return ["packet supports too wide: (sum of the three upper support ends)^2 overflows"]
     if command == "field" and cfg.r_max * kappa_max > MAX_BESSEL_ARGUMENT:
         return [
             f"r_max * {name} = {cfg.r_max * kappa_max:g} exceeds "
@@ -279,7 +261,7 @@ def cmd_eval(cfg: RunConfig, out_path: str) -> int:
     tri = triangle_geometry(cfg.kappa0, angles.xi, cfg.kappa01, cfg.kappa02)
 
     def opt(x: float):
-        return None if (x is None or math.isnan(x)) else x
+        return None if math.isnan(x) else x
 
     payload = {
         "value_re": amp.value.real,
@@ -305,7 +287,7 @@ def cmd_oracle_check(cfg: RunConfig, out_path: str) -> int:
     for index, (geom, m, m1, m2) in enumerate(samples):
         closed = reduced_triple_amplitude(geom, m, m1, m2)
         try:
-            result = oracle_amplitude(geom, m, m1, m2, spec=cfg.root_find)
+            result = oracle_amplitude(geom, m, m1, m2)
         except DegenerateJacobianError as exc:
             excluded.append({"sample": index, "reason": str(exc)})
             continue
@@ -371,16 +353,14 @@ def cmd_map(cfg: RunConfig, out_path: str) -> int:
             QuadratureSpec(node_count=cfg.node_count),
             q_nodes=cfg.q_nodes,
         )
-    except ConvergenceError as exc:
-        print(f"quadrature failure: {exc}", file=sys.stderr)
-        return EXIT_QUADRATURE
     except SupportRegionError as exc:
         print(f"degenerate support: {exc}", file=sys.stderr)
         return EXIT_DEGENERATE_SUPPORT
     csv_text = _map_csv(result.rows())
-    if result.metadata["max_cell_rel_delta"] > cfg.map_cell_rtol:
+    # fails closed: a NaN delta counts as above the tolerance
+    if not result.metadata["max_cell_rel_delta"] <= cfg.map_cell_rtol:
         _write_text(out_path + ".partial", csv_text)
-        bad = int(np.sum(result.metadata["cell_rel_delta"] > cfg.map_cell_rtol))
+        bad = int(np.sum(~(result.metadata["cell_rel_delta"] <= cfg.map_cell_rtol)))
         print(
             f"quadrature failure: {bad} cell(s) above map_cell_rtol = {cfg.map_cell_rtol}; "
             f"partial results in {out_path}.partial",

@@ -23,8 +23,9 @@ from vortexscatter.cli import (
     main,
 )
 from vortexscatter.kinematics import TwistedState, field_amplitude
-from vortexscatter.numerics import QuadratureSpec, RootFindSpec, gauss_legendre_on
-from vortexscatter.wavepackets import WavePacketProfile
+from vortexscatter.numerics import RootFindSpec, gauss_legendre_on
+from vortexscatter.oracle import OracleResult
+from vortexscatter.wavepackets import IntensityMap, WavePacketProfile
 
 
 def _write_config(tmp_path, name="config.json", **overrides):
@@ -149,8 +150,8 @@ def test_non_finite_config_rejected(tmp_path, capsys, command, overrides):
     assert not out.exists()
 
 
-# The map's QuadratureSpec has no CLI path (cmd_map builds it from node_count),
-# so only its constructor is checked.
+# The spec rejects a non-finite tolerance, and no config can hand one to the
+# oracle: the root_find object is refused as an unknown key before any solve.
 @pytest.mark.parametrize(
     "command, spec, key, name",
     [("oracle-check", RootFindSpec, "root_find", "residual_tol")],
@@ -159,12 +160,10 @@ def test_non_finite_tolerance_rejected(tmp_path, capsys, command, spec, key, nam
     for bad in (math.nan, math.inf):
         with pytest.raises(ValueError, match=f"{name} must be finite"):
             spec(**{name: bad})
-        with pytest.raises(ValueError, match="rel_tol must be finite"):
-            QuadratureSpec(rel_tol=bad)
     cfg = _write_config(tmp_path, **{key: {name: math.nan}})
     out = tmp_path / "out"
     assert main([command, "--config", str(cfg), "--out", str(out)]) == EXIT_CONFIG
-    assert f"{key}: {name} must be finite" in capsys.readouterr().err
+    assert f"unknown config key: {key!r}" in capsys.readouterr().err
     assert not out.exists()
 
 
@@ -201,6 +200,11 @@ _ONE_CELL = dict(m1_min=5, m1_max=5, m2_min=0, m2_max=0, q_nodes=4)
 # triangle area and map would write nan from 0 / 0 stripe angles
 _TINY_KAPPAS = dict(kappa0=1e-160, kappa01=1e-160, kappa02=1e-160)
 _TINY_KAPPAS_EVAL = _eval_config(q=0.0, m1_min=1, m1_max=1, m2_min=0, m2_max=0, **_TINY_KAPPAS)
+# the packet supports reach about 3.75e154, so (kt + k2)^2 in a q slice is inf
+# and inf - inf wrote nan with exit 0; sigma_rel = 1e153 still fits
+_WIDE_PACKETS = dict(sigma_rel=3e153, node_count=4, map_cell_rtol=1.0, **_ONE_CELL)
+# JSON integers have no size limit: these ended in OverflowError or ValueError
+_BIG = 10**400
 
 
 @pytest.mark.parametrize(
@@ -225,6 +229,14 @@ _TINY_KAPPAS_EVAL = _eval_config(q=0.0, m1_min=1, m1_max=1, m2_min=0, m2_max=0, 
         ("map", dict(kappa02=1e-150, sigma_rel=1e-200, **_ONE_CELL), "packet profile: support"),
         ("eval", _TINY_KAPPAS_EVAL, "kappa0 too small: kappa0^2 underflows"),
         ("map", dict(_TINY_KAPPAS, **_ONE_CELL), "kappa02 too small: kappa02^2 underflows"),
+        ("map", _WIDE_PACKETS, "(sum of the three upper support ends)^2 overflows"),
+        ("eval", _eval_config(m=_BIG), "m must lie in [-2**63, 2**63)"),
+        ("eval", _eval_config(m1_min=_BIG, m1_max=_BIG), "m1_max must lie in [-2**63, 2**63)"),
+        ("map", dict(_ONE_CELL, m=-_BIG), "m must lie in [-2**63, 2**63)"),
+        ("map", dict(_ONE_CELL, q_nodes=_BIG), "q_nodes must lie in [-2**63, 2**63)"),
+        ("field", dict(grid_n=_BIG), "grid_n must lie in [-2**63, 2**63)"),
+        ("field", dict(grid_n=2**63), "grid_n must lie in [-2**63, 2**63)"),
+        ("eval", _eval_config(theta=_BIG), "theta must be finite"),
     ],
 )
 def test_out_of_range_config_rejected(tmp_path, capsys, command, overrides, message):
@@ -233,6 +245,25 @@ def test_out_of_range_config_rejected(tmp_path, capsys, command, overrides, mess
     assert main([command, "--config", str(cfg), "--out", str(out)]) == EXIT_CONFIG
     assert message in capsys.readouterr().err
     assert not out.exists()
+
+
+def test_seed_beyond_64_bits_still_runs(tmp_path):
+    # numpy.random.default_rng takes any non-negative integer seed
+    cfg = _write_config(tmp_path, seed=_BIG, sample_count=2)
+    out = tmp_path / "report.json"
+    assert main(["oracle-check", "--config", str(cfg), "--out", str(out)]) == EXIT_OK
+
+
+@pytest.mark.parametrize(
+    "content",
+    [b"\xff\xfe{", b'{"m": ' + b"1" * 5000 + b"}", b"[1, 2]", b"{"],
+    ids=["not-utf8", "beyond-int-digit-limit", "not-an-object", "malformed"],
+)
+def test_unreadable_config_rejected(tmp_path, capsys, content):
+    cfg = tmp_path / "config.json"
+    cfg.write_bytes(content)
+    assert main(["eval", "--config", str(cfg), "--out", str(tmp_path / "out")]) == EXIT_CONFIG
+    assert "config invalid" in capsys.readouterr().err
 
 
 def test_tiny_theta_still_runs(tmp_path):
@@ -296,9 +327,10 @@ class TestOracleCheck:
         assert main(["oracle-check", "--config", str(cfg), "--out", str(out)]) == EXIT_THRESHOLD
         assert json.loads(out.read_text())["passed"] is False
 
-    def test_zero_mean_ratio_writes_null_spread(self, tmp_path):
-        # one Newton step converges nowhere: every oracle amplitude and ratio is 0
-        cfg = _write_config(tmp_path, sample_count=2, seed=1, root_find={"max_iterations": 1})
+    def test_zero_mean_ratio_writes_null_spread(self, tmp_path, monkeypatch):
+        # an oracle that finds no root: every oracle amplitude and ratio is 0
+        monkeypatch.setattr("vortexscatter.cli.oracle_amplitude", lambda *args: OracleResult((), 0j))
+        cfg = _write_config(tmp_path, sample_count=2, seed=1)
         out = tmp_path / "report.json"
         with warnings.catch_warnings():
             warnings.simplefilter("error")
@@ -344,11 +376,21 @@ class TestMap:
         assert (tmp_path / "map.csv.gp").exists()
         assert str(out) in (tmp_path / "map.csv.gp").read_text()
 
-    def test_quadrature_object_is_an_unknown_key(self, tmp_path, capsys):
-        cfg = _write_config(tmp_path, quadrature={"node_count": 24, "rel_tol": 1e-6})
-        out = tmp_path / "map.csv"
-        assert main(["map", "--config", str(cfg), "--out", str(out)]) == EXIT_CONFIG
-        assert "unknown config key: 'quadrature'" in capsys.readouterr().err
+    # the former nested objects: the map's node count is now the top-level
+    # node_count, and the oracle's Newton controls are not settable
+    @pytest.mark.parametrize(
+        "command, key, value",
+        [
+            ("map", "quadrature", {"node_count": 24, "rel_tol": 1e-6}),
+            ("oracle-check", "root_find", {"max_iterations": 1}),
+        ],
+        ids=["quadrature", "root_find"],
+    )
+    def test_quadrature_object_is_an_unknown_key(self, tmp_path, capsys, command, key, value):
+        cfg = _write_config(tmp_path, **{key: value})
+        out = tmp_path / "out"
+        assert main([command, "--config", str(cfg), "--out", str(out)]) == EXIT_CONFIG
+        assert f"unknown config key: {key!r}" in capsys.readouterr().err
         assert not out.exists()
 
     def test_underresolved_map_aborts_with_partial(self, tmp_path, capsys):
@@ -360,6 +402,20 @@ class TestMap:
         )
         out = tmp_path / "map.csv"
         assert main(["map", "--config", str(cfg), "--out", str(out)]) == EXIT_QUADRATURE
+        assert not out.exists()
+        assert (tmp_path / "map.csv.partial").exists()
+
+    def test_nan_cell_delta_fails_closed(self, tmp_path, monkeypatch, capsys):
+        def nan_map(*args, **kwargs):
+            delta = np.array([[math.nan]])
+            metadata = {"cell_rel_delta": delta, "max_cell_rel_delta": math.nan}
+            return IntensityMap((5, 5), (0, 0), np.ones((1, 1)), metadata)
+
+        monkeypatch.setattr("vortexscatter.cli.intensity_map", nan_map)
+        cfg = _write_config(tmp_path, **_ONE_CELL)
+        out = tmp_path / "map.csv"
+        assert main(["map", "--config", str(cfg), "--out", str(out)]) == EXIT_QUADRATURE
+        assert "1 cell(s) above map_cell_rtol" in capsys.readouterr().err
         assert not out.exists()
         assert (tmp_path / "map.csv.partial").exists()
 
@@ -483,22 +539,21 @@ _WRONG_TYPES = st.one_of(
     st.sampled_from(["0.2", 5.5, True]),
 )
 _SIZE_CAPS = {"sample_count": 3, "grid_n": 4, "q_nodes": 4, "node_count": 8}
-_SPEC_CAPS = {"root_find": {"max_iterations": 30, "start_grid_density": 3}}
 
 
-def _typed(kind, cap=6):
+def _typed(kind):
     if kind is bool:
         return st.booleans()
     if kind is int:
-        return st.integers(-2, cap)
+        return st.integers(-2, 6)
     return st.one_of(st.floats(1e-12, 3.0), st.sampled_from(_EDGE_FLOATS))
 
 
 @st.composite
 def _configs(draw):
-    """Any subset of the RunConfig keys (nested specs included), at most one
-    value of the wrong type. The size keys and helicity ranges are always
-    set and capped, so that no example computes for long."""
+    """Any subset of the RunConfig keys, at most one value of the wrong type.
+    The size keys and helicity ranges are always set and capped, so that no
+    example computes for long."""
     hints = typing.get_type_hints(RunConfig)
     config = {}
     for name, kind in hints.items():
@@ -506,12 +561,6 @@ def _configs(draw):
             config[name] = draw(st.integers(-1, _SIZE_CAPS[name]))
         elif name.startswith(("m1_", "m2_")) or not draw(st.booleans()):
             continue
-        elif name in _SPEC_CAPS:
-            caps = _SPEC_CAPS[name]
-            spec_hints = typing.get_type_hints(kind)
-            config[name] = draw(st.fixed_dictionaries({}, optional={
-                key: _typed(t, caps.get(key, 6)) for key, t in spec_hints.items()
-            }))
         else:
             config[name] = draw(_typed(kind))
     for prefix in ("m1", "m2"):
@@ -544,6 +593,18 @@ def _configs(draw):
 @example(command="eval", config=_EDGE_Q_ANGLES)
 @example(command="eval", config=_EDGE_Q_ROOT)
 @example(command="eval", config={"kappa0": 0.0})
+@example(command="map", config=_WIDE_PACKETS)
+@example(command="eval", config={"m": _BIG})
+@example(command="eval", config=_eval_config(m1_min=_BIG, m1_max=_BIG))
+@example(command="map", config={"m": _BIG, **_ONE_CELL})
+@example(command="map", config={"m1_min": _BIG, "m1_max": _BIG, "q_nodes": 4})
+@example(command="map", config={**_ONE_CELL, "q_nodes": _BIG})
+@example(command="field", config={"grid_n": _BIG})
+@example(command="eval", config={"q": -_BIG})
+@example(command="oracle-check", config={"seed": _BIG, "sample_count": 1})
+@example(command="eval", config=_eval_config(m=2**63 - 1))
+@example(command="map", config={"m": -(2**63 - 1), **_ONE_CELL, "node_count": 4})
+@example(command="map", config={"m": 2**62, **_ONE_CELL, "node_count": 4})
 def test_any_config_ends_in_an_exit_code(command, config):
     with tempfile.TemporaryDirectory() as tmp:
         path = os.path.join(tmp, "config.json")

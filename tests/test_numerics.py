@@ -198,6 +198,11 @@ class TestQuadrature:
             QuadratureSpec(rel_tol=0.0)
         with pytest.raises(ValueError):
             RootFindSpec(dedupe_tol=1e-13)
+        for bad in (math.nan, math.inf):
+            with pytest.raises(ValueError, match="residual_tol must be finite"):
+                RootFindSpec(residual_tol=bad)
+            with pytest.raises(ValueError, match="rel_tol must be finite"):
+                QuadratureSpec(rel_tol=bad)
 
     def test_nonconvergence_raises_with_estimates(self):
         spec = QuadratureSpec(node_count=2, rel_tol=1e-16, max_refinements=1)

@@ -1,11 +1,13 @@
 import ast
+import dataclasses
 import json
 import math
 import pathlib
+import re
 import sys
 
 import vortexscatter
-from vortexscatter.cli import EXIT_OK, load_config, main, validate
+from vortexscatter.cli import EXIT_OK, RunConfig, load_config, main, validate
 
 PACKAGE_DIR = pathlib.Path(vortexscatter.__file__).parent
 README = pathlib.Path(__file__).resolve().parents[1] / "README.md"
@@ -54,3 +56,11 @@ def test_readme_configs_are_valid(tmp_path):
     out = tmp_path / "amplitude.json"
     assert main(["eval", "--config", str(tmp_path / "eval.json"), "--out", str(out)]) == EXIT_OK
     assert json.loads(out.read_text(encoding="utf-8"))["in_support"] is True
+
+
+def test_readme_config_table_names_exactly_the_config_fields():
+    text = README.read_text(encoding="utf-8")
+    table = text.split("### Config reference\n", 1)[1].lstrip("\n").split("\n\n", 1)[0]
+    rows = [line for line in table.splitlines() if line.startswith("| `")]
+    keys = [key for row in rows for key in re.findall(r"`([^`]+)`", row.split(" | ")[0])]
+    assert sorted(keys) == sorted(f.name for f in dataclasses.fields(RunConfig))
