@@ -34,6 +34,18 @@ q_substitution are symmetric, so only slices with q >= 0 are built, q > 0
 nodes with twice their weight. A single smeared amplitude still contracts
 its one cell directly, which is cheaper than the grid path for one cell.
 
+A smeared estimate builds and row-sums its slice in contiguous blocks of
+kappa rows, each block's tensors capped at 2^15 elements, small enough to
+stay in a core's cache and to reuse the memory the allocator freed for the
+block before (see _BLOCK_ELEMENTS). One thread per core in the process's
+CPU affinity (the calling thread among them) takes the blocks in turn;
+numpy releases the interpreter lock in these elementwise loops, and a slice
+of one block starts no thread. The kappa, kappa2 and unit axes are built
+once per estimate and shared. Every tensor element depends on its own kappa
+row alone, and the row sums are joined in row order before the one dot over
+all rows, so the value is bit for bit the single-block one. The map builds
+each slice as one block on the calling thread.
+
 The smearing happens at the amplitude level, before squaring, exactly so the
 stripe edge stays integrable.
 """
@@ -41,6 +53,8 @@ stripe edge stays integrable.
 from __future__ import annotations
 
 import math
+import os
+import threading
 from dataclasses import dataclass, field
 from typing import NamedTuple
 
@@ -147,6 +161,21 @@ class IntensityMap:
                 yield int(m1), int(m2), float(self.weights[i, j])
 
 
+class _SliceAxes(NamedTuple):
+    """The node axes of one q slice: per kappa row, and the kappa2 and unit
+    axes that every row shares."""
+
+    f1: WavePacketProfile
+    s: np.ndarray  # (n,) unit Gauss-Legendre nodes, reused for the w axis
+    ws: np.ndarray
+    kt: np.ndarray  # (Na,) transverse kappa~ of each kappa row
+    wa: np.ndarray  # (Na,) kappa measure
+    phi_star: np.ndarray  # (Na,)
+    phi_tilde_star: np.ndarray
+    k2: np.ndarray  # (Nb,) kappa2 nodes
+    wb: np.ndarray  # (Nb,) kappa2 measure
+
+
 class _QSlice(NamedTuple):
     weight: np.ndarray  # (Na, Nb, Nc) full quadrature measure
     delta1: np.ndarray
@@ -155,8 +184,9 @@ class _QSlice(NamedTuple):
     phi_tilde_star: np.ndarray
 
 
-def _build_q_slice(profiles, theta: float, q: float, n: int) -> _QSlice | None:
-    """All helicity-independent quadrature tensors for one q value."""
+def _slice_axes(profiles, theta: float, q: float, n: int) -> _SliceAxes | None:
+    """The axes of the q slice at n nodes per axis; None when the slice is
+    empty (q beyond the initial packet's support)."""
     f0, f1, f2 = profiles
     sin_t = math.sin(theta)
     lo0, hi0 = f0.support
@@ -164,7 +194,7 @@ def _build_q_slice(profiles, theta: float, q: float, n: int) -> _QSlice | None:
     if k_left >= hi0:
         return None
 
-    s, ws = gauss_legendre_on(0.0, 1.0, n)  # unit nodes, reused for the w axis
+    s, ws = gauss_legendre_on(0.0, 1.0, n)
     kappa = k_left + (hi0 - k_left) * s**2
     dk = 2.0 * (hi0 - k_left) * s * ws
     sin_xi = q / kappa
@@ -177,10 +207,18 @@ def _build_q_slice(profiles, theta: float, q: float, n: int) -> _QSlice | None:
 
     k2, wk2 = gauss_legendre_on(*f2.support, n)
     wb = wk2 * f2.value(k2) * np.sqrt(k2)
+    return _SliceAxes(f1, s, ws, kt, wa, phi_star, phi_tilde, k2, wb)
 
+
+def _build_q_slice(axes: _SliceAxes, rows: slice = slice(None)) -> _QSlice:
+    """All helicity-independent quadrature tensors of the given kappa rows of
+    one q slice. Every element depends on its own row alone, so a block of
+    rows holds bit for bit the same values as those rows of the whole slice."""
+    s, ws, k2 = axes.s, axes.ws, axes.k2
+    kt = axes.kt[rows]
     a = (kt[:, None] - k2[None, :]) ** 2
     b = (kt[:, None] + k2[None, :]) ** 2
-    lo1, hi1 = f1.support
+    lo1, hi1 = axes.f1.support
     a_eff = np.maximum(a, lo1 * lo1)
     b_eff = np.minimum(b, hi1 * hi1)
     nonempty = b_eff > a_eff
@@ -197,23 +235,112 @@ def _build_q_slice(profiles, theta: float, q: float, n: int) -> _QSlice | None:
     k1_sq, k1, wc = stripe_substitution(a[..., None], b[..., None], w_ang)
     del w_ang  # frees an n^3 array before the profile call, the slice's memory peak
     wc *= (w_hi - w_lo)[..., None] * ws
-    wc *= f1.value(k1)
+    wc *= axes.f1.value(k1)
     wc *= np.sqrt(k1)
 
     kt3 = kt[:, None, None]
     k23 = k2[None, :, None]
     delta1 = np.arccos(np.clip((kt3**2 + k1_sq - k23**2) / (2.0 * kt3 * k1), -1.0, 1.0))
     delta2 = np.arccos(np.clip((kt3**2 + k23**2 - k1_sq) / (2.0 * kt3 * k23), -1.0, 1.0))
-    weight = wa[:, None, None] * wb[None, :, None] * wc
-    return _QSlice(weight, delta1, delta2, phi_star, phi_tilde)
+    weight = axes.wa[rows, None, None] * axes.wb[None, :, None] * wc
+    return _QSlice(weight, delta1, delta2, axes.phi_star[rows], axes.phi_tilde_star[rows])
+
+
+def _row_sums(sl: _QSlice, m1: int, m2: int) -> np.ndarray:
+    """Per kappa row, the sum of weight cos(m1 delta1 + m2 delta2) over the
+    row's (kappa2, w) nodes."""
+    return np.einsum("abc,abc->a", sl.weight, np.cos(m1 * sl.delta1 + m2 * sl.delta2))
 
 
 def _cell_value(sl: _QSlice, m: int, m1: int, m2: int) -> float:
-    inner = np.einsum(
-        "abc,abc->a", sl.weight, np.cos(m1 * sl.delta1 + m2 * sl.delta2)
-    )
     cos_a = np.cos(m * sl.phi_star - (m1 - m2) * sl.phi_tilde_star)
-    return float(np.dot(cos_a, inner))
+    return float(np.dot(cos_a, _row_sums(sl, m1, m2)))
+
+
+def _usable_cores() -> int:
+    """The number of cores this process may run on."""
+    try:
+        return len(os.sched_getaffinity(0))
+    except AttributeError:  # platforms without CPU affinity
+        return os.cpu_count() or 1
+
+
+# A smeared estimate's row blocks hold at most this many elements per tensor
+# (256 KiB of float64), so a block's tensors fit in a core's L2 cache. Once
+# glibc's malloc keeps freed chunks of this size (its dynamic mmap threshold
+# rises past them after any larger array is freed), each block reuses the
+# memory of the one before, where whole-slice tensors fault in fresh pages
+# on every estimate.
+_BLOCK_ELEMENTS = 1 << 15
+
+
+def _block_rows(n: int) -> int:
+    """Kappa rows per block of an n-node slice (n^2 elements per row)."""
+    return max(1, _BLOCK_ELEMENTS // (n * n))
+
+
+def _row_blocks(n: int, rows: int) -> list[slice]:
+    """Contiguous blocks of `rows` kappa rows (at least 2) covering n rows, a
+    lone last row joining the block before it. einsum sums a block of one
+    row in pieces of numpy's 8192-element buffer once n^2 exceeds it, which
+    rounds differently from the same row in a block of several."""
+    starts = list(range(0, n, max(2, rows)))
+    if n - starts[-1] == 1 and len(starts) > 1:
+        starts.pop()
+    return [slice(lo, hi) for lo, hi in zip(starts, starts[1:] + [n])]
+
+
+def _on_threads(fn, count: int, threads: int) -> list:
+    """[fn(k) for k in range(count)], computed by the calling thread and up to
+    threads - 1 others, each taking the next k in turn until none is left.
+    Returns once every started thread has ended. An exception stops the
+    hand-out, and the first one raised is then raised here as it was raised."""
+    results = [None] * count
+    errors = []
+    lock = threading.Lock()
+    todo = iter(range(count))
+
+    def run():
+        while True:
+            with lock:
+                k = None if errors else next(todo, None)
+            if k is None:
+                return
+            try:
+                results[k] = fn(k)
+            except BaseException as exc:  # re-raised on the calling thread below
+                with lock:
+                    errors.append(exc)
+                return
+
+    started = []
+    try:
+        for _ in range(min(threads, count) - 1):
+            thread = threading.Thread(target=run)
+            thread.start()
+            started.append(thread)
+        run()
+    finally:
+        for thread in started:
+            thread.join()
+    if errors:
+        raise errors[0]
+    return results
+
+
+def _smeared_estimate(profiles, theta, q, m, m1, m2, n: int, threads: int, block_rows: int) -> float:
+    """_cell_value of the q slice at n nodes per axis, 0 when the slice is
+    empty, built and row-summed in the _row_blocks of block_rows kappa rows
+    that up to `threads` threads take in turn. The row sums are joined in row
+    order before the one dot over every row, so the value is bit for bit
+    _cell_value's for any block size, thread count and hand-out order."""
+    axes = _slice_axes(profiles, theta, q, n)
+    if axes is None:
+        return 0.0
+    blocks = _row_blocks(n, block_rows)
+    sums = _on_threads(lambda k: _row_sums(_build_q_slice(axes, blocks[k]), m1, m2), len(blocks), threads)
+    cos_a = np.cos(m * axes.phi_star - (m1 - m2) * axes.phi_tilde_star)
+    return float(np.dot(cos_a, np.concatenate(sums)))
 
 
 def smeared_amplitude(
@@ -231,15 +358,17 @@ def smeared_amplitude(
     the kappa moduli are integrated over the three profiles. Returns 0 when
     q lies outside every allowed region over the initial packet's support
     (ValueError if q is not finite). Node counts double until the estimate
-    moves by less than the quadrature tolerance.
+    moves by less than the quadrature tolerance. Each estimate runs in small
+    row blocks on every core in the process's CPU affinity (see
+    _smeared_estimate).
     """
     if not math.isfinite(q):
         raise ValueError("q must be finite")
     theta = geom_template.theta
+    threads = _usable_cores()
 
     def estimate(n: int) -> float:
-        sl = _build_q_slice(profiles, theta, q, n)
-        return 0.0 if sl is None else _cell_value(sl, m, m1, m2)
+        return _smeared_estimate(profiles, theta, q, m, m1, m2, n, threads, _block_rows(n))
 
     value = refine_by_doubling(estimate, quad, f"smeared amplitude at q = {q}")
     return unit_imag_power(m1 + m2 - m) * value
@@ -291,10 +420,10 @@ def _map_pass(profiles, theta, m, m1_values, m2_values, n, q_nodes) -> np.ndarra
 
     out = np.zeros((len(m1_values), len(m2_values)))
     for qv, qw in zip(q_values[half], q_weights[half]):
-        sl = _build_q_slice(profiles, theta, float(qv), n)
-        if sl is None:
+        axes = _slice_axes(profiles, theta, float(qv), n)
+        if axes is None:
             continue
-        amp = _grid_values(sl, m, m1_values, m2_values)
+        amp = _grid_values(_build_q_slice(axes), m, m1_values, m2_values)
         out += qw * amp * amp
     return out
 

@@ -1,4 +1,10 @@
 import math
+import os
+import subprocess
+import sys
+import textwrap
+import threading
+import time
 
 import numpy as np
 import pytest
@@ -8,11 +14,17 @@ from vortexscatter.errors import ConvergenceError
 from vortexscatter.kinematics import CollisionGeometry, TwistedState
 from vortexscatter.numerics import QuadratureSpec, gauss_legendre_nodes, q_substitution
 from vortexscatter.wavepackets import (
+    _BLOCK_ELEMENTS,
     WavePacketProfile,
+    _block_rows,
     _build_q_slice,
     _cell_value,
     _grid_values,
     _map_pass,
+    _row_blocks,
+    _row_sums,
+    _slice_axes,
+    _smeared_estimate,
     intensity_map,
     smeared_amplitude,
 )
@@ -130,15 +142,174 @@ class TestSmearedAmplitude:
         sizes = []
         build = wavepackets_module._build_q_slice
 
-        def counting_build(profiles, theta, q, n):
-            sizes.append(n)
-            return build(profiles, theta, q, n)
+        def counting_build(axes, rows=slice(None)):
+            sizes.append(len(axes.kt[rows]))
+            return build(axes, rows)
 
         monkeypatch.setattr(wavepackets_module, "_build_q_slice", counting_build)
         quad = QuadratureSpec(node_count=8, max_refinements=3)
         with pytest.raises(ValueError, match="q must be finite"):
             smeared_amplitude(_profiles(), _template(), math.nan, 5, 5, 0, quad)
         assert sizes == []
+        # with a finite q the wrapper sees every row of the 8- and 16-node slices
+        loose = QuadratureSpec(node_count=8, rel_tol=1.0, max_refinements=1)
+        smeared_amplitude(_profiles(), _template(), 0.0, 5, 5, 0, loose)
+        assert sum(sizes) == 8 + 16
+
+
+def _whole_slice(profiles, theta, q, n):
+    return _build_q_slice(_slice_axes(profiles, theta, q, n))
+
+
+class TestRowBlocks:
+    """The smeared estimate built and row-summed in kappa-row blocks that one
+    thread per core takes in turn."""
+
+    @pytest.mark.parametrize("n", [24, 25, 48, 96])
+    def test_blocked_estimate_bit_identical_to_whole_slice(self, n):
+        profiles, theta, m, m1, m2 = _profiles(), 0.2, 5, 10, -3
+        q_max = profiles[0].support[1] * math.sin(theta)
+        # 1, 2 and 3 blocks, the production block size, and sizes that leave
+        # a lone last row (1 means 2, and 25 = 12 * 2 + 1, 96 = 19 * 5 + 1)
+        sizes = sorted({n, -(-n // 2), -(-n // 3), _block_rows(n), 1, 5})
+        for q in (0.3 * q_max, -0.7 * q_max, 1.1 * q_max):
+            axes = _slice_axes(profiles, theta, q, n)
+            whole = 0.0 if axes is None else _cell_value(_build_q_slice(axes), m, m1, m2)
+            for block_rows in sizes:
+                for threads in (1, 2, 3):
+                    blocked = _smeared_estimate(profiles, theta, q, m, m1, m2, n, threads, block_rows)
+                    assert blocked.hex() == whole.hex(), (q, block_rows, threads)
+
+    @pytest.mark.parametrize("block_rows", [1, 5, 7, _block_rows(96)])
+    def test_block_row_sums_bit_identical_to_whole_slice(self, block_rows):
+        # n^2 = 9216 exceeds numpy's 8192-element buffer, where einsum would
+        # sum a block of one row in pieces
+        profiles, n, m1, m2 = _profiles(), 96, 10, -3
+        axes = _slice_axes(profiles, 0.2, 0.01, n)
+        whole = _row_sums(_build_q_slice(axes), m1, m2)
+        blocks = _row_blocks(n, block_rows)
+        blocked = np.concatenate([_row_sums(_build_q_slice(axes, b), m1, m2) for b in blocks])
+        assert [v.hex() for v in blocked] == [v.hex() for v in whole]
+
+    @pytest.mark.parametrize("n, rows", [(96, 1), (96, 5), (97, 3), (25, 2), (2, 1), (3, 2), (24, 56)])
+    def test_row_blocks_cover_every_row_in_blocks_of_two_or_more(self, n, rows):
+        blocks = _row_blocks(n, rows)
+        assert [r for b in blocks for r in range(n)[b]] == list(range(n))
+        assert all(len(range(n)[b]) >= min(2, n) for b in blocks)
+        assert all(len(range(n)[b]) <= max(2, rows) + 1 for b in blocks)
+
+    @pytest.mark.parametrize("n", [2, 24, 48, 96, 181, 182, 400])
+    def test_block_rows_fill_the_element_budget(self, n):
+        rows = _block_rows(n)
+        assert rows >= 1
+        assert rows * n * n <= max(_BLOCK_ELEMENTS, n * n)
+        assert (rows + 1) * n * n > _BLOCK_ELEMENTS
+
+    def test_threads_start_only_for_slices_of_several_blocks(self, monkeypatch):
+        started = []
+        start = threading.Thread.start
+
+        def counting_start(thread):
+            started.append(thread)
+            start(thread)
+
+        monkeypatch.setattr(threading.Thread, "start", counting_start)
+        profiles = _profiles()
+        _smeared_estimate(profiles, 0.2, 0.01, 5, 10, -3, 24, 4, _block_rows(24))
+        assert started == []  # one block
+        _smeared_estimate(profiles, 0.2, 0.01, 5, 10, -3, 48, 4, _block_rows(48))
+        assert len(started) == 3  # four blocks, one thread per core
+
+    def test_more_threads_than_cores_under_fast_thread_switching(self):
+        profiles, theta, q, n = _profiles(), 0.2, 0.01, 25
+        whole = _cell_value(_whole_slice(profiles, theta, q, n), 5, 10, -3)
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            for _ in range(5):
+                blocked = _smeared_estimate(profiles, theta, q, 5, 10, -3, n, 8, 3)
+                assert blocked.hex() == whole.hex()
+        finally:
+            sys.setswitchinterval(interval)
+
+    def test_worker_exception_reaches_caller(self, monkeypatch):
+        import vortexscatter.wavepackets as wavepackets_module
+
+        raised = []
+        failed = threading.Event()
+
+        class FailingProfile(WavePacketProfile):
+            def value(self, kappa):
+                # only the kappa1 tensors of the row blocks are 3-D
+                if np.ndim(kappa) == 3:
+                    if threading.current_thread() is threading.main_thread():
+                        assert failed.wait(timeout=60)  # hold a block until a worker failed
+                    else:
+                        raised.append(ArithmeticError("kappa1 profile failed in a worker"))
+                        failed.set()
+                        time.sleep(0.2)  # outlives the calling thread's blocks unless joined
+                        raise raised[-1]
+                return super().value(kappa)
+
+        monkeypatch.setattr(wavepackets_module, "_usable_cores", lambda: 3)
+        monkeypatch.setattr(wavepackets_module, "_BLOCK_ELEMENTS", 1)  # one row per block
+        f0, f1, f2 = _profiles()
+        profiles = (f0, FailingProfile(f1.kappa0, f1.sigma), f2)
+        before = threading.active_count()
+        with pytest.raises(ArithmeticError) as err:
+            smeared_amplitude(profiles, _template(), 0.0, 5, 5, 0, QuadratureSpec(node_count=12))
+        assert 1 <= len(raised) <= 2  # each worker fails on its first block and stops
+        assert any(err.value is exc for exc in raised)
+        assert threading.active_count() == before
+
+    @pytest.mark.skipif(not hasattr(os, "sched_setaffinity"), reason="no CPU affinity control")
+    def test_single_core_starts_no_thread_and_keeps_bits(self):
+        script = textwrap.dedent(
+            """
+            import os, threading
+            from vortexscatter.kinematics import CollisionGeometry, TwistedState
+            from vortexscatter.numerics import QuadratureSpec
+            from vortexscatter.wavepackets import WavePacketProfile, smeared_amplitude
+
+            started = []
+            start = threading.Thread.start
+
+            def counting_start(self):
+                started.append(self)
+                start(self)
+
+            threading.Thread.start = counting_start
+            profiles = tuple(WavePacketProfile(k, 0.2 * k) for k in (1.0, 1.0, 0.5))
+            template = CollisionGeometry(
+                0.2, 0.0, TwistedState.massless(1.0, 5, 50.0), 1.0, 0.5
+            )
+            quad = QuadratureSpec(node_count=24, rel_tol=1e-6, max_refinements=2)
+
+            def value():
+                v = smeared_amplitude(profiles, template, 0.05, 5, 10, -3, quad)
+                return v.real.hex(), v.imag.hex()
+
+            cores = len(os.sched_getaffinity(0))
+            all_cores = value()
+            workers = len(started)
+            os.sched_setaffinity(0, {min(os.sched_getaffinity(0))})
+            del started[:]
+            one_core = value()
+            print(cores, workers, len(started), all_cores == one_core, all_cores)
+            """
+        )
+        env = dict(os.environ)
+        src = os.path.join(os.path.dirname(__file__), os.pardir, "src")
+        env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+        done = subprocess.run(
+            [sys.executable, "-c", script], env=env, capture_output=True, text=True, timeout=120
+        )
+        assert done.returncode == 0, done.stderr
+        cores, workers, single, same = done.stdout.split()[:4]
+        assert int(single) == 0
+        assert same == "True"
+        if int(cores) > 1:
+            assert int(workers) > 0
 
 
 def _cell_grid(sl, m, m1_values, m2_values):
@@ -149,7 +320,7 @@ def _cell_grid(sl, m, m1_values, m2_values):
 
 @pytest.mark.parametrize("m1_range, m2_range", [((-3, 6), (-5, 2)), ((6, 6), (1, 1))])
 def test_grid_values_match_cell_values(m1_range, m2_range):
-    sl = _build_q_slice(_profiles(), 0.2, 0.03, 16)
+    sl = _whole_slice(_profiles(), 0.2, 0.03, 16)
     m1_values = np.arange(m1_range[0], m1_range[1] + 1)
     m2_values = np.arange(m2_range[0], m2_range[1] + 1)
     grid = _grid_values(sl, 5, m1_values, m2_values)
@@ -166,7 +337,7 @@ def test_map_pass_matches_unfolded_q_sum(q_nodes):
     q_max = profiles[0].support[1] * math.sin(theta)
     expected = np.zeros((len(m1_values), len(m2_values)))
     for q, w in zip(*q_substitution(q_max, q_nodes)):
-        sl = _build_q_slice(profiles, theta, float(q), n)
+        sl = _whole_slice(profiles, theta, float(q), n)
         expected += w * _cell_grid(sl, m, m1_values, m2_values) ** 2
     folded = _map_pass(profiles, theta, m, m1_values, m2_values, n, q_nodes)
     np.testing.assert_allclose(folded, expected, rtol=0.0, atol=1e-13 * expected.max())
