@@ -31,13 +31,13 @@ from .kinematics import (
     CollisionGeometry,
     TwistedState,
     angle_set,
+    mode_field,
     triangle_geometry,
 )
 from .numerics import (
     MAX_BESSEL_ARGUMENT,
     MAX_BESSEL_ORDER,
     QuadratureSpec,
-    bessel_j,
     gauss_legendre_on,
 )
 from .oracle import draw_support_samples, oracle_amplitude
@@ -375,15 +375,9 @@ def cmd_map(cfg: RunConfig, out_path: str) -> int:
 
 def cmd_field(cfg: RunConfig, out_path: str) -> int:
     """field_amplitude on the polar grid, or its packet superposition
-    sum_k w_k field_amplitude(mode k), one radius at a time.
-
-    J_m(kappa_k r) does not depend on phi, so each radius takes one bessel_j
-    call per mode, and the (mode x azimuth) terms are numpy arrays. The
-    complex products are written out in real arithmetic as field_amplitude
-    forms them, signed zeros included, the phases use math.cos and math.sin,
-    and the packet adds its modes in Python's order, so every value is bit
-    for bit the per-point one.
-    """
+    sum_k w_k field_amplitude(mode k), from mode_field one radius at a time.
+    The packet adds its modes in Python's order, so every value is bit for
+    bit the per-point one."""
     radii = np.linspace(0.0, cfg.r_max, cfg.grid_n).tolist()
     azimuths = np.linspace(0.0, 2.0 * math.pi, cfg.grid_n, endpoint=False).tolist()
     if cfg.field_packet:
@@ -393,21 +387,10 @@ def cmd_field(cfg: RunConfig, out_path: str) -> int:
         kappas = nodes.tolist()
     else:
         kappas, weights = [cfg.kappa0], None
-    m, order = cfg.m, abs(cfg.m)
-    scale = np.array([math.sqrt(k / (2.0 * math.pi)) for k in kappas])[:, None]
-    cos_m = np.array([math.cos(m * phi) for phi in azimuths])
-    sin_m = np.array([math.sin(m * phi) for phi in azimuths])
     phi_text = [_FLOAT9(phi) for phi in azimuths]
 
     lines = ["r,phi,re,im"]
-    for r in radii:
-        radial = np.array([bessel_j(order, k * r) for k in kappas])[:, None]
-        if m < 0 and order % 2 == 1:  # J_{-m} = (-1)^m J_m
-            radial = -radial
-        # (phase * radial) * scale; Python multiplies complex z by real x as
-        # z * (x + 0j), whose zero terms set the signs of zero results
-        re, im = cos_m * radial - sin_m * 0.0, cos_m * 0.0 + sin_m * radial
-        re, im = re * scale - im * 0.0, re * 0.0 + im * scale
+    for r, (re, im) in zip(radii, mode_field(cfg.m, kappas, radii, azimuths)):
         if weights is not None:
             # Python's sum over modes. It starts from +0, which erases the
             # signed zeros of numpy's float64-by-complex product

@@ -120,7 +120,7 @@ def bessel_j(order: int, argument: float) -> float:
     x = float(argument)
     if not math.isfinite(x) or x < 0.0 or x > MAX_BESSEL_ARGUMENT:
         raise ValueError(f"argument must be finite in [0, {MAX_BESSEL_ARGUMENT}]")
-    if x == 0.0:
+    if 0.5 * x == 0.0:  # x = 0, or the smallest subnormal, whose half rounds to 0
         return 1.0 if m == 0 else 0.0
     if x <= _SERIES_CUTOFF or x * x <= 2.0 * (m + 1):
         return _bessel_series(m, x)

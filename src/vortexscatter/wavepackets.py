@@ -252,11 +252,6 @@ def _row_sums(sl: _QSlice, m1: int, m2: int) -> np.ndarray:
     return np.einsum("abc,abc->a", sl.weight, np.cos(m1 * sl.delta1 + m2 * sl.delta2))
 
 
-def _cell_value(sl: _QSlice, m: int, m1: int, m2: int) -> float:
-    cos_a = np.cos(m * sl.phi_star - (m1 - m2) * sl.phi_tilde_star)
-    return float(np.dot(cos_a, _row_sums(sl, m1, m2)))
-
-
 def _usable_cores() -> int:
     """The number of cores this process may run on."""
     try:
@@ -329,11 +324,12 @@ def _on_threads(fn, count: int, threads: int) -> list:
 
 
 def _smeared_estimate(profiles, theta, q, m, m1, m2, n: int, threads: int, block_rows: int) -> float:
-    """_cell_value of the q slice at n nodes per axis, 0 when the slice is
-    empty, built and row-summed in the _row_blocks of block_rows kappa rows
-    that up to `threads` threads take in turn. The row sums are joined in row
-    order before the one dot over every row, so the value is bit for bit
-    _cell_value's for any block size, thread count and hand-out order."""
+    """The cell: cos(m phi_star - (m1 - m2) phi_tilde_star) dot _row_sums of
+    the q slice at n nodes per axis (0 if empty), built and row-summed in the
+    _row_blocks of block_rows kappa rows that up to `threads` threads take in
+    turn. The row sums are joined in row order before the one dot, so the
+    value is the whole slice's bit for bit for any block size, thread count
+    and hand-out order."""
     axes = _slice_axes(profiles, theta, q, n)
     if axes is None:
         return 0.0
@@ -387,7 +383,7 @@ def _helicity_phases(delta: np.ndarray, first: int, count: int) -> np.ndarray:
 
 
 def _grid_values(sl: _QSlice, m: int, m1_values, m2_values) -> np.ndarray:
-    """_cell_value for every (m1, m2) of a consecutive helicity grid at once.
+    """The _smeared_estimate cell for every (m1, m2) of a consecutive helicity grid.
 
     Per kappa row a, with j running over the row's (kappa2, w) nodes,
     Re(E1 E2^T)[k, l] = sum_j weight_j cos(m1_k delta1_j + m2_l delta2_j) for

@@ -4,11 +4,15 @@ These deliberately avoid the package's own code paths: the Bessel series and
 integral representation, an adaptive panel quadrature, a bisection solver for
 the two-circle intersection, central-difference Jacobians with a Richardson-
 extrapolated determinant, and a dense sign-change scan on the 3-torus.
+The one exception is the per-point field formula, which takes J_m from the
+package's bessel_j so that it can be compared bit for bit.
 """
 
 import math
 
 import numpy as np
+
+from vortexscatter.numerics import bessel_j
 
 
 def bessel_series(m: int, x: float, terms: int = 120) -> float:
@@ -30,6 +34,17 @@ def bessel_integral(m: int, x: float, nodes: int = 800) -> float:
     t, w = np.polynomial.legendre.leggauss(nodes)
     tau = 0.5 * math.pi * (t + 1.0)
     return float(np.sum(0.5 * math.pi * w * np.cos(m * tau - x * np.sin(tau))) / math.pi)
+
+
+def per_point_field(m: int, kappa: float, r: float, phi: float) -> complex:
+    """e^{i m phi} J_m(kappa r) sqrt(kappa / 2 pi) as Python complex products,
+    phase * radial * scale, one point and one mode at a time. The signs of
+    zero results are those of CPython 3.11's complex-by-float product."""
+    radial = bessel_j(abs(m), kappa * r)
+    if m < 0 and abs(m) % 2 == 1:
+        radial = -radial
+    phase = complex(math.cos(m * phi), math.sin(m * phi))
+    return phase * radial * math.sqrt(kappa / (2.0 * math.pi))
 
 
 def adaptive_open_quadrature(f, a: float, b: float, levels: int = 60, nodes: int = 24) -> float:

@@ -22,7 +22,6 @@ from vortexscatter.cli import (
     RunConfig,
     main,
 )
-from vortexscatter.kinematics import TwistedState, field_amplitude
 from vortexscatter.numerics import RootFindSpec, gauss_legendre_on
 from vortexscatter.oracle import OracleResult
 from vortexscatter.wavepackets import IntensityMap, WavePacketProfile
@@ -484,24 +483,24 @@ class TestField:
 
 
 def _per_point_field_csv(m, kappa0, sigma_rel, r_max, grid_n, field_packet):
-    """The field CSV with one field_amplitude call per grid point and mode,
-    and the packet sum in Python's order."""
+    """The field CSV from the per-point formula of _oracles, one point and
+    mode at a time, and the packet sum in Python's order."""
+    from _oracles import per_point_field
+
     radii = np.linspace(0.0, r_max, grid_n)
     azimuths = np.linspace(0.0, 2.0 * math.pi, grid_n, endpoint=False)
     if field_packet:
         profile = WavePacketProfile(kappa0, sigma_rel * kappa0)
         kappas, weights = gauss_legendre_on(*profile.support, 64)
         weights = weights * profile.value(kappas)
-        states = [TwistedState.massless(float(k), m, 50.0 * kappa0) for k in kappas]
 
         def sample(r, phi):
-            return sum(wt * field_amplitude(st, r, phi) for wt, st in zip(weights, states))
+            return sum(wt * per_point_field(m, float(k), r, phi) for wt, k in zip(weights, kappas))
 
     else:
-        state = TwistedState.massless(kappa0, m, 50.0 * kappa0)
 
         def sample(r, phi):
-            return field_amplitude(state, r, phi)
+            return per_point_field(m, kappa0, r, phi)
 
     lines = ["r,phi,re,im"]
     for r in radii:
@@ -583,6 +582,7 @@ def _configs(draw):
 @example(command="field", config={"m": 300, "grid_n": 2})
 @example(command="field", config={"kappa0": 1e308, "grid_n": 2})
 @example(command="field", config={"r_max": 1e300, "grid_n": 2})
+@example(command="field", config={"r_max": 5e-324, "grid_n": 3})
 @example(command="eval", config={"theta": "0.2"})
 @example(command="eval", config={"m": 5.5})
 @example(command="field", config={"kappa0": math.nan})

@@ -21,7 +21,7 @@ from vortexscatter.kinematics import (
 from vortexscatter.numerics import heron_area
 from vortexscatter.wavepackets import WavePacketProfile
 
-from _oracles import bessel_series
+from _oracles import bessel_series, per_point_field
 
 
 def _state(kappa=1.0, m=0, k_z=10.0):
@@ -243,6 +243,20 @@ class TestFieldAmplitude:
         s = _state(kappa=1.0, m=m)
         mods = [abs(field_amplitude(s, r, phi)) for phi in np.linspace(0, 6.0, 23)]
         assert max(mods) - min(mods) <= 1e-13
+
+    @pytest.mark.parametrize("m", [-3, -2, 0, 1, 4])
+    def test_matches_per_point_formula_bit_for_bit(self, m):
+        # r = 0 gives zero parts whose signs the complex products set; at
+        # kappa = 1e-200, r = 1e-24 and phi = 4 both m = 1 parts are negative
+        # and the real one underflows to -0 when scaled
+        grid = [(1.3, r, phi) for r in (0.0, 0.7, 2.0) for phi in (0.0, 0.5 * math.pi, math.pi, 5.1)]
+        for kappa, r, phi in grid + [(1e-200, 1e-24, 4.0)]:
+            value = field_amplitude(_state(kappa=kappa, m=m), r, phi)
+            expected = per_point_field(m, kappa, r, phi)
+            assert type(value) is complex
+            assert (value.real.hex(), value.imag.hex()) == (
+                expected.real.hex(), expected.imag.hex()
+            ), (kappa, r, phi)
 
     def test_phase_winding(self):
         for m in (-3, 1, 5):

@@ -34,6 +34,11 @@ class TestBessel:
         assert bessel_j(0, 0.0) == 1.0
         assert bessel_j(3, 0.0) == 0.0
 
+    @pytest.mark.parametrize("m", [0, 1, 5])
+    def test_smallest_subnormal_argument(self, m):
+        # half of 5e-324 rounds to 0, so log(x / 2) of the series is undefined
+        assert bessel_j(m, 5e-324) == (1.0 if m == 0 else 0.0)
+
     def test_j1_of_one_series_oracle(self):
         expected = bessel_series(1, 1.0)
         assert expected == pytest.approx(0.4400505857449335, abs=1e-15)

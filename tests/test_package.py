@@ -34,6 +34,25 @@ def test_runtime_imports_only_stdlib_and_numpy():
     assert foreign == []
 
 
+def test_every_private_definition_has_a_src_caller():
+    # a private function, class or method that only tests call belongs in tests/
+    kinds = (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)
+    defined, used = [], set()
+    for path in sorted(PACKAGE_DIR.glob("*.py")):
+        tree = ast.parse(path.read_text(encoding="utf-8"))
+        for node in tree.body:
+            members = node.body if isinstance(node, ast.ClassDef) else []
+            for d in [node, *members]:
+                if isinstance(d, kinds) and d.name.startswith("_") and not d.name.endswith("__"):
+                    defined.append((path.name, d.name))
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Name):
+                used.add(node.id)
+            elif isinstance(node, ast.Attribute):
+                used.add(node.attr)
+    assert [f"{file}: {name}" for file, name in defined if name not in used] == []
+
+
 def test_readme_library_example_runs():
     text = README.read_text(encoding="utf-8")
     block = text.split("```python\n", 1)[1].split("```", 1)[0]

@@ -18,7 +18,6 @@ from vortexscatter.wavepackets import (
     WavePacketProfile,
     _block_rows,
     _build_q_slice,
-    _cell_value,
     _grid_values,
     _map_pass,
     _row_blocks,
@@ -159,6 +158,13 @@ class TestSmearedAmplitude:
 
 def _whole_slice(profiles, theta, q, n):
     return _build_q_slice(_slice_axes(profiles, theta, q, n))
+
+
+def _cell_value(sl, m, m1, m2):
+    """One (m1, m2) cell from a whole slice: the reference for the blocked
+    estimate and the helicity-grid contraction."""
+    cos_a = np.cos(m * sl.phi_star - (m1 - m2) * sl.phi_tilde_star)
+    return float(np.dot(cos_a, _row_sums(sl, m1, m2)))
 
 
 class TestRowBlocks:
