@@ -33,7 +33,7 @@ from .kinematics import (
     triangle_geometry,
     vortex_axis,
 )
-from .numerics import QuadratureSpec, RootFindSpec
+from .numerics import QuadratureSpec
 from .oracle import draw_support_samples, oracle_amplitude, single_twisted_oracle
 from .wavepackets import WavePacketProfile, intensity_map, smeared_amplitude
 
@@ -47,7 +47,6 @@ __all__ = [
     "DegenerateSupportError",
     "DomainError",
     "QuadratureSpec",
-    "RootFindSpec",
     "SupportRegionError",
     "TwistedState",
     "WavePacketProfile",

@@ -7,7 +7,7 @@ Subcommands (each takes --config <path> --out <path>):
   map           q-integrated (m1, m2) intensity map -> CSV (+ optional gnuplot script)
   field         transverse field samples on a polar grid -> CSV
 
-Exit codes: 0 success, 1 threshold failure, 2 invalid config, 3 degenerate
+Exit codes: 0 success, 1 threshold failure, 2 invalid config or output path, 3 degenerate
 support, 4 degenerate oracle sample, 5 quadrature failure.
 
 All floats are emitted in shortest round-trip form (at most 17 significant
@@ -430,7 +430,11 @@ def main(argv: list[str] | None = None) -> int:
         for v in violations:
             print(f"config invalid: {v}", file=sys.stderr)
         return EXIT_CONFIG
-    return _COMMANDS[args.command](cfg, args.out)
+    try:
+        return _COMMANDS[args.command](cfg, args.out)
+    except OSError as exc:  # only the output writes touch the file system
+        print(f"cannot write output: {exc}", file=sys.stderr)
+        return EXIT_CONFIG
 
 
 if __name__ == "__main__":

@@ -146,19 +146,11 @@ def monochromatic_k_z(omega: float, kappa: float, mass: float = 0.0) -> float:
     return math.sqrt(arg)
 
 
-def tilt_frame(theta: float, azimuth: float = 0.0) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Orthonormal basis (x', y', z') of the axis tilted by theta.
-
-    For azimuth 0 the tilt lies in the x-z plane: z' = (sin t, 0, cos t),
-    x' = (cos t, 0, -sin t), y' = y. A nonzero azimuth rotates the whole
-    frame about z.
-    """
+def tilt_frame(theta: float) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Orthonormal basis (x', y', z') of the axis tilted by theta in the x-z
+    plane: x' = (cos t, 0, -sin t), y' = y, z' = (sin t, 0, cos t)."""
     st, ct = math.sin(theta), math.cos(theta)
-    ca, sa = math.cos(azimuth), math.sin(azimuth)
-    ez = np.array([st * ca, st * sa, ct])
-    ex = np.array([ct * ca, ct * sa, -st])
-    ey = np.array([-sa, ca, 0.0])
-    return ex, ey, ez
+    return np.array([ct, 0.0, -st]), np.array([0.0, 1.0, 0.0]), np.array([st, 0.0, ct])
 
 
 def cone_momentum(state: TwistedState, phi: float, axis_theta: float) -> np.ndarray:

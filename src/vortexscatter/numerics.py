@@ -34,6 +34,12 @@ _MILLER_PAD = 40
 _MAX_NEWTON_STEP = 0.7  # rad; keeps multi-start iterates on their own basins
 _TWO_PI = 2.0 * math.pi
 
+# Controls of the multi-start Newton search on the torus (solve_system).
+_START_GRID_DENSITY = 6  # start points per angle
+_MAX_ITERATIONS = 60
+_RESIDUAL_TOL = 1e-12
+_DEDUPE_TOL = 1e-6  # merge radius of converged iterates, modulo 2 pi
+
 
 def _reject_non_finite(spec) -> None:
     # every comparison with NaN is false, so the range checks would pass it
@@ -59,27 +65,6 @@ class QuadratureSpec:
             raise ValueError("rel_tol must be positive")
         if self.max_refinements < 1:
             raise ValueError("max_refinements must be >= 1")
-
-
-@dataclass(frozen=True)
-class RootFindSpec:
-    """Controls for the multi-start Newton search on the torus."""
-
-    residual_tol: float = 1e-12
-    max_iterations: int = 60
-    start_grid_density: int = 6
-    dedupe_tol: float = 1e-6
-
-    def __post_init__(self):
-        _reject_non_finite(self)
-        if self.residual_tol <= 0.0:
-            raise ValueError("residual_tol must be positive")
-        if self.max_iterations < 1:
-            raise ValueError("max_iterations must be >= 1")
-        if self.start_grid_density < 1:
-            raise ValueError("start_grid_density must be >= 1")
-        if self.dedupe_tol <= self.residual_tol:
-            raise ValueError("dedupe_tol must exceed residual_tol")
 
 
 @dataclass(frozen=True)
@@ -259,26 +244,24 @@ def _dedupe(points: np.ndarray, tol: float) -> list[int]:
 def solve_system(
     residual: Callable[[np.ndarray], np.ndarray],
     jacobian: Callable[[np.ndarray], np.ndarray],
-    spec: RootFindSpec | None = None,
 ) -> tuple[list[TorusRoot], list[TorusRoot]]:
     """Find all roots of a smooth residual R^3 -> R^3 on the 3-torus.
 
-    Newton iterations start from a uniform grid of start_grid_density^3
-    points. An iterate back within residual_tol of where it stood two steps
+    Newton iterations start from a uniform grid of _START_GRID_DENSITY^3
+    points. An iterate back within _RESIDUAL_TOL of where it stood two steps
     earlier, with no smaller residual, is caught in a 2-cycle and dropped;
-    the test does not use dedupe_tol, so a wider merge radius drops no
+    the test does not use _DEDUPE_TOL, so a wider merge radius drops no
     iterate that would still converge. Converged iterates are deduplicated
-    modulo 2 pi within dedupe_tol, in order of increasing residual. Returns
+    modulo 2 pi within _DEDUPE_TOL, in order of increasing residual. Returns
     (roots, degenerate): roots whose |Jacobian determinant| falls below
-    residual_tol are reported separately and must not enter amplitude sums.
+    _RESIDUAL_TOL are reported separately and must not enter amplitude sums.
 
     residual maps an (N, 3) batch of angle triples to the (N, 3) residuals;
     jacobian maps the same batch to the (N, 3, 3) derivatives
     d residual_i / d angle_j and serves both the Newton steps and the
     determinants.
     """
-    spec = spec or RootFindSpec()
-    d = spec.start_grid_density
+    d = _START_GRID_DENSITY
     # Irrational offset keeps the regular grid off exact Jacobian singularities.
     axis = (np.arange(d) + 0.5 + 0.1180339887) * _TWO_PI / d
     grid = np.stack(np.meshgrid(axis, axis, axis, indexing="ij"), axis=-1)
@@ -288,15 +271,15 @@ def solve_system(
     back_norms = np.full((2, active.shape[0]), np.nan)
 
     settled: list[np.ndarray] = []
-    for _ in range(spec.max_iterations):
+    for _ in range(_MAX_ITERATIONS):
         if active.shape[0] == 0:
             break
         res = residual(active)
         norms = np.max(np.abs(res), axis=1)
-        done = norms <= spec.residual_tol
+        done = norms <= _RESIDUAL_TOL
         if done.any():
             settled.append(active[done])
-        returned = _torus_distance(active, back[1]) <= spec.residual_tol
+        returned = _torus_distance(active, back[1]) <= _RESIDUAL_TOL
         cycling = returned & (norms >= back_norms[1])
         keep = ~(done | cycling)
         if not keep.all():
@@ -326,9 +309,9 @@ def solve_system(
     final = np.concatenate(settled) % _TWO_PI
     final_norms = np.max(np.abs(residual(final)), axis=1)
     order = np.argsort(final_norms, kind="stable")
-    order = order[final_norms[order] <= spec.residual_tol]
+    order = order[final_norms[order] <= _RESIDUAL_TOL]
     candidates = final[order]
-    picked = _dedupe(candidates, spec.dedupe_tol)
+    picked = _dedupe(candidates, _DEDUPE_TOL)
     reps, rnorms = candidates[picked], final_norms[order][picked]
     dets = np.abs(np.linalg.det(np.asarray(jacobian(reps), dtype=float))).tolist()
 
@@ -336,7 +319,7 @@ def solve_system(
     degenerate: list[TorusRoot] = []
     for angles, det, rnorm in zip(reps, dets, rnorms):
         root = TorusRoot(angles=angles, jacobian_det=det, residual_norm=float(rnorm))
-        if det < spec.residual_tol:
+        if det < _RESIDUAL_TOL:
             degenerate.append(root)
         else:
             roots.append(root)

@@ -30,7 +30,7 @@ import numpy as np
 from .amplitudes import fourier_weight
 from .errors import DegenerateJacobianError
 from .kinematics import CollisionGeometry, TwistedState, tilt_frame
-from .numerics import RootFindSpec, solve_system
+from .numerics import solve_system
 
 
 @dataclass(frozen=True)
@@ -60,12 +60,11 @@ class _ConstraintKernel:
     as (..., 3, 3), the derivative of the same cos/sin sum, also over kappa.
     """
 
-    def __init__(self, geom: CollisionGeometry, axis_azimuth: float):
+    def __init__(self, geom: CollisionGeometry):
         self.kappa, self.kappa1, self.kappa2 = geom.initial.kappa, geom.kappa1, geom.kappa2
-        self.ex, self.ey, ez = tilt_frame(geom.theta, axis_azimuth)
-        ca, sa = math.cos(axis_azimuth), math.sin(axis_azimuth)
-        self.gx = np.array([ca, sa, 0.0])  # initial azimuth is measured from global x
-        self.gy = np.array([-sa, ca, 0.0])
+        self.ex, self.ey, ez = tilt_frame(geom.theta)
+        self.gx = np.array([1.0, 0.0, 0.0])  # initial azimuth is measured from global x
+        self.gy = np.array([0.0, 1.0, 0.0])
         # only q = k_{1z'} + k_{2z'} enters, never the longitudinal scale
         self.offset = geom.q * ez
 
@@ -96,8 +95,6 @@ def oracle_amplitude(
     m: int,
     m1: int,
     m2: int,
-    spec: RootFindSpec | None = None,
-    axis_azimuth: float = 0.0,
 ) -> OracleResult:
     """Sum the decomposition weights over all constraint solutions.
 
@@ -108,11 +105,10 @@ def oracle_amplitude(
     configuration sits too close to a support boundary for the inverse-
     Jacobian weight to mean anything.
     """
-    spec = spec or RootFindSpec()
     kappa = geom.initial.kappa
     kappa1, kappa2 = geom.kappa1, geom.kappa2
-    kernel = _ConstraintKernel(geom, axis_azimuth)
-    roots, degenerate = solve_system(kernel, kernel.jacobian, spec)
+    kernel = _ConstraintKernel(geom)
+    roots, degenerate = solve_system(kernel, kernel.jacobian)
     if degenerate:
         raise DegenerateJacobianError(
             f"{len(degenerate)} constraint solution(s) with singular Jacobian; "

@@ -269,17 +269,14 @@ def _usable_cores() -> int:
 _BLOCK_ELEMENTS = 1 << 15
 
 
-def _block_rows(n: int) -> int:
-    """Kappa rows per block of an n-node slice (n^2 elements per row)."""
-    return max(1, _BLOCK_ELEMENTS // (n * n))
-
-
-def _row_blocks(n: int, rows: int) -> list[slice]:
-    """Contiguous blocks of `rows` kappa rows (at least 2) covering n rows, a
-    lone last row joining the block before it. einsum sums a block of one
-    row in pieces of numpy's 8192-element buffer once n^2 exceeds it, which
-    rounds differently from the same row in a block of several."""
-    starts = list(range(0, n, max(2, rows)))
+def _row_blocks(n: int) -> list[slice]:
+    """Contiguous blocks of kappa rows covering the n rows of an n-node slice
+    (n^2 elements per row), as many rows per block as _BLOCK_ELEMENTS allows
+    but at least 2, a lone last row joining the block before it. einsum sums
+    a block of one row in pieces of numpy's 8192-element buffer once n^2
+    exceeds it, which rounds differently from the same row in a block of
+    several."""
+    starts = list(range(0, n, max(2, _BLOCK_ELEMENTS // (n * n))))
     if n - starts[-1] == 1 and len(starts) > 1:
         starts.pop()
     return [slice(lo, hi) for lo, hi in zip(starts, starts[1:] + [n])]
@@ -323,18 +320,20 @@ def _on_threads(fn, count: int, threads: int) -> list:
     return results
 
 
-def _smeared_estimate(profiles, theta, q, m, m1, m2, n: int, threads: int, block_rows: int) -> float:
+def _smeared_estimate(profiles, theta, q, m, m1, m2, n: int) -> float:
     """The cell: cos(m phi_star - (m1 - m2) phi_tilde_star) dot _row_sums of
     the q slice at n nodes per axis (0 if empty), built and row-summed in the
-    _row_blocks of block_rows kappa rows that up to `threads` threads take in
-    turn. The row sums are joined in row order before the one dot, so the
-    value is the whole slice's bit for bit for any block size, thread count
-    and hand-out order."""
+    _row_blocks that up to _usable_cores() threads take in turn. The row
+    sums are joined in row order before the one dot, so the value is the
+    whole slice's bit for bit for any block size, thread count and hand-out
+    order."""
     axes = _slice_axes(profiles, theta, q, n)
     if axes is None:
         return 0.0
-    blocks = _row_blocks(n, block_rows)
-    sums = _on_threads(lambda k: _row_sums(_build_q_slice(axes, blocks[k]), m1, m2), len(blocks), threads)
+    blocks = _row_blocks(n)
+    sums = _on_threads(
+        lambda k: _row_sums(_build_q_slice(axes, blocks[k]), m1, m2), len(blocks), _usable_cores()
+    )
     cos_a = np.cos(m * axes.phi_star - (m1 - m2) * axes.phi_tilde_star)
     return float(np.dot(cos_a, np.concatenate(sums)))
 
@@ -361,10 +360,9 @@ def smeared_amplitude(
     if not math.isfinite(q):
         raise ValueError("q must be finite")
     theta = geom_template.theta
-    threads = _usable_cores()
 
     def estimate(n: int) -> float:
-        return _smeared_estimate(profiles, theta, q, m, m1, m2, n, threads, _block_rows(n))
+        return _smeared_estimate(profiles, theta, q, m, m1, m2, n)
 
     value = refine_by_doubling(estimate, quad, f"smeared amplitude at q = {q}")
     return unit_imag_power(m1 + m2 - m) * value

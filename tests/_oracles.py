@@ -36,15 +36,21 @@ def bessel_integral(m: int, x: float, nodes: int = 800) -> float:
     return float(np.sum(0.5 * math.pi * w * np.cos(m * tau - x * np.sin(tau))) / math.pi)
 
 
+def _times_real(re: float, im: float, x: float) -> tuple[float, float]:
+    """(re + i im)(x + 0i) = (re x - im 0) + i(re 0 + im x), the complex-by-float
+    product as CPython 3.11 forms it, signed zeros included, written out so
+    that it does not change with the Python version."""
+    return re * x - im * 0.0, re * 0.0 + im * x
+
+
 def per_point_field(m: int, kappa: float, r: float, phi: float) -> complex:
-    """e^{i m phi} J_m(kappa r) sqrt(kappa / 2 pi) as Python complex products,
-    phase * radial * scale, one point and one mode at a time. The signs of
-    zero results are those of CPython 3.11's complex-by-float product."""
+    """e^{i m phi} J_m(kappa r) sqrt(kappa / 2 pi), phase * radial * scale,
+    one point and one mode at a time."""
     radial = bessel_j(abs(m), kappa * r)
     if m < 0 and abs(m) % 2 == 1:
         radial = -radial
-    phase = complex(math.cos(m * phi), math.sin(m * phi))
-    return phase * radial * math.sqrt(kappa / (2.0 * math.pi))
+    re, im = _times_real(math.cos(m * phi), math.sin(m * phi), radial)
+    return complex(*_times_real(re, im, math.sqrt(kappa / (2.0 * math.pi))))
 
 
 def adaptive_open_quadrature(f, a: float, b: float, levels: int = 60, nodes: int = 24) -> float:

@@ -8,7 +8,6 @@ from hypothesis import strategies as st
 from vortexscatter.errors import ConvergenceError
 from vortexscatter.numerics import (
     QuadratureSpec,
-    RootFindSpec,
     bessel_j,
     gauss_legendre_on,
     heron_area,
@@ -17,6 +16,7 @@ from vortexscatter.numerics import (
     solve_system,
     stripe_substitution,
 )
+import vortexscatter.numerics as numerics_module
 from vortexscatter.numerics import _dedupe
 
 from _oracles import (
@@ -201,11 +201,7 @@ class TestQuadrature:
             QuadratureSpec(node_count=1)
         with pytest.raises(ValueError):
             QuadratureSpec(rel_tol=0.0)
-        with pytest.raises(ValueError):
-            RootFindSpec(dedupe_tol=1e-13)
         for bad in (math.nan, math.inf):
-            with pytest.raises(ValueError, match="residual_tol must be finite"):
-                RootFindSpec(residual_tol=bad)
             with pytest.raises(ValueError, match="rel_tol must be finite"):
                 QuadratureSpec(rel_tol=bad)
 
@@ -303,14 +299,17 @@ class TestSolveSystem:
         roots, degenerate = solve_system(residual, _fd(residual))
         assert roots == [] and degenerate == []
 
-    def test_grid_doubling_never_loses_roots(self):
+    def test_grid_doubling_never_loses_roots(self, monkeypatch):
         fd = _fd(_embedded_two_root_residual)
-        base = solve_system(_embedded_two_root_residual, fd, RootFindSpec(start_grid_density=3))
-        dense = solve_system(_embedded_two_root_residual, fd, RootFindSpec(start_grid_density=6))
+        monkeypatch.setattr(numerics_module, "_START_GRID_DENSITY", 3)
+        base = solve_system(_embedded_two_root_residual, fd)
+        monkeypatch.setattr(numerics_module, "_START_GRID_DENSITY", 6)
+        dense = solve_system(_embedded_two_root_residual, fd)
         assert len(dense[0]) >= len(base[0])
 
-    def test_batched_residual_error_propagates(self):
+    def test_batched_residual_error_propagates(self, monkeypatch):
         # an error of the residual is not retried or swallowed
+        monkeypatch.setattr(numerics_module, "_START_GRID_DENSITY", 2)
         calls = []
 
         def failing_residual(points):
@@ -318,9 +317,7 @@ class TestSolveSystem:
             raise ZeroDivisionError("residual failed")
 
         with pytest.raises(ZeroDivisionError):
-            solve_system(
-                failing_residual, _fd(failing_residual), RootFindSpec(start_grid_density=2)
-            )
+            solve_system(failing_residual, _fd(failing_residual))
         assert calls == [(8, 3)]
 
     def test_exact_jacobian_finds_the_same_roots(self):
@@ -333,11 +330,10 @@ class TestSolveSystem:
             richardson = abs(richardson_det(_embedded_two_root_residual, root.angles))
             assert root.jacobian_det == pytest.approx(richardson, rel=1e-10)
 
-    def test_wide_merge_radius_keeps_both_roots(self):
+    def test_wide_merge_radius_keeps_both_roots(self, monkeypatch):
+        monkeypatch.setattr(numerics_module, "_DEDUPE_TOL", 1e-2)
         roots, degenerate = solve_system(
-            _embedded_two_root_residual,
-            _fd(_embedded_two_root_residual),
-            RootFindSpec(dedupe_tol=1e-2),
+            _embedded_two_root_residual, _fd(_embedded_two_root_residual)
         )
         assert not degenerate
         assert len(roots) == 2

@@ -13,10 +13,10 @@ from vortexscatter.amplitudes import reduced_triple_amplitude, unit_imag_power
 from vortexscatter.errors import ConvergenceError
 from vortexscatter.kinematics import CollisionGeometry, TwistedState
 from vortexscatter.numerics import QuadratureSpec, gauss_legendre_nodes, q_substitution
+import vortexscatter.wavepackets as wavepackets_module
 from vortexscatter.wavepackets import (
     _BLOCK_ELEMENTS,
     WavePacketProfile,
-    _block_rows,
     _build_q_slice,
     _grid_values,
     _map_pass,
@@ -136,8 +136,6 @@ class TestSmearedAmplitude:
         assert unit_imag_power(2) * fine == loose
 
     def test_non_finite_q_rejected_before_any_slice(self, monkeypatch):
-        import vortexscatter.wavepackets as wavepackets_module
-
         sizes = []
         build = wavepackets_module._build_q_slice
 
@@ -167,49 +165,65 @@ def _cell_value(sl, m, m1, m2):
     return float(np.dot(cos_a, _row_sums(sl, m1, m2)))
 
 
+def _set_block_rows(monkeypatch, n, rows):
+    """Blocks of `rows` kappa rows for an n-node slice."""
+    monkeypatch.setattr(wavepackets_module, "_BLOCK_ELEMENTS", rows * n * n)
+
+
+def _set_cores(monkeypatch, cores):
+    monkeypatch.setattr(wavepackets_module, "_usable_cores", lambda: cores)
+
+
 class TestRowBlocks:
     """The smeared estimate built and row-summed in kappa-row blocks that one
     thread per core takes in turn."""
 
     @pytest.mark.parametrize("n", [24, 25, 48, 96])
-    def test_blocked_estimate_bit_identical_to_whole_slice(self, n):
+    def test_blocked_estimate_bit_identical_to_whole_slice(self, monkeypatch, n):
         profiles, theta, m, m1, m2 = _profiles(), 0.2, 5, 10, -3
         q_max = profiles[0].support[1] * math.sin(theta)
         # 1, 2 and 3 blocks, the production block size, and sizes that leave
         # a lone last row (1 means 2, and 25 = 12 * 2 + 1, 96 = 19 * 5 + 1)
-        sizes = sorted({n, -(-n // 2), -(-n // 3), _block_rows(n), 1, 5})
+        sizes = sorted({n, -(-n // 2), -(-n // 3), max(1, _BLOCK_ELEMENTS // (n * n)), 1, 5})
         for q in (0.3 * q_max, -0.7 * q_max, 1.1 * q_max):
             axes = _slice_axes(profiles, theta, q, n)
             whole = 0.0 if axes is None else _cell_value(_build_q_slice(axes), m, m1, m2)
             for block_rows in sizes:
+                _set_block_rows(monkeypatch, n, block_rows)
                 for threads in (1, 2, 3):
-                    blocked = _smeared_estimate(profiles, theta, q, m, m1, m2, n, threads, block_rows)
+                    _set_cores(monkeypatch, threads)
+                    blocked = _smeared_estimate(profiles, theta, q, m, m1, m2, n)
                     assert blocked.hex() == whole.hex(), (q, block_rows, threads)
 
-    @pytest.mark.parametrize("block_rows", [1, 5, 7, _block_rows(96)])
-    def test_block_row_sums_bit_identical_to_whole_slice(self, block_rows):
+    @pytest.mark.parametrize("block_rows", [1, 5, 7, _BLOCK_ELEMENTS // (96 * 96)])
+    def test_block_row_sums_bit_identical_to_whole_slice(self, monkeypatch, block_rows):
         # n^2 = 9216 exceeds numpy's 8192-element buffer, where einsum would
         # sum a block of one row in pieces
         profiles, n, m1, m2 = _profiles(), 96, 10, -3
         axes = _slice_axes(profiles, 0.2, 0.01, n)
         whole = _row_sums(_build_q_slice(axes), m1, m2)
-        blocks = _row_blocks(n, block_rows)
+        _set_block_rows(monkeypatch, n, block_rows)
+        blocks = _row_blocks(n)
         blocked = np.concatenate([_row_sums(_build_q_slice(axes, b), m1, m2) for b in blocks])
         assert [v.hex() for v in blocked] == [v.hex() for v in whole]
 
     @pytest.mark.parametrize("n, rows", [(96, 1), (96, 5), (97, 3), (25, 2), (2, 1), (3, 2), (24, 56)])
-    def test_row_blocks_cover_every_row_in_blocks_of_two_or_more(self, n, rows):
-        blocks = _row_blocks(n, rows)
+    def test_row_blocks_cover_every_row_in_blocks_of_two_or_more(self, monkeypatch, n, rows):
+        _set_block_rows(monkeypatch, n, rows)
+        blocks = _row_blocks(n)
         assert [r for b in blocks for r in range(n)[b]] == list(range(n))
         assert all(len(range(n)[b]) >= min(2, n) for b in blocks)
         assert all(len(range(n)[b]) <= max(2, rows) + 1 for b in blocks)
 
     @pytest.mark.parametrize("n", [2, 24, 48, 96, 181, 182, 400])
     def test_block_rows_fill_the_element_budget(self, n):
-        rows = _block_rows(n)
-        assert rows >= 1
-        assert rows * n * n <= max(_BLOCK_ELEMENTS, n * n)
-        assert (rows + 1) * n * n > _BLOCK_ELEMENTS
+        # every block but the last holds as many rows as the budget allows,
+        # 2 at least; the last one ends the slice or takes a lone last row
+        *full, last = [len(range(n)[b]) for b in _row_blocks(n)]
+        for rows in full:
+            assert rows * n * n <= max(_BLOCK_ELEMENTS, 2 * n * n)
+            assert (rows + 1) * n * n > _BLOCK_ELEMENTS
+        assert last <= (full[0] + 1 if full else n)
 
     def test_threads_start_only_for_slices_of_several_blocks(self, monkeypatch):
         started = []
@@ -220,27 +234,28 @@ class TestRowBlocks:
             start(thread)
 
         monkeypatch.setattr(threading.Thread, "start", counting_start)
+        _set_cores(monkeypatch, 4)
         profiles = _profiles()
-        _smeared_estimate(profiles, 0.2, 0.01, 5, 10, -3, 24, 4, _block_rows(24))
+        _smeared_estimate(profiles, 0.2, 0.01, 5, 10, -3, 24)
         assert started == []  # one block
-        _smeared_estimate(profiles, 0.2, 0.01, 5, 10, -3, 48, 4, _block_rows(48))
+        _smeared_estimate(profiles, 0.2, 0.01, 5, 10, -3, 48)
         assert len(started) == 3  # four blocks, one thread per core
 
-    def test_more_threads_than_cores_under_fast_thread_switching(self):
+    def test_more_threads_than_cores_under_fast_thread_switching(self, monkeypatch):
         profiles, theta, q, n = _profiles(), 0.2, 0.01, 25
         whole = _cell_value(_whole_slice(profiles, theta, q, n), 5, 10, -3)
+        _set_block_rows(monkeypatch, n, 3)
+        _set_cores(monkeypatch, 8)
         interval = sys.getswitchinterval()
         sys.setswitchinterval(1e-6)
         try:
             for _ in range(5):
-                blocked = _smeared_estimate(profiles, theta, q, 5, 10, -3, n, 8, 3)
+                blocked = _smeared_estimate(profiles, theta, q, 5, 10, -3, n)
                 assert blocked.hex() == whole.hex()
         finally:
             sys.setswitchinterval(interval)
 
     def test_worker_exception_reaches_caller(self, monkeypatch):
-        import vortexscatter.wavepackets as wavepackets_module
-
         raised = []
         failed = threading.Event()
 
@@ -257,7 +272,7 @@ class TestRowBlocks:
                         raise raised[-1]
                 return super().value(kappa)
 
-        monkeypatch.setattr(wavepackets_module, "_usable_cores", lambda: 3)
+        _set_cores(monkeypatch, 3)
         monkeypatch.setattr(wavepackets_module, "_BLOCK_ELEMENTS", 1)  # one row per block
         f0, f1, f2 = _profiles()
         profiles = (f0, FailingProfile(f1.kappa0, f1.sigma), f2)
