@@ -19,6 +19,7 @@ from __future__ import annotations
 import argparse
 import json
 import math
+import os
 import sys
 import typing
 from dataclasses import dataclass, fields
@@ -245,6 +246,14 @@ def _write_text(path: str, text: str) -> None:
         fh.write(text)
 
 
+def _probe_writable(path: str) -> None:
+    """Raise the OSError that writing path would raise; leaves no new file."""
+    existed = os.path.lexists(path)
+    open(path, "a", encoding="utf-8").close()
+    if not existed:
+        os.remove(path)
+
+
 def _json_document(payload: dict) -> str:
     return json.dumps(payload, indent=2) + "\n"
 
@@ -430,7 +439,11 @@ def main(argv: list[str] | None = None) -> int:
         for v in violations:
             print(f"config invalid: {v}", file=sys.stderr)
         return EXIT_CONFIG
+    # the output, and a map's partial results, checked before the computation
+    outputs = [args.out, args.out + ".partial"] if args.command == "map" else [args.out]
     try:
+        for path in outputs:
+            _probe_writable(path)
         return _COMMANDS[args.command](cfg, args.out)
     except OSError as exc:  # only the output writes touch the file system
         print(f"cannot write output: {exc}", file=sys.stderr)

@@ -72,7 +72,7 @@ class TorusRoot:
     """One root of a residual on the 3-torus.
 
     ``jacobian_det`` is |det of the residual Jacobian| at the root, from the
-    Jacobian callable given to solve_system.
+    Jacobian that the system given to solve_system returns there.
     """
 
     angles: np.ndarray
@@ -242,87 +242,75 @@ def _dedupe(points: np.ndarray, tol: float) -> list[int]:
 
 
 def solve_system(
-    residual: Callable[[np.ndarray], np.ndarray],
-    jacobian: Callable[[np.ndarray], np.ndarray],
+    system: Callable[[np.ndarray], tuple[np.ndarray, np.ndarray]],
 ) -> tuple[list[TorusRoot], list[TorusRoot]]:
     """Find all roots of a smooth residual R^3 -> R^3 on the 3-torus.
 
-    Newton iterations start from a uniform grid of _START_GRID_DENSITY^3
-    points. An iterate back within _RESIDUAL_TOL of where it stood two steps
-    earlier, with no smaller residual, is caught in a 2-cycle and dropped;
-    the test does not use _DEDUPE_TOL, so a wider merge radius drops no
-    iterate that would still converge. Converged iterates are deduplicated
-    modulo 2 pi within _DEDUPE_TOL, in order of increasing residual. Returns
-    (roots, degenerate): roots whose |Jacobian determinant| falls below
-    _RESIDUAL_TOL are reported separately and must not enter amplitude sums.
+    system maps an (N, 3) batch of angle triples to the (N, 3) residuals and
+    their (N, 3, 3) Jacobians d residual_i / d angle_j; it is called once per
+    Newton step on the active iterates and once on the converged ones.
 
-    residual maps an (N, 3) batch of angle triples to the (N, 3) residuals;
-    jacobian maps the same batch to the (N, 3, 3) derivatives
-    d residual_i / d angle_j and serves both the Newton steps and the
-    determinants.
+    Newton iterations start from a uniform grid of _START_GRID_DENSITY^3
+    points. An iterate is dropped when its residual, step or Jacobian
+    determinant is not finite or |det| <= 1e-300, and when it is back within
+    _RESIDUAL_TOL of where it stood two steps earlier with no smaller
+    residual (a 2-cycle; the test does not use _DEDUPE_TOL, so a wider merge
+    radius drops no iterate that would still converge). Converged iterates
+    are deduplicated modulo 2 pi within _DEDUPE_TOL, in order of increasing
+    residual. Returns (roots, degenerate), each sorted by angles; a root with
+    |det| below _RESIDUAL_TOL is degenerate and must not enter amplitude sums.
     """
     d = _START_GRID_DENSITY
     # Irrational offset keeps the regular grid off exact Jacobian singularities.
     axis = (np.arange(d) + 0.5 + 0.1180339887) * _TWO_PI / d
-    grid = np.stack(np.meshgrid(axis, axis, axis, indexing="ij"), axis=-1)
-    active = grid.reshape(-1, 3).copy()
-    # positions and residual norms one and two steps back
-    back = np.full((2,) + active.shape, np.nan)
-    back_norms = np.full((2, active.shape[0]), np.nan)
+    active = np.stack(np.meshgrid(axis, axis, axis, indexing="ij"), axis=-1).reshape(-1, 3)
+    # positions and residual norms one and two steps back; a NaN norm (no
+    # history yet) never compares >=, so its position is never read
+    back1 = back2 = active
+    norms1 = norms2 = np.full(len(active), np.nan)
 
     settled: list[np.ndarray] = []
     for _ in range(_MAX_ITERATIONS):
-        if active.shape[0] == 0:
+        if len(active) == 0:
             break
-        res = residual(active)
+        res, jac = system(active)
         norms = np.max(np.abs(res), axis=1)
         done = norms <= _RESIDUAL_TOL
         if done.any():
             settled.append(active[done])
-        returned = _torus_distance(active, back[1]) <= _RESIDUAL_TOL
-        cycling = returned & (norms >= back_norms[1])
-        keep = ~(done | cycling)
-        if not keep.all():
-            active, res, norms = active[keep], res[keep], norms[keep]
-            back, back_norms = back[:, keep], back_norms[:, keep]
-            if active.shape[0] == 0:
-                break
-        jac = np.asarray(jacobian(active), dtype=float)
+        # only an iterate whose residual did not fall can be in a 2-cycle
+        cycling = norms >= norms2
+        if cycling.any():
+            cycling[cycling] = _torus_distance(active[cycling], back2[cycling]) <= _RESIDUAL_TOL
         with np.errstate(all="ignore"):
             dets = np.linalg.det(jac)
-            solvable = np.isfinite(dets) & (np.abs(dets) > 1e-300)
-            solvable &= np.isfinite(res).all(axis=1)
-            steps = np.full_like(res, np.nan)
-            if solvable.any():
-                steps[solvable] = np.linalg.solve(
-                    jac[solvable], -res[solvable][..., None]
-                )[..., 0]
-        alive = np.isfinite(steps).all(axis=1)
-        steps = np.clip(np.nan_to_num(steps), -_MAX_NEWTON_STEP, _MAX_NEWTON_STEP)
-        back = np.stack([active, back[0]])[:, alive]
-        back_norms = np.stack([norms, back_norms[0]])[:, alive]
-        active = (active[alive] + steps[alive]) % _TWO_PI
+            solvable = np.isfinite(dets) & (np.abs(dets) > 1e-300) & np.isfinite(res).all(axis=1)
+            if not solvable.all():  # solve raises on det 0; these rows are dropped below
+                jac = np.where(solvable[:, None, None], jac, np.eye(3))
+            steps = np.linalg.solve(jac, -res[..., None])[..., 0]
+        keep = solvable & ~(done | cycling) & np.isfinite(steps).all(axis=1)
+        if not keep.all():
+            active, steps, norms, back1, norms1 = (
+                a[keep] for a in (active, steps, norms, back1, norms1)
+            )
+        back2, norms2 = back1, norms1
+        back1, norms1 = active, norms
+        active = (active + np.clip(steps, -_MAX_NEWTON_STEP, _MAX_NEWTON_STEP)) % _TWO_PI
 
     if not settled:
         return [], []
 
     final = np.concatenate(settled) % _TWO_PI
-    final_norms = np.max(np.abs(residual(final)), axis=1)
+    res, jac = system(final)
+    final_norms = np.max(np.abs(res), axis=1)
     order = np.argsort(final_norms, kind="stable")
     order = order[final_norms[order] <= _RESIDUAL_TOL]
-    candidates = final[order]
-    picked = _dedupe(candidates, _DEDUPE_TOL)
-    reps, rnorms = candidates[picked], final_norms[order][picked]
-    dets = np.abs(np.linalg.det(np.asarray(jacobian(reps), dtype=float))).tolist()
+    picked = order[_dedupe(final[order], _DEDUPE_TOL)]
+    dets = np.abs(np.linalg.det(jac[picked])).tolist()
 
-    roots: list[TorusRoot] = []
-    degenerate: list[TorusRoot] = []
-    for angles, det, rnorm in zip(reps, dets, rnorms):
-        root = TorusRoot(angles=angles, jacobian_det=det, residual_norm=float(rnorm))
-        if det < _RESIDUAL_TOL:
-            degenerate.append(root)
-        else:
-            roots.append(root)
-    roots.sort(key=lambda r: tuple(r.angles))
-    degenerate.sort(key=lambda r: tuple(r.angles))
-    return roots, degenerate
+    found = sorted(
+        map(TorusRoot, final[picked], dets, final_norms[picked].tolist()),
+        key=lambda r: tuple(r.angles),
+    )
+    degenerate = [r for r in found if r.jacobian_det < _RESIDUAL_TOL]
+    return [r for r in found if not r.jacobian_det < _RESIDUAL_TOL], degenerate

@@ -51,13 +51,13 @@ class OracleResult:
 
 
 class _ConstraintKernel:
-    """The conservation residual for one geometry, with its exact Jacobian,
-    in the batch form of solve_system.
+    """The conservation residual for one geometry, with its exact Jacobian.
 
     Calling it with a (..., 3) array of (phi, phi1, phi2) triples returns
     (k(phi) + p - k1(phi1) - k2(phi2)) / kappa with p = (0, 0, -k_z) as
-    (..., 3); jacobian(points) returns d residual_i / d (phi, phi1, phi2)_j
-    as (..., 3, 3), the derivative of the same cos/sin sum, also over kappa.
+    (..., 3). residual_and_jacobian(points), solve_system's system, returns
+    it with d residual_i / d (phi, phi1, phi2)_j as (..., 3, 3), the
+    derivative of the same cos/sin sum over kappa, from one cos and one sin.
     """
 
     def __init__(self, geom: CollisionGeometry):
@@ -70,24 +70,24 @@ class _ConstraintKernel:
 
     @staticmethod
     def _cos_sin(points):
-        out = []
-        for j in range(3):
-            out.extend((np.cos(points[..., j])[..., None], np.sin(points[..., j])[..., None]))
-        return out
+        cos, sin = np.cos(points), np.sin(points)  # (..., 1) columns c, s, c1, s1, c2, s2
+        return [t[..., j : j + 1] for j in range(3) for t in (cos, sin)]
 
-    def __call__(self, points):
-        c, s, c1, s1, c2, s2 = self._cos_sin(points)
+    def _residual(self, c, s, c1, s1, c2, s2):
         initial = self.kappa * (c * self.gx + s * self.gy)  # k + p: the k_z parts cancel
         final1 = self.kappa1 * (c1 * self.ex + s1 * self.ey)
         final2 = self.kappa2 * (c2 * self.ex - s2 * self.ey)  # own-frame azimuth
         return (initial - final1 - final2 - self.offset) / self.kappa
 
-    def jacobian(self, points):
-        c, s, c1, s1, c2, s2 = self._cos_sin(points)
+    def __call__(self, points):
+        return self._residual(*self._cos_sin(points))
+
+    def residual_and_jacobian(self, points):
+        c, s, c1, s1, c2, s2 = cos_sin = self._cos_sin(points)
         d_phi = self.kappa * (c * self.gy - s * self.gx)
         d_phi1 = self.kappa1 * (s1 * self.ex - c1 * self.ey)
         d_phi2 = self.kappa2 * (s2 * self.ex + c2 * self.ey)
-        return np.stack([d_phi, d_phi1, d_phi2], axis=-1) / self.kappa
+        return self._residual(*cos_sin), np.stack([d_phi, d_phi1, d_phi2], axis=-1) / self.kappa
 
 
 def oracle_amplitude(
@@ -105,10 +105,9 @@ def oracle_amplitude(
     configuration sits too close to a support boundary for the inverse-
     Jacobian weight to mean anything.
     """
-    kappa = geom.initial.kappa
-    kappa1, kappa2 = geom.kappa1, geom.kappa2
     kernel = _ConstraintKernel(geom)
-    roots, degenerate = solve_system(kernel, kernel.jacobian)
+    kappa, kappa1, kappa2 = kernel.kappa, kernel.kappa1, kernel.kappa2
+    roots, degenerate = solve_system(kernel.residual_and_jacobian)
     if degenerate:
         raise DegenerateJacobianError(
             f"{len(degenerate)} constraint solution(s) with singular Jacobian; "

@@ -304,6 +304,29 @@ def test_unwritable_output_exits_config(tmp_path, capsys, command, config):
         assert "cannot write output" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("command", ["map", "oracle-check"])
+def test_unwritable_output_fails_before_computing(tmp_path, capsys, monkeypatch, command):
+    def must_not_run(*args, **kwargs):
+        raise AssertionError("computed before the output was checked")
+
+    monkeypatch.setattr("vortexscatter.cli.intensity_map", must_not_run)
+    monkeypatch.setattr("vortexscatter.cli.oracle_amplitude", must_not_run)
+    cfg = _write_config(tmp_path, sample_count=1, **_ONE_CELL)
+
+    def exits_config(out):
+        assert main([command, "--config", str(cfg), "--out", str(out)]) == EXIT_CONFIG
+        assert "cannot write output" in capsys.readouterr().err
+
+    exits_config(tmp_path / "missing" / "out")  # no such directory
+    exits_config(tmp_path)  # a directory
+    if command == "map":
+        # the CSV path is writable, but not the partial results beside it
+        out = tmp_path / "map.csv"
+        (tmp_path / "map.csv.partial").mkdir()
+        exits_config(out)
+        assert not out.exists()  # the check leaves no file behind
+
+
 class TestOracleCheck:
     def test_single_sample_deterministic(self, tmp_path):
         cfg = _write_config(tmp_path, sample_count=1, seed=42)

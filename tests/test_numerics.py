@@ -1,4 +1,6 @@
+import json
 import math
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -261,7 +263,8 @@ def _embedded_two_root_residual(points):
 
 
 def _fd(residual):
-    return lambda points: fd_jacobian(residual, points, 1e-6)
+    """The system of a residual with its central-difference Jacobian."""
+    return lambda points: (residual(points), fd_jacobian(residual, points, 1e-6))
 
 
 def _embedded_two_root_jacobian(points):
@@ -276,11 +279,13 @@ def _embedded_two_root_jacobian(points):
     return np.stack([np.stack(row, axis=-1) for row in rows], axis=-2)
 
 
+def _embedded_two_root_system(points):
+    return _embedded_two_root_residual(points), _embedded_two_root_jacobian(points)
+
+
 class TestSolveSystem:
     def test_two_root_geometry(self):
-        roots, degenerate = solve_system(
-            _embedded_two_root_residual, _fd(_embedded_two_root_residual)
-        )
+        roots, degenerate = solve_system(_fd(_embedded_two_root_residual))
         assert not degenerate
         assert len(roots) == 2
         for root in roots:
@@ -296,15 +301,15 @@ class TestSolveSystem:
             rz = np.sin(x) + 1.0 - np.cos(x)
             return np.stack([rx, ry, rz], axis=-1)
 
-        roots, degenerate = solve_system(residual, _fd(residual))
+        roots, degenerate = solve_system(_fd(residual))
         assert roots == [] and degenerate == []
 
     def test_grid_doubling_never_loses_roots(self, monkeypatch):
         fd = _fd(_embedded_two_root_residual)
         monkeypatch.setattr(numerics_module, "_START_GRID_DENSITY", 3)
-        base = solve_system(_embedded_two_root_residual, fd)
+        base = solve_system(fd)
         monkeypatch.setattr(numerics_module, "_START_GRID_DENSITY", 6)
-        dense = solve_system(_embedded_two_root_residual, fd)
+        dense = solve_system(fd)
         assert len(dense[0]) >= len(base[0])
 
     def test_batched_residual_error_propagates(self, monkeypatch):
@@ -317,12 +322,12 @@ class TestSolveSystem:
             raise ZeroDivisionError("residual failed")
 
         with pytest.raises(ZeroDivisionError):
-            solve_system(failing_residual, _fd(failing_residual))
+            solve_system(_fd(failing_residual))
         assert calls == [(8, 3)]
 
     def test_exact_jacobian_finds_the_same_roots(self):
-        fd_roots, _ = solve_system(_embedded_two_root_residual, _fd(_embedded_two_root_residual))
-        roots, degenerate = solve_system(_embedded_two_root_residual, _embedded_two_root_jacobian)
+        fd_roots, _ = solve_system(_fd(_embedded_two_root_residual))
+        roots, degenerate = solve_system(_embedded_two_root_system)
         assert not degenerate
         assert len(roots) == len(fd_roots) == 2
         for root, fd_root in zip(roots, fd_roots):
@@ -332,9 +337,7 @@ class TestSolveSystem:
 
     def test_wide_merge_radius_keeps_both_roots(self, monkeypatch):
         monkeypatch.setattr(numerics_module, "_DEDUPE_TOL", 1e-2)
-        roots, degenerate = solve_system(
-            _embedded_two_root_residual, _fd(_embedded_two_root_residual)
-        )
+        roots, degenerate = solve_system(_fd(_embedded_two_root_residual))
         assert not degenerate
         assert len(roots) == 2
         for root in roots:
@@ -360,7 +363,7 @@ class TestSolveSystem:
             assert _dedupe(points, 1e-6) == reference(points, 1e-6)
 
     def test_dense_grid_scan_agreement(self):
-        roots, _ = solve_system(_embedded_two_root_residual, _fd(_embedded_two_root_residual))
+        roots, _ = solve_system(_fd(_embedded_two_root_residual))
         clusters = sign_change_cells(_embedded_two_root_residual, n=28)
         assert len(clusters) == len(roots)
         cell = 2.0 * math.pi / 28
@@ -370,3 +373,80 @@ class TestSolveSystem:
                 d = np.abs(root.angles - c) % (2.0 * math.pi)
                 dists.append(np.max(np.minimum(d, 2.0 * math.pi - d)))
             assert min(dists) < 2.0 * cell
+
+
+# Parent-commit values of the drop-path solves below, as float.hex strings:
+# each root's angles, |det| and residual norm, and the row count of every
+# system call.
+PINNED = json.loads(Path(__file__).with_name("pinned_bits.json").read_text())["solve_system"]
+
+
+def _band(points, lo, hi):
+    return (points[..., 0] >= lo) & (points[..., 0] < hi)
+
+
+def _non_finite_residual_system(points):
+    # no start point lies in the NaN band; iterates walk into it
+    res, jac = _embedded_two_root_system(points)
+    return np.where(_band(points, 4.95, 5.3)[..., None], np.nan, res), jac
+
+
+def _singular_jacobian_system(points):
+    # a zero middle row (det exactly 0) in one band, inf entries in another
+    res, jac = _embedded_two_root_system(points)
+    zero_row = jac * np.array([[1.0], [0.0], [1.0]])
+    jac = np.where(_band(points, 1.8, 2.1)[..., None, None], zero_row, jac)
+    return res, np.where(_band(points, 4.4, 4.75)[..., None, None], np.inf, jac)
+
+
+def _two_cycle_system(points):
+    # In [3.0, 4.4) the Jacobian is replaced by a tiny diagonal one whose
+    # steps, clipped to the largest Newton step, go up in [3.0, 3.7) and down
+    # in [3.7, 4.4): every iterate there bounces between two points.
+    res, jac = _embedded_two_root_system(points)
+    sign = np.where(_band(points, 3.0, 3.7), 1.0, -1.0)
+    bounce = (-1e-6 * res * sign[..., None])[..., None] * np.eye(3)
+    return res, np.where(_band(points, 3.0, 4.4)[..., None, None], bounce, jac)
+
+
+def _step_overflow_system(points):
+    # finite residual and |det| > 1e-300, but a step beyond the float range
+    res, jac = _embedded_two_root_system(points)
+    inside = _band(points, 1.3, 1.6)
+    res = np.where(inside[..., None], 1e30 * res, res)
+    return res, np.where(inside[..., None, None], jac * np.array([[1e-290], [1.0], [1.0]]), jac)
+
+
+_DROP_SYSTEMS = {
+    "non_finite_residual": (_non_finite_residual_system, [(4.95, 5.3)]),
+    "singular_jacobian": (_singular_jacobian_system, [(1.8, 2.1), (4.4, 4.75)]),
+    "two_cycle": (_two_cycle_system, [(3.0, 4.4)]),
+    "step_overflow": (_step_overflow_system, [(1.3, 1.6)]),
+}
+
+
+def _root_hexes(roots):
+    return [[float(v).hex() for v in (*r.angles, r.jacobian_det, r.residual_norm)] for r in roots]
+
+
+class TestDroppedIterates:
+    @pytest.mark.parametrize("name", list(_DROP_SYSTEMS))
+    def test_same_roots_and_rows_as_pinned(self, name):
+        system, bands = _DROP_SYSTEMS[name]
+        rows, band_rows = [], []
+
+        def counted(points):
+            rows.append(len(points))
+            band_rows.append([int(_band(points, lo, hi).sum()) for lo, hi in bands])
+            return system(points)
+
+        roots, degenerate = solve_system(counted)
+        # each drop band holds iterates after the first step...
+        for k in range(len(bands)):
+            assert any(counts[k] for counts in band_rows[1:-1])
+        # ...and none at the last step: they were dropped
+        assert not any(band_rows[-2])
+        pinned = PINNED[name]
+        assert rows == pinned["call_rows"]
+        assert _root_hexes(roots) == pinned["roots"]
+        assert _root_hexes(degenerate) == pinned["degenerate"]

@@ -1,4 +1,6 @@
+import json
 import math
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -84,6 +86,32 @@ class TestConservationResidual:
 
 
 class TestOracleAmplitude:
+    @pytest.mark.parametrize("draw", range(3), ids=["theta0.1", "theta0.2", "theta0.35"])
+    def test_pinned_bits(self, draw):
+        # float.hex values of an earlier commit: 8 samples of
+        # draw_support_samples(default_rng(seed), 8, theta), their amplitude
+        # and every solution's (phi, phi1, phi2, jacobian_det)
+        pinned = json.loads(Path(__file__).with_name("pinned_bits.json").read_text())
+        pinned = pinned["oracle"][draw]
+        samples = draw_support_samples(
+            np.random.default_rng(pinned["seed"]), 8, theta=pinned["theta"]
+        )
+        got = []
+        for geom, m, m1, m2 in samples:
+            result = oracle_amplitude(geom, m, m1, m2)
+            amplitude = (result.amplitude.real, result.amplitude.imag)
+            got.append(
+                {
+                    "m": [m, m1, m2],
+                    "amplitude": [v.hex() for v in amplitude],
+                    "solutions": [
+                        [v.hex() for v in (s.phi, s.phi1, s.phi2, s.jacobian_det)]
+                        for s in result.solutions
+                    ],
+                }
+            )
+        assert got == pinned["samples"]
+
     def test_out_of_stripe_empty(self):
         result = oracle_amplitude(_geom(kappa1=0.2, kappa2=3.0), 2, 1, 1)
         assert result.amplitude == 0j
@@ -172,9 +200,18 @@ class TestAnalyticJacobian:
         for geom, _, _, _ in draw_support_samples(rng, 5, theta=0.25):
             kernel = _ConstraintKernel(geom)
             points = rng.uniform(0.0, TWO_PI, (20, 3))
-            exact = kernel.jacobian(points)
+            residual, exact = kernel.residual_and_jacobian(points)
+            assert residual.shape == (20, 3) and exact.shape == (20, 3, 3)
+            assert np.array_equal(residual, kernel(points))
             fd = fd_jacobian(kernel, points, 1e-6)
             np.testing.assert_allclose(exact, fd, rtol=0, atol=1e-8)
+            # one triple gives the batch's row, bit for bit
+            for row, point in enumerate(points[:3]):
+                one_residual, one_exact = kernel.residual_and_jacobian(point)
+                assert one_residual.shape == (3,) and one_exact.shape == (3, 3)
+                assert np.array_equal(one_residual, kernel(point))
+                assert np.array_equal(one_residual, residual[row])
+                assert np.array_equal(one_exact, exact[row])
 
     def test_det_matches_richardson_at_the_roots(self):
         geom = _geom()
@@ -183,7 +220,7 @@ class TestAnalyticJacobian:
         assert len(result.solutions) == 4
         for sol in result.solutions:
             point = np.array([sol.phi, sol.phi1, sol.phi2])
-            exact = abs(np.linalg.det(kernel.jacobian(point)))
+            exact = abs(np.linalg.det(kernel.residual_and_jacobian(point)[1]))
             richardson = abs(richardson_det(kernel, point))
             assert exact == pytest.approx(richardson, rel=1e-10)
             # the solution carries the determinant of the raw residual
@@ -195,10 +232,10 @@ class TestAnalyticJacobian:
         calls = []
         solve = oracle_module.solve_system
 
-        def counting_solve(residual, *args, **kwargs):
+        def counting_solve(system, *args, **kwargs):
             def counted(points):
                 calls.append(len(points))
-                return residual(points)
+                return system(points)
 
             return solve(counted, *args, **kwargs)
 
