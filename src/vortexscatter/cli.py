@@ -439,8 +439,12 @@ def main(argv: list[str] | None = None) -> int:
         for v in violations:
             print(f"config invalid: {v}", file=sys.stderr)
         return EXIT_CONFIG
-    # the output, and a map's partial results, checked before the computation
-    outputs = [args.out, args.out + ".partial"] if args.command == "map" else [args.out]
+    # the output, and a map's partial results and plot script, checked before the computation
+    outputs = [args.out]
+    if args.command == "map":
+        outputs.append(args.out + ".partial")
+        if cfg.plot_script:
+            outputs.append(args.out + ".gp")
     try:
         for path in outputs:
             _probe_writable(path)

@@ -327,6 +327,19 @@ def test_unwritable_output_fails_before_computing(tmp_path, capsys, monkeypatch,
         assert not out.exists()  # the check leaves no file behind
 
 
+def test_unwritable_plot_script_fails_before_computing(tmp_path, capsys, monkeypatch):
+    def must_not_run(*args, **kwargs):
+        raise AssertionError("computed before the output was checked")
+
+    monkeypatch.setattr("vortexscatter.cli.intensity_map", must_not_run)
+    cfg = _write_config(tmp_path, plot_script=True, **_ONE_CELL)
+    out = tmp_path / "out.csv"
+    (tmp_path / "out.csv.gp").mkdir()
+    assert main(["map", "--config", str(cfg), "--out", str(out)]) == EXIT_CONFIG
+    assert "cannot write output" in capsys.readouterr().err
+    assert not out.exists()
+
+
 class TestOracleCheck:
     def test_single_sample_deterministic(self, tmp_path):
         cfg = _write_config(tmp_path, sample_count=1, seed=42)

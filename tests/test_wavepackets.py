@@ -1,10 +1,13 @@
+import json
 import math
 import os
+import pathlib
 import subprocess
 import sys
 import textwrap
 import threading
 import time
+import warnings
 
 import numpy as np
 import pytest
@@ -17,11 +20,11 @@ import vortexscatter.wavepackets as wavepackets_module
 from vortexscatter.wavepackets import (
     _BLOCK_ELEMENTS,
     WavePacketProfile,
+    _block_row_sums,
     _build_q_slice,
     _grid_values,
     _map_pass,
     _row_blocks,
-    _row_sums,
     _slice_axes,
     _smeared_estimate,
     intensity_map,
@@ -137,13 +140,13 @@ class TestSmearedAmplitude:
 
     def test_non_finite_q_rejected_before_any_slice(self, monkeypatch):
         sizes = []
-        build = wavepackets_module._build_q_slice
+        kernel = wavepackets_module._block_row_sums
 
-        def counting_build(axes, rows=slice(None)):
+        def counting_kernel(axes, rows, m1, m2):
             sizes.append(len(axes.kt[rows]))
-            return build(axes, rows)
+            return kernel(axes, rows, m1, m2)
 
-        monkeypatch.setattr(wavepackets_module, "_build_q_slice", counting_build)
+        monkeypatch.setattr(wavepackets_module, "_block_row_sums", counting_kernel)
         quad = QuadratureSpec(node_count=8, max_refinements=3)
         with pytest.raises(ValueError, match="q must be finite"):
             smeared_amplitude(_profiles(), _template(), math.nan, 5, 5, 0, quad)
@@ -158,11 +161,24 @@ def _whole_slice(profiles, theta, q, n):
     return _build_q_slice(_slice_axes(profiles, theta, q, n))
 
 
+def _row_sums(sl, m1, m2):
+    """Per kappa row of a map slice, the sum of weight cos(m1 delta1 + m2 delta2)
+    over the row's (kappa2, w) nodes: the reference for the smeared kernel."""
+    return np.einsum("abc,abc->a", sl.weight, np.cos(m1 * sl.delta1 + m2 * sl.delta2))
+
+
 def _cell_value(sl, m, m1, m2):
-    """One (m1, m2) cell from a whole slice: the reference for the blocked
-    estimate and the helicity-grid contraction."""
+    """One (m1, m2) cell from a whole map slice: the reference for the
+    helicity-grid contraction."""
     cos_a = np.cos(m * sl.phi_star - (m1 - m2) * sl.phi_tilde_star)
     return float(np.dot(cos_a, _row_sums(sl, m1, m2)))
+
+
+def _kernel_cell_value(axes, m, m1, m2):
+    """One (m1, m2) cell from the smeared kernel run on the whole slice as one
+    block: the reference for the blocked, threaded estimate."""
+    cos_a = np.cos(m * axes.phi_star - (m1 - m2) * axes.phi_tilde_star)
+    return float(np.dot(cos_a, _block_row_sums(axes, slice(None), m1, m2)))
 
 
 def _set_block_rows(monkeypatch, n, rows):
@@ -187,7 +203,7 @@ class TestRowBlocks:
         sizes = sorted({n, -(-n // 2), -(-n // 3), max(1, _BLOCK_ELEMENTS // (n * n)), 1, 5})
         for q in (0.3 * q_max, -0.7 * q_max, 1.1 * q_max):
             axes = _slice_axes(profiles, theta, q, n)
-            whole = 0.0 if axes is None else _cell_value(_build_q_slice(axes), m, m1, m2)
+            whole = 0.0 if axes is None else _kernel_cell_value(axes, m, m1, m2)
             for block_rows in sizes:
                 _set_block_rows(monkeypatch, n, block_rows)
                 for threads in (1, 2, 3):
@@ -201,10 +217,10 @@ class TestRowBlocks:
         # sum a block of one row in pieces
         profiles, n, m1, m2 = _profiles(), 96, 10, -3
         axes = _slice_axes(profiles, 0.2, 0.01, n)
-        whole = _row_sums(_build_q_slice(axes), m1, m2)
+        whole = _block_row_sums(axes, slice(None), m1, m2)
         _set_block_rows(monkeypatch, n, block_rows)
         blocks = _row_blocks(n)
-        blocked = np.concatenate([_row_sums(_build_q_slice(axes, b), m1, m2) for b in blocks])
+        blocked = np.concatenate([_block_row_sums(axes, b, m1, m2) for b in blocks])
         assert [v.hex() for v in blocked] == [v.hex() for v in whole]
 
     @pytest.mark.parametrize("n, rows", [(96, 1), (96, 5), (97, 3), (25, 2), (2, 1), (3, 2), (24, 56)])
@@ -243,7 +259,7 @@ class TestRowBlocks:
 
     def test_more_threads_than_cores_under_fast_thread_switching(self, monkeypatch):
         profiles, theta, q, n = _profiles(), 0.2, 0.01, 25
-        whole = _cell_value(_whole_slice(profiles, theta, q, n), 5, 10, -3)
+        whole = _kernel_cell_value(_slice_axes(profiles, theta, q, n), 5, 10, -3)
         _set_block_rows(monkeypatch, n, 3)
         _set_cores(monkeypatch, 8)
         interval = sys.getswitchinterval()
@@ -258,27 +274,24 @@ class TestRowBlocks:
     def test_worker_exception_reaches_caller(self, monkeypatch):
         raised = []
         failed = threading.Event()
+        kernel = wavepackets_module._block_row_sums
 
-        class FailingProfile(WavePacketProfile):
-            def value(self, kappa):
-                # only the kappa1 tensors of the row blocks are 3-D
-                if np.ndim(kappa) == 3:
-                    if threading.current_thread() is threading.main_thread():
-                        assert failed.wait(timeout=60)  # hold a block until a worker failed
-                    else:
-                        raised.append(ArithmeticError("kappa1 profile failed in a worker"))
-                        failed.set()
-                        time.sleep(0.2)  # outlives the calling thread's blocks unless joined
-                        raise raised[-1]
-                return super().value(kappa)
+        def failing_kernel(axes, rows, m1, m2):
+            if threading.current_thread() is threading.main_thread():
+                assert failed.wait(timeout=60)  # hold a block until a worker failed
+            else:
+                raised.append(ArithmeticError("row block failed in a worker"))
+                failed.set()
+                time.sleep(0.2)  # outlives the calling thread's blocks unless joined
+                raise raised[-1]
+            return kernel(axes, rows, m1, m2)
 
+        monkeypatch.setattr(wavepackets_module, "_block_row_sums", failing_kernel)
         _set_cores(monkeypatch, 3)
         monkeypatch.setattr(wavepackets_module, "_BLOCK_ELEMENTS", 1)  # one row per block
-        f0, f1, f2 = _profiles()
-        profiles = (f0, FailingProfile(f1.kappa0, f1.sigma), f2)
         before = threading.active_count()
         with pytest.raises(ArithmeticError) as err:
-            smeared_amplitude(profiles, _template(), 0.0, 5, 5, 0, QuadratureSpec(node_count=12))
+            smeared_amplitude(_profiles(), _template(), 0.0, 5, 5, 0, QuadratureSpec(12))
         assert 1 <= len(raised) <= 2  # each worker fails on its first block and stops
         assert any(err.value is exc for exc in raised)
         assert threading.active_count() == before
@@ -331,6 +344,84 @@ class TestRowBlocks:
         assert same == "True"
         if int(cores) > 1:
             assert int(workers) > 0
+
+
+# measured: at most 1.5e-14 of a row's sum of |weight| on the grid below
+_KERNEL_ROW_TOL = 5e-14
+
+
+class TestBlockKernel:
+    """The smeared kernel's triangle from the stripe angle (delta2 = 2 w) against
+    the map's cosine-law tensors."""
+
+    @pytest.mark.parametrize("n", [24, 48, 96])
+    def test_row_sums_match_the_map_tensors(self, n):
+        profiles, theta = _profiles(), 0.2
+        q_max = profiles[0].support[1] * math.sin(theta)
+        for q in (0.05 * q_max, 0.3 * q_max, -0.7 * q_max):
+            axes = _slice_axes(profiles, theta, q, n)
+            sl = _build_q_slice(axes)
+            scale = np.abs(sl.weight).sum(axis=(1, 2))
+            for m1, m2 in [(0, 0), (5, 0), (10, -3), (-5, 10), (15, -10)]:
+                error = np.abs(_block_row_sums(axes, slice(None), m1, m2) - _row_sums(sl, m1, m2))
+                assert (error <= _KERNEL_ROW_TOL * scale).all(), (q, m1, m2)
+
+    def test_zero_span_stripe_is_empty_not_nan(self):
+        # kappa2 is below the float spacing of kappa~, so every stripe span
+        # (kappa~ + kappa2)^2 - (kappa~ - kappa2)^2 rounds to 0 and holds no kappa1
+        profiles = tuple(WavePacketProfile(k, 28.5 * k) for k in (1.8e-3, 8.1e-3, 3.3e-94))
+        template = _template(1e-20, 5, 1.8e-3, 8.1e-3, 3.3e-94)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            value = smeared_amplitude(
+                profiles, template, 0.0, 5, 5, 0, QuadratureSpec(node_count=8)
+            )
+        assert value == 0j
+
+    @pytest.mark.parametrize("sigma1", [0.2, 0.1])  # f1's support from 0, and from 0.5
+    def test_coincident_kappas_stay_finite(self, sigma1):
+        # kappa~ = kappa2 exactly: the stripe starts at kappa1 = 0 (a = 0)
+        f0, _, f2 = _profiles()
+        axes = _slice_axes((f0, WavePacketProfile(1.0, sigma1), f2), 0.2, 0.0, 24)
+        axes = axes._replace(kt=axes.k2.copy())
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            sums = _block_row_sums(axes, slice(None), 10, -3)
+        assert np.isfinite(sums).all() and sums.any()
+
+
+_REFERENCES = pathlib.Path(__file__).resolve().parents[1] / "perfbench" / "references"
+
+
+def test_benchmark_pool_points_pass_its_check_at_their_doublings(monkeypatch):
+    # about 40 points of the smeared-scan benchmark's pool, drawn per doubling
+    # count in the pool's shares: each lands within 10 rel_tol of its n = 192
+    # reference after exactly its stored number of doublings
+    with open(_REFERENCES / "smeared_scan.json", encoding="utf-8") as fh:
+        pool = json.load(fh)["points"]
+    quad = QuadratureSpec(node_count=24, rel_tol=1e-6, max_refinements=2)
+    profiles, template = _profiles(), _template()
+    rng = np.random.default_rng(15)
+    by_doublings = {}
+    for point in pool:
+        by_doublings.setdefault(point["doublings"], []).append(point)
+    estimates = []
+    estimate = wavepackets_module._smeared_estimate
+
+    def counting(*args):
+        estimates.append(args)
+        return estimate(*args)
+
+    monkeypatch.setattr(wavepackets_module, "_smeared_estimate", counting)
+    for doublings, group in sorted(by_doublings.items()):
+        for i in rng.choice(len(group), size=round(40 * len(group) / len(pool)), replace=False):
+            point = group[int(i)]
+            del estimates[:]
+            m1, m2 = point["m1"], point["m2"]
+            value = smeared_amplitude(profiles, template, point["q"], 5, m1, m2, quad)
+            ref = complex(point["re"], point["im"])
+            assert abs(value - ref) <= 10 * quad.rel_tol * abs(ref), point
+            assert len(estimates) == doublings + 1, point
 
 
 def _cell_grid(sl, m, m1_values, m2_values):
