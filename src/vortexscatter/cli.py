@@ -7,8 +7,9 @@ Subcommands (each takes --config <path> --out <path>):
   map           q-integrated (m1, m2) intensity map -> CSV (+ optional gnuplot script)
   field         transverse field samples on a polar grid -> CSV
 
-Exit codes: 0 success, 1 threshold failure, 2 invalid config or output path, 3 degenerate
-support, 4 degenerate oracle sample, 5 quadrature failure.
+Exit codes: 0 success, 1 threshold failure, 2 invalid config or output path, or a config
+too large for the memory at hand (MemoryError), 3 degenerate support, 4 degenerate oracle
+sample, 5 quadrature failure.
 
 All floats are emitted in shortest round-trip form (at most 17 significant
 digits), so identical configs produce byte-identical outputs.
@@ -451,6 +452,9 @@ def main(argv: list[str] | None = None) -> int:
         return _COMMANDS[args.command](cfg, args.out)
     except OSError as exc:  # only the output writes touch the file system
         print(f"cannot write output: {exc}", file=sys.stderr)
+        return EXIT_CONFIG
+    except MemoryError as exc:
+        print(f"config too large: out of memory ({str(exc) or 'MemoryError'})", file=sys.stderr)
         return EXIT_CONFIG
 
 

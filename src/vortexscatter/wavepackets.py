@@ -25,11 +25,14 @@ with A, B = (kappa~ -+ kappa2)^2 the cosine law gives the opening angles
     delta2 = 2 w,    cos delta1 = (kappa~ - kappa2 cos 2w) / kappa1
                                 = (kappa~ - kappa2 + 2 kappa2 sin^2 w) / kappa1.
 
-The q integral of the map uses numerics.q_substitution, and the smeared
-amplitude doubles its node count through numerics.refine_by_doubling.
+_triangle builds the triangle from these identities, once for both
+computations: per node one tan for sin^2 w and one arccos for delta1, with
+the weight 8 wa wb dw ws f1(kappa1) / sqrt(kappa1), in place on four arrays
+the size of its kappa rows. The q integral of the map uses
+numerics.q_substitution, and the smeared amplitude doubles its node count
+through numerics.refine_by_doubling.
 
-The map builds each q slice's tensors with _build_q_slice, which takes both
-angles from the cosine law in kappa1^2, and contracts the whole helicity
+The map takes each whole q slice's triangle and contracts the whole helicity
 grid of the slice at once (_grid_values). For each kappa row it builds
 E1[m1, j] = exp(i m1 delta1_j) and E2[m2, j] = weight_j exp(i m2 delta2_j)
 over the row's (kappa2, w) nodes j, by the power recurrence
@@ -39,14 +42,13 @@ factor cos(m phi* - (m1 - m2) phi~*) then applies to the whole grid. The map
 also folds the q grid: |A(q)|^2 is even in q (q -> -q keeps the weights and
 the deltas and sends phi* -> pi - phi*, phi~* -> pi - phi~*), and the nodes of
 q_substitution are symmetric, so only slices with q >= 0 are built, q > 0
-nodes with twice their weight.
+nodes with twice their weight. The map builds each whole slice on the
+calling thread.
 
 A single smeared amplitude contracts its one cell directly, which is cheaper
-than the grid path for one cell, and takes the triangle from the identities
-above instead (_block_row_sums): per node one tan for sin^2 w, one arccos
-for delta1 and one tan for the cosine of m1 delta1 + 2 m2 w, in place on a
-few block-sized arrays. Its values agree with the map's tensors to rounding.
-It builds and row-sums its slice in contiguous blocks of kappa rows, each
+than the grid path for one cell (_block_row_sums): one more tan per node for
+the cosine of m1 delta1 + 2 m2 w, in place on the triangle's arrays. It
+builds and row-sums its slice in contiguous blocks of kappa rows, each
 block's tensors capped at 2^15 elements, small enough to stay in a core's
 cache and to reuse the memory the allocator freed for the block before (see
 _BLOCK_ELEMENTS). One thread per core in the process's CPU affinity (the
@@ -55,8 +57,7 @@ interpreter lock in these elementwise loops, and a slice of one block starts
 no thread. The kappa, kappa2 and unit axes are built once per estimate and
 shared. Every tensor element depends on its own kappa row alone, and the row
 sums are joined in row order before the one dot over all rows, so the value
-is bit for bit the single-block one. The map builds each whole slice on the
-calling thread.
+is bit for bit the single-block one.
 
 The smearing happens at the amplitude level, before squaring, exactly so the
 stripe edge stays integrable.
@@ -80,7 +81,6 @@ from .numerics import (
     gauss_legendre_on,
     q_substitution,
     refine_by_doubling,
-    stripe_substitution,
 )
 
 _SUPPORT_HALFWIDTH = 5.0
@@ -188,14 +188,6 @@ class _SliceAxes(NamedTuple):
     wb: np.ndarray  # (Nb,) kappa2 measure
 
 
-class _QSlice(NamedTuple):
-    weight: np.ndarray  # (Na, Nb, Nc) full quadrature measure
-    delta1: np.ndarray
-    delta2: np.ndarray
-    phi_star: np.ndarray  # (Na,)
-    phi_tilde_star: np.ndarray
-
-
 def _slice_axes(profiles, theta: float, q: float, n: int) -> _SliceAxes | None:
     """The axes of the q slice at n nodes per axis; None when the slice is
     empty (q beyond the initial packet's support)."""
@@ -244,37 +236,15 @@ def _stripe_ends(kt: np.ndarray, k2: np.ndarray, f1: WavePacketProfile):
     return a, b, w_lo, w_hi
 
 
-def _build_q_slice(axes: _SliceAxes) -> _QSlice:
-    """All helicity-independent quadrature tensors of one whole q slice, the
-    triangle's angles from the cosine law: the map's contraction input."""
-    s, ws, k2, kt = axes.s, axes.ws, axes.k2, axes.kt
-    a, b, w_lo, w_hi = _stripe_ends(kt, k2, axes.f1)
-    w_ang = w_lo[..., None] + (w_hi - w_lo)[..., None] * s
-    k1_sq, k1, wc = stripe_substitution(a[..., None], b[..., None], w_ang)
-    del w_ang  # frees an n^3 array before the profile call, the slice's memory peak
-    wc *= (w_hi - w_lo)[..., None] * ws
-    wc *= axes.f1.value(k1)
-    wc *= np.sqrt(k1)
-
-    kt3 = kt[:, None, None]
-    k23 = k2[None, :, None]
-    delta1 = np.arccos(np.clip((kt3**2 + k1_sq - k23**2) / (2.0 * kt3 * k1), -1.0, 1.0))
-    delta2 = np.arccos(np.clip((kt3**2 + k23**2 - k1_sq) / (2.0 * kt3 * k23), -1.0, 1.0))
-    weight = axes.wa[:, None, None] * axes.wb[None, :, None] * wc
-    return _QSlice(weight, delta1, delta2, axes.phi_star, axes.phi_tilde_star)
-
-
-def _block_row_sums(axes: _SliceAxes, rows: slice, m1: int, m2: int) -> np.ndarray:
-    """Per kappa row of the block, the sum of weight cos(m1 delta1 + m2 delta2)
-    over the row's (kappa2, w) nodes, straight from the stripe angle w:
-    delta2 = 2 w and cos delta1 = (kappa~ - kappa2 + 2 kappa2 sin^2 w) / kappa1,
-    weight = 8 wa wb dw ws f1(kappa1) / sqrt(kappa1). Every element depends on
-    its own row alone, so a block's sums are bit for bit those rows' sums in
-    the whole slice (a block of one row excepted, see _row_blocks).
-
-    sin^2 w = t^2 / (1 + t^2) with t = tan w, and cos x = 2 / (1 + t^2) - 1
-    with t = tan(x / 2): numpy's float64 tan costs a fraction of its sin and
-    cos (about 2.6 against 10 to 17 ns per element, numpy 2.4 on AVX-512)."""
+def _triangle(axes: _SliceAxes, rows: slice):
+    """(w, delta1, weight) per (kappa~, kappa2, w) node of the kappa rows
+    `rows`: the momentum triangle straight from the stripe angle w, with
+    delta2 = 2 w, cos delta1 = (kappa~ - kappa2 + 2 kappa2 sin^2 w) / kappa1 and
+    weight = 8 wa wb dw ws f1(kappa1) / sqrt(kappa1), the full quadrature
+    measure. Every element depends on its own kappa row alone. Four
+    block-sized arrays, built in place; sin^2 w = t^2 / (1 + t^2) with
+    t = tan w, because numpy's float64 tan costs a fraction of its sin and cos
+    (about 2.6 against 10 to 17 ns per element, numpy 2.4 on AVX-512)."""
     f1, k2 = axes.f1, axes.k2
     kt = axes.kt[rows]
     a, b, w_lo, w_hi = _stripe_ends(kt, k2, f1)
@@ -288,11 +258,32 @@ def _block_row_sums(axes: _SliceAxes, rows: slice, m1: int, m2: int) -> np.ndarr
     np.multiply(sin_sq, (b - a)[..., None], out=k1)
     k1 += a[..., None]
     np.sqrt(k1, out=k1)
-    phase = sin_sq * (2.0 * k2)[:, None]
-    phase += (kt[:, None] - k2[None, :])[..., None]
-    phase /= k1
-    np.clip(phase, -1.0, 1.0, out=phase)
-    np.arccos(phase, out=phase)
+    delta1 = sin_sq * (2.0 * k2)[:, None]
+    delta1 += (kt[:, None] - k2[None, :])[..., None]
+    delta1 /= k1
+    np.clip(delta1, -1.0, 1.0, out=delta1)
+    np.arccos(delta1, out=delta1)
+
+    # f1(kappa1) / sqrt(kappa1), the norm folded into the per-(kappa~, kappa2) factor
+    weight = np.subtract(k1, f1.kappa0, out=sin_sq)
+    weight *= weight
+    weight *= -0.5 / (f1.sigma * f1.sigma)
+    np.exp(weight, out=weight)
+    lo1, hi1 = f1.support
+    weight[(k1 < lo1) | (k1 > hi1)] = 0.0  # f1's truncation, as in WavePacketProfile.value
+    weight /= np.sqrt(k1, out=k1)
+    weight *= (8.0 * f1._norm * axes.wa[rows, None] * axes.wb[None, :] * dw)[..., None]
+    weight *= axes.ws
+    return w, delta1, weight
+
+
+def _block_row_sums(axes: _SliceAxes, rows: slice, m1: int, m2: int) -> np.ndarray:
+    """Per kappa row of the block, the sum of weight cos(m1 delta1 + m2 delta2)
+    over the row's (kappa2, w) nodes of _triangle. A block's sums are bit for
+    bit those rows' sums in the whole slice (a block of one row excepted, see
+    _row_blocks). The cosine is 2 / (1 + t^2) - 1 with t = tan(x / 2), for
+    tan's speed."""
+    w, phase, weight = _triangle(axes, rows)
     # half the argument, (m1 delta1 + 2 m2 w) / 2, then its cosine
     phase *= 0.5 * m1
     w *= m2
@@ -302,17 +293,6 @@ def _block_row_sums(axes: _SliceAxes, rows: slice, m1: int, m2: int) -> np.ndarr
     phase += 1.0
     np.divide(2.0, phase, out=phase)
     phase -= 1.0
-
-    # f1(kappa1) / sqrt(kappa1), the norm folded into the per-(kappa~, kappa2) factor
-    weight = np.subtract(k1, f1.kappa0, out=sin_sq)
-    weight *= weight
-    weight *= -0.5 / (f1.sigma * f1.sigma)
-    np.exp(weight, out=weight)
-    lo1, hi1 = f1.support
-    weight[(k1 < lo1) | (k1 > hi1)] = 0.0  # f1's truncation, as in WavePacketProfile.value
-    weight /= np.sqrt(k1, out=w)
-    weight *= (8.0 * f1._norm * axes.wa[rows, None] * axes.wb[None, :] * dw)[..., None]
-    weight *= axes.ws
     return np.einsum("abc,abc->a", weight, phase)
 
 
@@ -444,25 +424,28 @@ def _helicity_phases(delta: np.ndarray, first: int, count: int) -> np.ndarray:
     return out
 
 
-def _grid_values(sl: _QSlice, m: int, m1_values, m2_values) -> np.ndarray:
-    """The _smeared_estimate cell for every (m1, m2) of a consecutive helicity grid.
+def _grid_values(axes: _SliceAxes, triangle, m: int, m1_values, m2_values) -> np.ndarray:
+    """The _smeared_estimate cell for every (m1, m2) of a consecutive helicity
+    grid, from the whole slice's _triangle (w, delta1, weight).
 
-    Per kappa row a, with j running over the row's (kappa2, w) nodes,
-    Re(E1 E2^T)[k, l] = sum_j weight_j cos(m1_k delta1_j + m2_l delta2_j) for
-    E1[k, j] = exp(i m1_k delta1_j) and E2[l, j] = weight_j exp(i m2_l delta2_j),
-    one matmul per row. The tensors are built one row at a time, so memory
-    stays at a few (M, n^2) arrays whatever the node count.
+    Per kappa row a, with j running over the row's (kappa2, w) nodes and
+    delta2 = 2 w, Re(E1 E2^T)[k, l] = sum_j weight_j cos(m1_k delta1_j +
+    m2_l delta2_j) for E1[k, j] = exp(i m1_k delta1_j) and
+    E2[l, j] = weight_j exp(i m2_l delta2_j), one matmul per row. The phase
+    tensors are built one row at a time, so they stay at a few (M, n^2)
+    arrays whatever the node count.
     """
+    w, delta1, weight = triangle
     m1_values = np.asarray(m1_values)
     m2_values = np.asarray(m2_values)
     d = m1_values[:, None] - m2_values[None, :]
     out = np.zeros(d.shape)
-    for a in range(sl.weight.shape[0]):
-        e1 = _helicity_phases(sl.delta1[a].ravel(), int(m1_values[0]), len(m1_values))
-        e2 = _helicity_phases(sl.delta2[a].ravel(), int(m2_values[0]), len(m2_values))
-        e2 *= sl.weight[a].ravel()
+    for a in range(weight.shape[0]):
+        e1 = _helicity_phases(delta1[a].ravel(), int(m1_values[0]), len(m1_values))
+        e2 = _helicity_phases(2.0 * w[a].ravel(), int(m2_values[0]), len(m2_values))
+        e2 *= weight[a].ravel()
         inner = np.matmul(e1, e2.T).real
-        out += np.cos(m * sl.phi_star[a] - d * sl.phi_tilde_star[a]) * inner
+        out += np.cos(m * axes.phi_star[a] - d * axes.phi_tilde_star[a]) * inner
     return out
 
 
@@ -481,7 +464,7 @@ def _map_pass(profiles, theta, m, m1_values, m2_values, n, q_nodes) -> np.ndarra
         axes = _slice_axes(profiles, theta, float(qv), n)
         if axes is None:
             continue
-        amp = _grid_values(_build_q_slice(axes), m, m1_values, m2_values)
+        amp = _grid_values(axes, _triangle(axes, slice(None)), m, m1_values, m2_values)
         out += qw * amp * amp
     return out
 

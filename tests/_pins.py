@@ -1,0 +1,43 @@
+"""Pinned outputs: md5s of CLI outputs and float.hex values of smeared
+amplitudes, recorded from an earlier commit in pinned_outputs.json.
+
+A deliberate change to an output shows up here as a pin change. numpy's SIMD
+transcendentals may round differently on another numpy build or CPU, so a
+mismatch names both the machine the pins were recorded on and this one.
+"""
+
+import hashlib
+import json
+import pathlib
+
+import numpy as np
+
+_PINS = json.loads(pathlib.Path(__file__).with_name("pinned_outputs.json").read_text())
+
+
+def _machine() -> str:
+    try:
+        from numpy._core._multiarray_umath import __cpu_features__
+    except ImportError:
+        flags = "unknown"
+    else:
+        flags = " ".join(sorted(name for name, on in __cpu_features__.items() if on))
+    return f"numpy {np.__version__}, CPU features {flags}"
+
+
+def _expect(kind: str, name: str, got):
+    pinned = _PINS[kind][name]
+    assert got == pinned, (
+        f"{kind} pin {name!r} changed: got {got}, pinned {pinned}. "
+        f"Pinned on {_PINS['recorded_on']}; running on {_machine()}"
+    )
+
+
+def assert_md5(name: str, data: bytes) -> None:
+    """The md5 of an output's bytes equals its pin."""
+    _expect("md5", name, hashlib.md5(data).hexdigest())
+
+
+def assert_hex(name: str, values) -> None:
+    """Each complex value's real and imaginary float.hex equal their pins."""
+    _expect("hex", name, [[complex(v).real.hex(), complex(v).imag.hex()] for v in values])

@@ -4,6 +4,7 @@ its measured figure (run with ``pytest -s`` to see the lines on success)."""
 import json
 import math
 import os
+import pathlib
 import subprocess
 import sys
 import time
@@ -17,6 +18,7 @@ from vortexscatter.amplitudes import (
     single_twisted_amplitude,
     single_twisted_solutions,
 )
+from vortexscatter.cli import EXIT_OK, main
 from vortexscatter.errors import DegenerateSupportError
 from vortexscatter.kinematics import (
     CollisionGeometry,
@@ -29,27 +31,31 @@ from vortexscatter.oracle import draw_support_samples, oracle_amplitude
 from vortexscatter.wavepackets import WavePacketProfile, intensity_map
 
 from _oracles import bessel_integral, bessel_series, circle_intersection_azimuths
+from _pins import assert_md5
+
+README = pathlib.Path(__file__).resolve().parents[1] / "README.md"
 
 
 def _report(line: str) -> None:
     print(line, flush=True)
 
 
+# The reference configuration map (helicity 5, tilt 0.2, asymmetric packet
+# peaks 1.0 / 1.0 / 0.5 with widths a fifth of each peak): intensity_map's
+# arguments before the quadrature
+_FIG2_ARGS = (
+    (WavePacketProfile(1.0, 0.2), WavePacketProfile(1.0, 0.2), WavePacketProfile(0.5, 0.1)),
+    CollisionGeometry(0.2, 0.0, TwistedState.massless(1.0, 5, 50.0), 1.0, 0.5),
+    5,
+    (-5, 15),
+    (-10, 10),
+)
+
+
 @pytest.fixture(scope="module")
 def fig2_map():
-    """The reference configuration map (helicity 5, tilt 0.2, asymmetric
-    packet peaks 1.0 / 1.0 / 0.5 with widths a fifth of each peak)."""
-    profiles = (
-        WavePacketProfile(1.0, 0.2),
-        WavePacketProfile(1.0, 0.2),
-        WavePacketProfile(0.5, 0.1),
-    )
-    template = CollisionGeometry(0.2, 0.0, TwistedState.massless(1.0, 5, 50.0), 1.0, 0.5)
     started = time.perf_counter()
-    result = intensity_map(
-        profiles, template, 5, (-5, 15), (-10, 10),
-        QuadratureSpec(node_count=24, rel_tol=1e-6), q_nodes=64,
-    )
+    result = intensity_map(*_FIG2_ARGS, QuadratureSpec(node_count=24, rel_tol=1e-6), q_nodes=64)
     elapsed = time.perf_counter() - started
     return result, elapsed
 
@@ -237,6 +243,31 @@ def test_criterion_6_intensity_map_properties(fig2_map):
     assert elapsed < 600.0
 
 
+def test_readme_reference_map_outputs_are_pinned(fig2_map, tmp_path, monkeypatch):
+    # the README's map config through `map`, its map taken from the
+    # criterion-6 fixture once the arguments are checked to be the same
+    calls = []
+
+    def reference_map(*args, **kwargs):
+        calls.append((args, kwargs))
+        return fig2_map[0]
+
+    monkeypatch.setattr("vortexscatter.cli.intensity_map", reference_map)
+    text = README.read_text(encoding="utf-8")
+    cfg_path = tmp_path / "map.json"
+    cfg_path.write_text(text.split("```json\n")[2].split("```", 1)[0], encoding="utf-8")
+    out = tmp_path / "map.csv"
+    assert main(["map", "--config", str(cfg_path), "--out", str(out)]) == EXIT_OK
+    (args, kwargs), = calls
+    assert args[:5] == _FIG2_ARGS
+    assert args[5].node_count == 24 and kwargs == {"q_nodes": 64}
+    assert_md5("README reference map", out.read_bytes())
+    gp = (tmp_path / "map.csv.gp").read_bytes().replace(str(out).encode(), b"<out>")
+    assert_md5("README reference map .gp", gp)
+    # the weights' bits, which the CSV's 9 digits do not show
+    assert_md5("README reference map weights", fig2_map[0].weights.tobytes())
+
+
 def test_criterion_7_numerics():
     worst_series = 0.0
     for m in (0, 1, 2, 5, 10, 25, 50):
@@ -300,4 +331,5 @@ def test_criterion_8_cli_determinism(tmp_path):
             assert proc.returncode == 0, (command, proc.stderr)
             blobs.append(out.read_bytes())
         assert blobs[0] == blobs[1], f"{command} output not byte-identical"
+        assert_md5(f"criterion 8 {command}", blobs[0])
     _report("criterion 8 PASS: eval, oracle-check, map, field byte-identical across reruns")

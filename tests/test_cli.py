@@ -7,6 +7,11 @@ import tempfile
 import typing
 import warnings
 
+try:
+    import resource
+except ImportError:  # not on every platform
+    resource = None
+
 import numpy as np
 import pytest
 from hypothesis import HealthCheck, example, given, settings
@@ -20,11 +25,14 @@ from vortexscatter.cli import (
     EXIT_QUADRATURE,
     EXIT_THRESHOLD,
     RunConfig,
+    _COMMANDS,
     main,
 )
 from vortexscatter.numerics import gauss_legendre_on
 from vortexscatter.oracle import OracleResult
 from vortexscatter.wavepackets import IntensityMap, WavePacketProfile
+
+from _pins import assert_md5
 
 
 def _write_config(tmp_path, name="config.json", **overrides):
@@ -33,13 +41,15 @@ def _write_config(tmp_path, name="config.json", **overrides):
     return path
 
 
-def _run_module(args):
-    """python -m vortexscatter <args> in a fresh interpreter on this checkout's sources."""
+def _run_module(args, **kwargs):
+    """python -m vortexscatter <args> in a fresh interpreter on this checkout's
+    sources; kwargs go to subprocess.run."""
     env = dict(os.environ)
     src = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
     env["PYTHONPATH"] = src + os.pathsep + env.get("PYTHONPATH", "")
     return subprocess.run(
-        [sys.executable, "-m", "vortexscatter", *args], capture_output=True, text=True, env=env
+        [sys.executable, "-m", "vortexscatter", *args],
+        capture_output=True, text=True, env=env, **kwargs,
     )
 
 
@@ -255,6 +265,7 @@ def test_tiny_theta_still_runs(tmp_path):
     assert main(["map", "--config", str(cfg), "--out", str(out)]) == EXIT_OK
     intensity = float(out.read_text().splitlines()[1].split(",")[2])
     assert math.isfinite(intensity)
+    assert_md5("map tiny theta", out.read_bytes())
     cfg = _write_config(tmp_path, "check.json", theta=1e-150, sample_count=1)
     out = tmp_path / "check.json.out"
     assert main(["oracle-check", "--config", str(cfg), "--out", str(out)]) == EXIT_DEGENERATE_ORACLE
@@ -340,6 +351,49 @@ def test_unwritable_plot_script_fails_before_computing(tmp_path, capsys, monkeyp
     assert not out.exists()
 
 
+@pytest.mark.parametrize(
+    "command, config",
+    [
+        ("eval", _eval_config()),
+        ("oracle-check", dict(sample_count=1)),
+        ("map", _ONE_CELL),
+        ("field", dict(grid_n=2)),
+    ],
+    ids=["eval", "oracle-check", "map", "field"],
+)
+def test_memory_error_exits_config(tmp_path, capsys, monkeypatch, command, config):
+    # exit 1 would claim an oracle-check threshold failure
+    def out_of_memory(cfg, out_path):
+        raise MemoryError("Unable to allocate 74.5 GiB")
+
+    monkeypatch.setitem(_COMMANDS, command, out_of_memory)
+    cfg = _write_config(tmp_path, **config)
+    out = tmp_path / "out"
+    assert main([command, "--config", str(cfg), "--out", str(out)]) == EXIT_CONFIG
+    err = capsys.readouterr().err
+    assert err == "config too large: out of memory (Unable to allocate 74.5 GiB)\n"
+    assert not out.exists()
+
+
+@pytest.mark.skipif(resource is None, reason="no address-space limit on this platform")
+def test_oversized_map_exits_config_under_an_address_space_limit(tmp_path):
+    # 100000 nodes per axis need 74.5 GiB for the Gauss-Legendre companion
+    # matrix alone; a 2 GB address space makes that a MemoryError, not swap
+    cfg = _write_config(tmp_path, node_count=100000)
+    out = tmp_path / "map.csv"
+
+    def limit_address_space():
+        resource.setrlimit(resource.RLIMIT_AS, (2 << 30, 2 << 30))
+
+    proc = _run_module(
+        ["map", "--config", str(cfg), "--out", str(out)], preexec_fn=limit_address_space
+    )
+    assert proc.returncode == EXIT_CONFIG, proc.stderr
+    assert proc.stderr.startswith("config too large: out of memory (")
+    assert proc.stderr.count("\n") == 1 and "Traceback" not in proc.stderr
+    assert not out.exists() and not (tmp_path / "map.csv.partial").exists()
+
+
 class TestOracleCheck:
     def test_single_sample_deterministic(self, tmp_path):
         cfg = _write_config(tmp_path, sample_count=1, seed=42)
@@ -356,6 +410,12 @@ class TestOracleCheck:
         assert report["passed"] is True
         assert report["dispersion"] < 1e-8
         assert len(report["per_sample_re"]) == 8
+
+    def test_seed_7_report_is_pinned(self, tmp_path):
+        cfg = _write_config(tmp_path, sample_count=300, seed=7)
+        out = tmp_path / "report.json"
+        assert main(["oracle-check", "--config", str(cfg), "--out", str(out)]) == EXIT_OK
+        assert_md5("oracle-check seed 7", out.read_bytes())
 
     def test_zero_threshold_fails(self, tmp_path):
         cfg = _write_config(tmp_path, sample_count=2, seed=1, threshold=0.0)
@@ -393,6 +453,7 @@ class TestMap:
         out = tmp_path / "map.csv"
         assert main(["map", "--config", str(cfg), "--out", str(out)]) == EXIT_OK
         assert out.read_text() == "m1,m2,intensity\n5,0,1\n"
+        assert_md5("map one cell", out.read_bytes())
 
     def test_csv_round_trip_and_plot_script(self, tmp_path):
         cfg = _write_config(
@@ -411,6 +472,9 @@ class TestMap:
             assert f"{float(v):.9g}" == v  # canonical 9-digit form round-trips
         assert (tmp_path / "map.csv.gp").exists()
         assert str(out) in (tmp_path / "map.csv.gp").read_text()
+        assert_md5("map n16 q48", out.read_bytes())
+        gp = (tmp_path / "map.csv.gp").read_bytes().replace(str(out).encode(), b"<out>")
+        assert_md5("map n16 q48 .gp", gp)
 
     # the former nested objects: the map's node count is now the top-level
     # node_count, and the oracle's Newton controls are not settable
@@ -440,6 +504,7 @@ class TestMap:
         assert main(["map", "--config", str(cfg), "--out", str(out)]) == EXIT_QUADRATURE
         assert not out.exists()
         assert (tmp_path / "map.csv.partial").exists()
+        assert_md5("map under-resolved .partial", (tmp_path / "map.csv.partial").read_bytes())
 
     def test_nan_cell_delta_fails_closed(self, tmp_path, monkeypatch, capsys):
         def nan_map(*args, **kwargs):
@@ -506,6 +571,7 @@ class TestField:
             r, phi, re, im = line.split(",")
             # plain round-trip floats, not np.float64(...)
             assert math.isfinite(float(re)) and math.isfinite(float(im))
+        assert_md5("field packet", out.read_bytes())
 
     @pytest.mark.parametrize("packet", [False, True])
     @pytest.mark.parametrize("m", [-3, -2, 0, 1, 4])
@@ -562,6 +628,7 @@ class TestSubprocessDeterminism:
             assert proc.returncode == EXIT_OK, proc.stderr
             outputs.append(out.read_bytes())
         assert outputs[0] == outputs[1]
+        assert_md5("map subprocess", outputs[0])
 
 
 # Edge values for float fields: zero, negative, underflow, overflow and the

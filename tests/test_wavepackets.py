@@ -8,6 +8,7 @@ import textwrap
 import threading
 import time
 import warnings
+from typing import NamedTuple
 
 import numpy as np
 import pytest
@@ -15,21 +16,30 @@ import pytest
 from vortexscatter.amplitudes import reduced_triple_amplitude, unit_imag_power
 from vortexscatter.errors import ConvergenceError
 from vortexscatter.kinematics import CollisionGeometry, TwistedState
-from vortexscatter.numerics import QuadratureSpec, gauss_legendre_nodes, q_substitution
+from vortexscatter.numerics import (
+    QuadratureSpec,
+    gauss_legendre_nodes,
+    q_substitution,
+    stripe_substitution,
+)
 import vortexscatter.wavepackets as wavepackets_module
 from vortexscatter.wavepackets import (
     _BLOCK_ELEMENTS,
     WavePacketProfile,
     _block_row_sums,
-    _build_q_slice,
     _grid_values,
     _map_pass,
     _row_blocks,
     _slice_axes,
+    _SliceAxes,
     _smeared_estimate,
+    _stripe_ends,
+    _triangle,
     intensity_map,
     smeared_amplitude,
 )
+
+from _pins import assert_hex
 
 
 def _template(theta=0.2, m=5, kappa0=1.0, kappa1=1.0, kappa2=0.5):
@@ -155,6 +165,35 @@ class TestSmearedAmplitude:
         loose = QuadratureSpec(node_count=8, rel_tol=1.0, max_refinements=1)
         smeared_amplitude(_profiles(), _template(), 0.0, 5, 5, 0, loose)
         assert sum(sizes) == 8 + 16
+
+
+class _QSlice(NamedTuple):
+    weight: np.ndarray  # (Na, Nb, Nc) full quadrature measure
+    delta1: np.ndarray
+    delta2: np.ndarray
+    phi_star: np.ndarray  # (Na,)
+    phi_tilde_star: np.ndarray
+
+
+def _build_q_slice(axes: _SliceAxes) -> _QSlice:
+    """All helicity-independent quadrature tensors of one whole q slice, the
+    triangle's angles from the cosine law in kappa1^2 and f1 from
+    WavePacketProfile.value: the independent witness for _triangle."""
+    s, ws, k2, kt = axes.s, axes.ws, axes.k2, axes.kt
+    a, b, w_lo, w_hi = _stripe_ends(kt, k2, axes.f1)
+    w_ang = w_lo[..., None] + (w_hi - w_lo)[..., None] * s
+    k1_sq, k1, wc = stripe_substitution(a[..., None], b[..., None], w_ang)
+    del w_ang  # frees an n^3 array before the profile call, the slice's memory peak
+    wc *= (w_hi - w_lo)[..., None] * ws
+    wc *= axes.f1.value(k1)
+    wc *= np.sqrt(k1)
+
+    kt3 = kt[:, None, None]
+    k23 = k2[None, :, None]
+    delta1 = np.arccos(np.clip((kt3**2 + k1_sq - k23**2) / (2.0 * kt3 * k1), -1.0, 1.0))
+    delta2 = np.arccos(np.clip((kt3**2 + k23**2 - k1_sq) / (2.0 * kt3 * k23), -1.0, 1.0))
+    weight = axes.wa[:, None, None] * axes.wb[None, :, None] * wc
+    return _QSlice(weight, delta1, delta2, axes.phi_star, axes.phi_tilde_star)
 
 
 def _whole_slice(profiles, theta, q, n):
@@ -352,7 +391,7 @@ _KERNEL_ROW_TOL = 5e-14
 
 class TestBlockKernel:
     """The smeared kernel's triangle from the stripe angle (delta2 = 2 w) against
-    the map's cosine-law tensors."""
+    the cosine-law tensors of _build_q_slice."""
 
     @pytest.mark.parametrize("n", [24, 48, 96])
     def test_row_sums_match_the_map_tensors(self, n):
@@ -396,7 +435,8 @@ _REFERENCES = pathlib.Path(__file__).resolve().parents[1] / "perfbench" / "refer
 def test_benchmark_pool_points_pass_its_check_at_their_doublings(monkeypatch):
     # about 40 points of the smeared-scan benchmark's pool, drawn per doubling
     # count in the pool's shares: each lands within 10 rel_tol of its n = 192
-    # reference after exactly its stored number of doublings
+    # reference after exactly its stored number of doublings, and keeps the
+    # bits of its pin
     with open(_REFERENCES / "smeared_scan.json", encoding="utf-8") as fh:
         pool = json.load(fh)["points"]
     quad = QuadratureSpec(node_count=24, rel_tol=1e-6, max_refinements=2)
@@ -413,6 +453,7 @@ def test_benchmark_pool_points_pass_its_check_at_their_doublings(monkeypatch):
         return estimate(*args)
 
     monkeypatch.setattr(wavepackets_module, "_smeared_estimate", counting)
+    values = []
     for doublings, group in sorted(by_doublings.items()):
         for i in rng.choice(len(group), size=round(40 * len(group) / len(pool)), replace=False):
             point = group[int(i)]
@@ -422,6 +463,9 @@ def test_benchmark_pool_points_pass_its_check_at_their_doublings(monkeypatch):
             ref = complex(point["re"], point["im"])
             assert abs(value - ref) <= 10 * quad.rel_tol * abs(ref), point
             assert len(estimates) == doublings + 1, point
+            values.append(value)
+    assert len(values) == 40
+    assert_hex("smeared pool", values)
 
 
 def _cell_grid(sl, m, m1_values, m2_values):
@@ -432,12 +476,19 @@ def _cell_grid(sl, m, m1_values, m2_values):
 
 @pytest.mark.parametrize("m1_range, m2_range", [((-3, 6), (-5, 2)), ((6, 6), (1, 1))])
 def test_grid_values_match_cell_values(m1_range, m2_range):
-    sl = _whole_slice(_profiles(), 0.2, 0.03, 16)
+    # the map's grid against the cosine-law cells and the smeared kernel's cells
+    axes = _slice_axes(_profiles(), 0.2, 0.03, 16)
     m1_values = np.arange(m1_range[0], m1_range[1] + 1)
     m2_values = np.arange(m2_range[0], m2_range[1] + 1)
-    grid = _grid_values(sl, 5, m1_values, m2_values)
-    cells = _cell_grid(sl, 5, m1_values, m2_values)
+    grid = _grid_values(axes, _triangle(axes, slice(None)), 5, m1_values, m2_values)
+    cells = _cell_grid(_build_q_slice(axes), 5, m1_values, m2_values)
     np.testing.assert_allclose(grid, cells, rtol=0.0, atol=1e-13 * np.abs(cells).max())
+    kernel_cells = np.array(
+        [[_kernel_cell_value(axes, 5, int(m1), int(m2)) for m2 in m2_values] for m1 in m1_values]
+    )
+    np.testing.assert_allclose(
+        grid, kernel_cells, rtol=0.0, atol=1e-13 * np.abs(kernel_cells).max()
+    )
 
 
 @pytest.mark.parametrize("q_nodes", [6, 7])
