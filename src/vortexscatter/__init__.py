@@ -9,14 +9,12 @@ result records and numerical kernels are imported from their own modules.
 
 from .amplitudes import (
     fourier_weight,
-    plane_wave_limit_check,
     reduced_triple_amplitude,
     single_twisted_amplitude,
     single_twisted_solutions,
 )
 from .errors import (
     ConvergenceError,
-    DegenerateDirectionError,
     DegenerateJacobianError,
     DegenerateSupportError,
     DomainError,
@@ -26,15 +24,12 @@ from .kinematics import (
     CollisionGeometry,
     TwistedState,
     angle_set,
-    cone_momentum,
     field_amplitude,
-    monochromatic_k_z,
     stripe_contains,
     triangle_geometry,
-    vortex_axis,
 )
 from .numerics import QuadratureSpec
-from .oracle import draw_support_samples, oracle_amplitude, single_twisted_oracle
+from .oracle import draw_support_samples, oracle_amplitude
 from .wavepackets import WavePacketProfile, intensity_map, smeared_amplitude
 
 __version__ = "0.1.0"
@@ -42,7 +37,6 @@ __version__ = "0.1.0"
 __all__ = [
     "CollisionGeometry",
     "ConvergenceError",
-    "DegenerateDirectionError",
     "DegenerateJacobianError",
     "DegenerateSupportError",
     "DomainError",
@@ -51,20 +45,15 @@ __all__ = [
     "TwistedState",
     "WavePacketProfile",
     "angle_set",
-    "cone_momentum",
     "draw_support_samples",
     "field_amplitude",
     "fourier_weight",
     "intensity_map",
-    "monochromatic_k_z",
     "oracle_amplitude",
-    "plane_wave_limit_check",
     "reduced_triple_amplitude",
     "single_twisted_amplitude",
-    "single_twisted_oracle",
     "single_twisted_solutions",
     "smeared_amplitude",
     "stripe_contains",
     "triangle_geometry",
-    "vortex_axis",
 ]

@@ -26,9 +26,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Callable, NamedTuple, Sequence
-
-import numpy as np
+from typing import NamedTuple
 
 from .errors import DegenerateSupportError, SupportRegionError
 from .kinematics import (
@@ -38,10 +36,8 @@ from .kinematics import (
     angle_set,
     triangle_geometry,
 )
-from .numerics import gauss_legendre_on, stripe_substitution
 
 _SQRT_2PI = math.sqrt(2.0 * math.pi)
-_PLANE_WAVE_NODES = 128  # Gauss-Legendre nodes on the w axis of the kappa1 stripe
 _RADIAL_SUPPORT_RTOL = 1e-9
 _I_POWERS = (1 + 0j, 1j, -1 + 0j, -1j)
 
@@ -64,11 +60,6 @@ class ReducedAmplitude:
     in_support: bool
 
 
-class FourierWeight(NamedTuple):
-    phase: complex
-    on_cone: bool
-
-
 class SingleTwistedValue(NamedTuple):
     smooth: complex
     on_support: bool
@@ -84,40 +75,20 @@ class TwoBodyBranch:
     degenerate: bool = False
 
 
-@dataclass(frozen=True)
-class LimitEntry:
-    eps: float
-    value: complex
-    rel_error: float
-
-
-@dataclass(frozen=True)
-class PlaneWaveLimitReport:
-    """Convergence record of the second-particle plane-wave limit."""
-
-    limit: complex
-    entries: tuple[LimitEntry, ...]
-    monotone: bool
-
-
-def fourier_weight(
-    kappa: float, m: int, k_perp_modulus: float, k_azimuth: float
-) -> FourierWeight:
+def fourier_weight(kappa: float, m: int, k_azimuth: float) -> complex:
     """Smooth factor (-i)^m e^{i m phi} sqrt(2 pi) / sqrt(kappa) of a Bessel
-    state's plane-wave decomposition, plus an on-cone flag for |k_perp|.
+    state's plane-wave decomposition at azimuth phi on its cone.
 
     The radial delta itself is handled analytically by callers.
     """
     if kappa <= 0.0:
         raise ValueError("kappa must be positive")
-    phase = (
+    return (
         unit_imag_power(-m)
         * complex(math.cos(m * k_azimuth), math.sin(m * k_azimuth))
         * _SQRT_2PI
         / math.sqrt(kappa)
     )
-    on_cone = abs(k_perp_modulus - kappa) <= _RADIAL_SUPPORT_RTOL * max(kappa, 1.0)
-    return FourierWeight(phase=phase, on_cone=on_cone)
 
 
 def single_twisted_solutions(
@@ -221,72 +192,3 @@ def reduced_triple_amplitude(
     # 0.0, so the signed zeros in `eval` output stay as they have always been
     value = unit_imag_power(phase_power) * magnitude + 0.0
     return ReducedAmplitude(value, phase_power, True)
-
-
-def plane_wave_limit_check(
-    geom: CollisionGeometry,
-    m: int,
-    m1: int,
-    test_weight: Callable[[float], float],
-    epsilon_list: Sequence[float],
-) -> PlaneWaveLimitReport:
-    """Check the second-particle plane-wave limit kappa2 -> 0 with m2 = 0.
-
-    For each eps, sets kappa2 = eps * kappa_tilde and integrates
-    test_weight(kappa1) * sqrt(2 pi / kappa2) * S~ over the kappa1 stripe.
-    The analytic limit replaces 2/Delta by 8 pi delta(kappa_tilde^2 - kappa1^2)
-    (and delta1 -> 0), giving
-
-        L = i^{m1-m} (4 pi / kt) sqrt(2 pi kt / kappa) w(kt)
-            cos(m phi* - m1 phi~*) / sqrt(sin^2 theta - sin^2 xi).
-
-    The report records each value against L; the tail below eps = 0.1 must be
-    monotone, otherwise ``monotone`` is False (a failure report, not an
-    exception).
-    """
-    eps_sorted = sorted(float(e) for e in epsilon_list)
-    if not eps_sorted or eps_sorted[0] <= 0.0:
-        raise ValueError("epsilon_list must contain positive values")
-    if list(epsilon_list) != sorted(epsilon_list, reverse=True):
-        raise ValueError("epsilon_list must be decreasing")
-
-    kappa = geom.initial.kappa
-    angles = angle_set(geom)
-    kt = kappa * math.cos(angles.xi)
-    sin_t = math.sin(geom.theta)
-    sin_xi = geom.q / kappa
-    root = math.sqrt((sin_t - sin_xi) * (sin_t + sin_xi))
-    cos_a = math.cos(m * angles.phi_star - m1 * angles.phi_tilde_star)
-    phase = unit_imag_power(m1 - m)
-
-    limit = phase * (4.0 * math.pi / kt) * math.sqrt(2.0 * math.pi * kt / kappa) * float(
-        test_weight(kt)
-    ) * cos_a / root
-
-    w_nodes, w_weights = gauss_legendre_on(0.0, 0.5 * math.pi, _PLANE_WAVE_NODES)
-
-    entries = []
-    for eps in epsilon_list:
-        kappa2 = eps * kt
-        k1sq, k1, jac = stripe_substitution((kt - kappa2) ** 2, (kt + kappa2) ** 2, w_nodes)
-        cos_d1 = np.clip((kt * kt + k1sq - kappa2 * kappa2) / (2.0 * kt * k1), -1.0, 1.0)
-        tw = np.array([float(test_weight(v)) for v in k1])
-        integral = float(
-            np.sum(
-                w_weights
-                * jac
-                * tw
-                * np.sqrt(k1 * kappa2 / kappa)
-                * np.cos(m1 * np.arccos(cos_d1))
-            )
-        )
-        value = phase * math.sqrt(2.0 * math.pi / kappa2) * cos_a * integral / root
-        if limit == 0:
-            rel = 0.0 if value == 0 else math.inf
-        else:
-            rel = abs(value / limit - 1.0)
-        entries.append(LimitEntry(eps=float(eps), value=value, rel_error=rel))
-
-    tail = [e.rel_error for e in entries if e.eps <= 0.1]
-    monotone = all(b <= a * (1.0 + 1e-12) + 1e-15 for a, b in zip(tail, tail[1:]))
-    return PlaneWaveLimitReport(limit=limit, entries=tuple(entries), monotone=monotone)

@@ -53,6 +53,9 @@ EXIT_DEGENERATE_ORACLE = 4
 EXIT_QUADRATURE = 5
 
 _KZ_FACTOR = 50.0  # the reduced problem is k_z independent; any paraxial value works
+# Largest field grid: grid_n^2 CSV rows, about 1e6 at the cap. validate rejects
+# a larger grid before numpy allocates (past its maximum it raises ValueError).
+MAX_GRID_N = 1024
 
 
 @dataclass(frozen=True)
@@ -185,6 +188,8 @@ def validate(cfg: RunConfig, command: str) -> list[str]:
     elif command == "field":
         if cfg.grid_n < 2:
             out.append("grid_n must be >= 2")
+        elif cfg.grid_n > MAX_GRID_N:
+            out.append(f"grid_n must not exceed MAX_GRID_N = {MAX_GRID_N}")
         if cfg.r_max <= 0.0:
             out.append("r_max must be positive")
         if abs(cfg.m) > MAX_BESSEL_ORDER:

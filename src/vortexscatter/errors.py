@@ -16,10 +16,6 @@ class DegenerateSupportError(ArithmeticError):
     boundary where the closed-form amplitude diverges."""
 
 
-class DegenerateDirectionError(ValueError):
-    """A direction that should define an axis came out as the zero vector."""
-
-
 class DegenerateJacobianError(ArithmeticError):
     """A constraint solution has a (numerically) singular Jacobian, so its
     inverse-Jacobian weight is unusable."""

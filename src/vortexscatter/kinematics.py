@@ -20,11 +20,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import (
-    DegenerateDirectionError,
-    DomainError,
-    SupportRegionError,
-)
+from .errors import DomainError, SupportRegionError
 from .numerics import bessel_j, heron_area
 
 # Triangle areas below this fraction of kappa_tilde^2 count as degenerate:
@@ -64,13 +60,6 @@ class TwistedState:
     @property
     def mass_squared(self) -> float:
         return self.omega**2 - self.kappa**2 - self.k_z**2
-
-    @property
-    def paraxiality(self) -> float:
-        """kappa / |k_z|; small for a paraxial beam."""
-        if self.k_z == 0.0:
-            return math.inf
-        return self.kappa / abs(self.k_z)
 
 
 @dataclass(frozen=True)
@@ -129,36 +118,11 @@ class TriangleGeometry:
     degenerate: bool
 
 
-def monochromatic_k_z(omega: float, kappa: float, mass: float = 0.0) -> float:
-    """Longitudinal momentum of a mode with energy omega and transverse
-    modulus kappa: k_z = sqrt(omega^2 - kappa^2 - mass^2).
-
-    This is the fixed-energy slicing of a packet (k_z varies with kappa so
-    the superposition stays monochromatic). The reduced amplitudes depend on
-    longitudinal data only through q and theta, so the smearing pipeline
-    slices at fixed q; this helper covers the complementary convention.
-    """
-    arg = omega * omega - kappa * kappa - mass * mass
-    if arg < 0.0:
-        raise DomainError(
-            f"no real k_z: omega^2 - kappa^2 - mass^2 = {arg} is negative"
-        )
-    return math.sqrt(arg)
-
-
 def tilt_frame(theta: float) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Orthonormal basis (x', y', z') of the axis tilted by theta in the x-z
     plane: x' = (cos t, 0, -sin t), y' = y, z' = (sin t, 0, cos t)."""
     st, ct = math.sin(theta), math.cos(theta)
     return np.array([ct, 0.0, -st]), np.array([0.0, 1.0, 0.0]), np.array([st, 0.0, ct])
-
-
-def cone_momentum(state: TwistedState, phi: float, axis_theta: float) -> np.ndarray:
-    """Momentum on the state's cone at azimuth phi about an axis tilted by
-    axis_theta in the x-z plane: k = k_z z' + kappa (cos phi x' + sin phi y').
-    """
-    ex, ey, ez = tilt_frame(axis_theta)
-    return state.k_z * ez + state.kappa * (math.cos(phi) * ex + math.sin(phi) * ey)
 
 
 def angle_set(geom: CollisionGeometry) -> AngleSet:
@@ -221,24 +185,6 @@ def triangle_geometry(
         in_stripe=inside,
         degenerate=(area == 0.0),
     )
-
-
-def vortex_axis(mean_initial: np.ndarray, p: np.ndarray, k2: np.ndarray) -> np.ndarray:
-    """Unit vector along <k> + p - k2, the direction of exactly vanishing
-    scattering for the first final particle (its phase-vortex line). The same
-    formula with indices swapped serves the second particle.
-    """
-    n = np.asarray(mean_initial, dtype=float) + np.asarray(p, dtype=float) - np.asarray(k2, dtype=float)
-    norm = float(np.linalg.norm(n))
-    scale = max(
-        float(np.linalg.norm(mean_initial)),
-        float(np.linalg.norm(p)),
-        float(np.linalg.norm(k2)),
-        1.0,
-    )
-    if norm <= 1e-14 * scale:
-        raise DegenerateDirectionError("vortex axis undefined: <k> + p - k2 is the zero vector")
-    return n / norm
 
 
 def mode_field(m: int, kappas, radii, azimuths) -> Iterator[tuple[np.ndarray, np.ndarray]]:

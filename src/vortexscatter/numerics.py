@@ -3,9 +3,10 @@
 Cylindrical Bessel functions of integer order (power series plus Miller's
 backward recurrence, no external special-function dependency), a numerically
 stable triangle area, the quadrature layer (Gauss-Legendre nodes on an
-interval, node doubling to a tolerance, and the two substitutions that absorb
-the inverse-square-root edges of the allowed q region and of the kappa1
-stripe), and a multi-start Newton solver for three angles on the torus.
+interval, node doubling to a tolerance, and the substitution that absorbs the
+inverse-square-root edge of the allowed q region; wavepackets._triangle
+applies the one for the kappa1 stripe), and a multi-start Newton solver for
+three angles on the torus.
 
 All functions are pure and stateless; concurrent use is safe.
 """
@@ -207,20 +208,6 @@ def q_substitution(q_max: float, n: int) -> tuple[np.ndarray, np.ndarray]:
     """
     u, wu = gauss_legendre_on(-0.5 * math.pi, 0.5 * math.pi, n)
     return q_max * np.sin(u), wu * q_max * np.cos(u)
-
-
-def stripe_substitution(a, b, w):
-    """kappa1 over the stripe a < kappa1^2 < b by kappa1^2 = a + (b - a) sin^2(w).
-
-    a and b are the squared stripe ends (kappa~ -+ kappa2)^2 of the momentum
-    triangle (kappa~, kappa1, kappa2), w in (0, pi/2). Returns (kappa1^2,
-    kappa1, jacobian) where jacobian = 8 / kappa1 equals
-    (2 / Delta) d(kappa1)/dw exactly, Delta being the triangle area: the
-    inverse-square-root divergence of 1/Delta at both stripe ends cancels.
-    """
-    k1_sq = a + (b - a) * np.sin(w) ** 2
-    k1 = np.sqrt(k1_sq)
-    return k1_sq, k1, 8.0 / k1
 
 
 def _torus_distance(points: np.ndarray, ref: np.ndarray) -> np.ndarray:

@@ -118,33 +118,13 @@ def oracle_amplitude(
     solutions = []
     for root in roots:
         phi, phi1, phi2 = (float(v) for v in root.angles)
-        w0 = fourier_weight(kappa, m, kappa, phi).phase
-        w1 = fourier_weight(kappa1, m1, kappa1, phi1).phase.conjugate()
-        w2 = fourier_weight(kappa2, m2, kappa2, phi2).phase.conjugate()
+        w0 = fourier_weight(kappa, m, phi)
+        w1 = fourier_weight(kappa1, m1, phi1).conjugate()
+        w2 = fourier_weight(kappa2, m2, phi2).conjugate()
         det_raw = root.jacobian_det * kappa**3  # undo the residual normalization
         amplitude += w0 * w1 * w2 * (kappa * kappa1 * kappa2) / det_raw
         solutions.append(ConstraintSolution(phi, phi1, phi2, det_raw))
     return OracleResult(solutions=tuple(solutions), amplitude=amplitude)
-
-
-def single_twisted_oracle(
-    state: TwistedState,
-    k1,
-    k2,
-) -> complex:
-    """Single-twisted element by the same delta reduction in two dimensions.
-
-    The transverse delta pins the initial momentum to k1 + k2; the value is
-    the decomposition weight there (over (2 pi)^2 from the measure), 0 off
-    the cone. Matches the closed form on support and vanishes at k1 = -k2.
-    """
-    k12 = np.asarray(k1, dtype=float) + np.asarray(k2, dtype=float)
-    mod = float(np.hypot(k12[0], k12[1]))
-    azimuth = float(np.arctan2(k12[1], k12[0]))
-    weight = fourier_weight(state.kappa, state.m, mod, azimuth)
-    if not weight.on_cone:
-        return 0j
-    return weight.phase / (2.0 * math.pi) ** 2
 
 
 def draw_support_samples(

@@ -16,7 +16,8 @@ node is placed:
     kappa = k_left + (hi - k_left) s^2 makes the measure finite.
   * stripe edge: 1/Delta diverges like an inverse square root at both ends of
     the kappa1 interval; with kappa1^2 = A + (B - A) sin^2 w (A, B the
-    squared stripe ends, numerics.stripe_substitution) the combination
+    squared stripe ends; _triangle applies this stripe rule, and the tests
+    keep it as stripe_substitution, its witness) the combination
     d(kappa1) / Delta equals 4 dw / kappa1 exactly, which is smooth.
 
 The stripe angle w also fixes the momentum triangle (kappa~, kappa1, kappa2):
@@ -151,14 +152,6 @@ class IntensityMap:
     def m2_values(self) -> np.ndarray:
         return np.arange(self.m2_range[0], self.m2_range[1] + 1)
 
-    def diagonal_sum(self, d: int) -> float:
-        total = 0.0
-        for i, m1 in enumerate(self.m1_values):
-            j = m1 - d - self.m2_range[0]
-            if 0 <= j < self.weights.shape[1]:
-                total += float(self.weights[i, j])
-        return total
-
     def marginal_std(self, axis: int) -> float:
         marginal = self.weights.sum(axis=1 - axis)
         values = self.m1_values if axis == 0 else self.m2_values
@@ -216,9 +209,9 @@ def _slice_axes(profiles, theta: float, q: float, n: int) -> _SliceAxes | None:
 
 def _stripe_ends(kt: np.ndarray, k2: np.ndarray, f1: WavePacketProfile):
     """(a, b, w_lo, w_hi) per (kappa~, kappa2) pair: the squared stripe ends
-    a, b = (kappa~ -+ kappa2)^2 and the stripe angles w of
-    numerics.stripe_substitution that bound kappa1 to f1's support (w_lo = w_hi
-    for an empty stripe)."""
+    a, b = (kappa~ -+ kappa2)^2 and the stripe angles w of the stripe rule
+    kappa1^2 = a + (b - a) sin^2 w that bound kappa1 to f1's support (w_lo =
+    w_hi for an empty stripe)."""
     a = (kt[:, None] - k2[None, :]) ** 2
     b = (kt[:, None] + k2[None, :]) ** 2
     lo1, hi1 = f1.support

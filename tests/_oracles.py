@@ -1,18 +1,38 @@
 """Independent reference implementations used only by the tests.
 
-These deliberately avoid the package's own code paths: the Bessel series and
+Most deliberately avoid the package's own code paths: the Bessel series and
 integral representation, an adaptive panel quadrature, a bisection solver for
 the two-circle intersection, central-difference Jacobians with a Richardson-
 extrapolated determinant, and a dense sign-change scan on the 3-torus.
-The one exception is the per-point field formula, which takes J_m from the
-package's bessel_j so that it can be compared bit for bit.
+
+The rest are witnesses that call a few package kernels on purpose:
+
+  * the per-point field formula takes J_m from the package's bessel_j, so
+    that it can be compared bit for bit;
+  * stripe_substitution, the stripe rule kappa1^2 = a + (b - a) sin^2 w on
+    its own, is the witness of wavepackets._triangle, which applies the rule
+    inline from the angle w (the cosine-law triangle of test_wavepackets
+    builds on it);
+  * plane_wave_limit_check (with LimitEntry and PlaneWaveLimitReport) checks
+    the second-particle plane-wave limit kappa2 -> 0 of the closed form by
+    its own stripe quadrature; it takes the angles from angle_set and its
+    nodes from gauss_legendre_on;
+  * single_twisted_oracle, the single-twisted element by the delta reduction
+    in two dimensions, takes the decomposition weight from fourier_weight
+    and makes its own on-cone test.
 """
 
 import math
+from dataclasses import dataclass
+from typing import Callable, Sequence
 
 import numpy as np
 
-from vortexscatter.numerics import bessel_j
+from vortexscatter.amplitudes import fourier_weight, unit_imag_power
+from vortexscatter.kinematics import CollisionGeometry, TwistedState, angle_set
+from vortexscatter.numerics import bessel_j, gauss_legendre_on
+
+_PLANE_WAVE_NODES = 128  # Gauss-Legendre nodes on the w axis of the kappa1 stripe
 
 
 def bessel_series(m: int, x: float, terms: int = 120) -> float:
@@ -241,3 +261,121 @@ def certified_root_scan(residual_batch, n=28, depth=15, frontier_cap=8000, dedup
         ):
             roots.append(p)
     return roots
+
+
+def stripe_substitution(a, b, w):
+    """kappa1 over the stripe a < kappa1^2 < b by kappa1^2 = a + (b - a) sin^2(w).
+
+    a and b are the squared stripe ends (kappa~ -+ kappa2)^2 of the momentum
+    triangle (kappa~, kappa1, kappa2), w in (0, pi/2). Returns (kappa1^2,
+    kappa1, jacobian) where jacobian = 8 / kappa1 equals
+    (2 / Delta) d(kappa1)/dw exactly, Delta being the triangle area: the
+    inverse-square-root divergence of 1/Delta at both stripe ends cancels.
+    """
+    k1_sq = a + (b - a) * np.sin(w) ** 2
+    k1 = np.sqrt(k1_sq)
+    return k1_sq, k1, 8.0 / k1
+
+
+@dataclass(frozen=True)
+class LimitEntry:
+    eps: float
+    value: complex
+    rel_error: float
+
+
+@dataclass(frozen=True)
+class PlaneWaveLimitReport:
+    """Convergence record of the second-particle plane-wave limit."""
+
+    limit: complex
+    entries: tuple[LimitEntry, ...]
+    monotone: bool
+
+
+def plane_wave_limit_check(
+    geom: CollisionGeometry,
+    m: int,
+    m1: int,
+    test_weight: Callable[[float], float],
+    epsilon_list: Sequence[float],
+) -> PlaneWaveLimitReport:
+    """Check the second-particle plane-wave limit kappa2 -> 0 with m2 = 0.
+
+    For each eps, sets kappa2 = eps * kappa_tilde and integrates
+    test_weight(kappa1) * sqrt(2 pi / kappa2) * S~ over the kappa1 stripe.
+    The analytic limit replaces 2/Delta by 8 pi delta(kappa_tilde^2 - kappa1^2)
+    (and delta1 -> 0), giving
+
+        L = i^{m1-m} (4 pi / kt) sqrt(2 pi kt / kappa) w(kt)
+            cos(m phi* - m1 phi~*) / sqrt(sin^2 theta - sin^2 xi).
+
+    The report records each value against L; the tail below eps = 0.1 must be
+    monotone, otherwise ``monotone`` is False (a failure report, not an
+    exception).
+    """
+    eps_sorted = sorted(float(e) for e in epsilon_list)
+    if not eps_sorted or eps_sorted[0] <= 0.0:
+        raise ValueError("epsilon_list must contain positive values")
+    if list(epsilon_list) != sorted(epsilon_list, reverse=True):
+        raise ValueError("epsilon_list must be decreasing")
+
+    kappa = geom.initial.kappa
+    angles = angle_set(geom)
+    kt = kappa * math.cos(angles.xi)
+    sin_t = math.sin(geom.theta)
+    sin_xi = geom.q / kappa
+    root = math.sqrt((sin_t - sin_xi) * (sin_t + sin_xi))
+    cos_a = math.cos(m * angles.phi_star - m1 * angles.phi_tilde_star)
+    phase = unit_imag_power(m1 - m)
+
+    limit = phase * (4.0 * math.pi / kt) * math.sqrt(2.0 * math.pi * kt / kappa) * float(
+        test_weight(kt)
+    ) * cos_a / root
+
+    w_nodes, w_weights = gauss_legendre_on(0.0, 0.5 * math.pi, _PLANE_WAVE_NODES)
+
+    entries = []
+    for eps in epsilon_list:
+        kappa2 = eps * kt
+        k1sq, k1, jac = stripe_substitution((kt - kappa2) ** 2, (kt + kappa2) ** 2, w_nodes)
+        cos_d1 = np.clip((kt * kt + k1sq - kappa2 * kappa2) / (2.0 * kt * k1), -1.0, 1.0)
+        tw = np.array([float(test_weight(v)) for v in k1])
+        integral = float(
+            np.sum(
+                w_weights
+                * jac
+                * tw
+                * np.sqrt(k1 * kappa2 / kappa)
+                * np.cos(m1 * np.arccos(cos_d1))
+            )
+        )
+        value = phase * math.sqrt(2.0 * math.pi / kappa2) * cos_a * integral / root
+        if limit == 0:
+            rel = 0.0 if value == 0 else math.inf
+        else:
+            rel = abs(value / limit - 1.0)
+        entries.append(LimitEntry(eps=float(eps), value=value, rel_error=rel))
+
+    tail = [e.rel_error for e in entries if e.eps <= 0.1]
+    monotone = all(b <= a * (1.0 + 1e-12) + 1e-15 for a, b in zip(tail, tail[1:]))
+    return PlaneWaveLimitReport(limit=limit, entries=tuple(entries), monotone=monotone)
+
+
+def single_twisted_oracle(
+    state: TwistedState,
+    k1,
+    k2,
+) -> complex:
+    """Single-twisted element by the same delta reduction in two dimensions.
+
+    The transverse delta pins the initial momentum to k1 + k2; the value is
+    the decomposition weight there (over (2 pi)^2 from the measure), 0 off
+    the cone. Matches the closed form on support and vanishes at k1 = -k2.
+    """
+    k12 = np.asarray(k1, dtype=float) + np.asarray(k2, dtype=float)
+    mod = float(np.hypot(k12[0], k12[1]))
+    azimuth = float(np.arctan2(k12[1], k12[0]))
+    if not abs(mod - state.kappa) <= 1e-9 * max(state.kappa, 1.0):  # off the cone
+        return 0j
+    return fourier_weight(state.kappa, state.m, azimuth) / (2.0 * math.pi) ** 2

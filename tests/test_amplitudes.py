@@ -5,7 +5,6 @@ import pytest
 
 from vortexscatter.amplitudes import (
     fourier_weight,
-    plane_wave_limit_check,
     reduced_triple_amplitude,
     single_twisted_amplitude,
     single_twisted_solutions,
@@ -14,7 +13,7 @@ from vortexscatter.amplitudes import (
 from vortexscatter.errors import DegenerateSupportError, SupportRegionError
 from vortexscatter.kinematics import CollisionGeometry, TwistedState, angle_set, stripe_contains
 
-from _oracles import circle_intersection_azimuths
+from _oracles import circle_intersection_azimuths, plane_wave_limit_check
 
 SQRT_2PI = math.sqrt(2.0 * math.pi)
 
@@ -34,20 +33,16 @@ class TestUnitImagPower:
 
 class TestFourierWeight:
     def test_zero_helicity(self):
-        w = fourier_weight(1.0, 0, 1.0, 2.7)
-        assert w.phase == pytest.approx(SQRT_2PI, abs=1e-14)
-        assert w.on_cone
+        w = fourier_weight(1.0, 0, 2.7)
+        assert w == pytest.approx(SQRT_2PI, abs=1e-14)
 
     def test_phase_cancellation(self):
-        w = fourier_weight(1.0, 1, 1.0, 0.5 * math.pi)
-        assert w.phase == pytest.approx(SQRT_2PI, abs=1e-14)
+        w = fourier_weight(1.0, 1, 0.5 * math.pi)
+        assert w == pytest.approx(SQRT_2PI, abs=1e-14)
 
     def test_m4_phase(self):
-        w = fourier_weight(1.0, 4, 1.0, 0.25 * math.pi)
-        assert w.phase == pytest.approx(-SQRT_2PI, abs=1e-13)
-
-    def test_off_cone_flag(self):
-        assert not fourier_weight(1.0, 0, 1.5, 0.0).on_cone
+        w = fourier_weight(1.0, 4, 0.25 * math.pi)
+        assert w == pytest.approx(-SQRT_2PI, abs=1e-13)
 
 
 class TestSingleTwistedSolutions:

@@ -229,6 +229,9 @@ _BIG = 10**400
         ("field", dict(grid_n=_BIG), "grid_n must lie in [-2**63, 2**63)"),
         ("field", dict(grid_n=2**63), "grid_n must lie in [-2**63, 2**63)"),
         ("eval", _eval_config(theta=_BIG), "theta must be finite"),
+        # numpy's linspace raised ValueError: array is too big
+        ("field", dict(grid_n=2**62), "grid_n must not exceed MAX_GRID_N = 1024"),
+        ("field", dict(grid_n=200000), "grid_n must not exceed MAX_GRID_N = 1024"),
     ],
 )
 def test_out_of_range_config_rejected(tmp_path, capsys, command, overrides, message):
@@ -709,6 +712,7 @@ def _configs(draw):
 @example(command="eval", config=_eval_config(m=2**63 - 1))
 @example(command="map", config={"m": -(2**63 - 1), **_ONE_CELL, "node_count": 4})
 @example(command="map", config={"m": 2**62, **_ONE_CELL, "node_count": 4})
+@example(command="field", config={"grid_n": 2**62})
 def test_any_config_ends_in_an_exit_code(command, config):
     with tempfile.TemporaryDirectory() as tmp:
         path = os.path.join(tmp, "config.json")

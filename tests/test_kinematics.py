@@ -6,22 +6,67 @@ import pytest
 from hypothesis import example, given
 from hypothesis import strategies as st
 
-from vortexscatter.errors import DegenerateDirectionError, DomainError, SupportRegionError
+from vortexscatter.errors import DomainError, SupportRegionError
 from vortexscatter.kinematics import (
     CollisionGeometry,
     TwistedState,
     angle_set,
-    cone_momentum,
     field_amplitude,
-    monochromatic_k_z,
     stripe_contains,
+    tilt_frame,
     triangle_geometry,
-    vortex_axis,
 )
 from vortexscatter.numerics import heron_area
 from vortexscatter.wavepackets import WavePacketProfile
 
 from _oracles import bessel_series, per_point_field
+
+
+class DegenerateDirectionError(ValueError):
+    """A direction that should define an axis came out as the zero vector."""
+
+
+def monochromatic_k_z(omega: float, kappa: float, mass: float = 0.0) -> float:
+    """Longitudinal momentum of a mode with energy omega and transverse
+    modulus kappa: k_z = sqrt(omega^2 - kappa^2 - mass^2).
+
+    This is the fixed-energy slicing of a packet (k_z varies with kappa so
+    the superposition stays monochromatic). The reduced amplitudes depend on
+    longitudinal data only through q and theta, so the smearing pipeline
+    slices at fixed q; this helper covers the complementary convention.
+    """
+    arg = omega * omega - kappa * kappa - mass * mass
+    if arg < 0.0:
+        raise DomainError(
+            f"no real k_z: omega^2 - kappa^2 - mass^2 = {arg} is negative"
+        )
+    return math.sqrt(arg)
+
+
+def cone_momentum(state: TwistedState, phi: float, axis_theta: float) -> np.ndarray:
+    """Momentum on the state's cone at azimuth phi about an axis tilted by
+    axis_theta in the x-z plane: k = k_z z' + kappa (cos phi x' + sin phi y').
+    """
+    ex, ey, ez = tilt_frame(axis_theta)
+    return state.k_z * ez + state.kappa * (math.cos(phi) * ex + math.sin(phi) * ey)
+
+
+def vortex_axis(mean_initial: np.ndarray, p: np.ndarray, k2: np.ndarray) -> np.ndarray:
+    """Unit vector along <k> + p - k2, the direction of exactly vanishing
+    scattering for the first final particle (its phase-vortex line). The same
+    formula with indices swapped serves the second particle.
+    """
+    n = np.asarray(mean_initial, dtype=float) + np.asarray(p, dtype=float) - np.asarray(k2, dtype=float)
+    norm = float(np.linalg.norm(n))
+    scale = max(
+        float(np.linalg.norm(mean_initial)),
+        float(np.linalg.norm(p)),
+        float(np.linalg.norm(k2)),
+        1.0,
+    )
+    if norm <= 1e-14 * scale:
+        raise DegenerateDirectionError("vortex axis undefined: <k> + p - k2 is the zero vector")
+    return n / norm
 
 
 def _state(kappa=1.0, m=0, k_z=10.0):
@@ -37,7 +82,6 @@ class TestTwistedState:
         s = _state(1.0, 2, 10.0)
         assert s.omega == pytest.approx(math.hypot(1.0, 10.0))
         assert s.mass_squared == pytest.approx(0.0, abs=1e-12)
-        assert s.paraxiality == pytest.approx(0.1)
 
     def test_validation(self):
         with pytest.raises(ValueError):

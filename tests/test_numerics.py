@@ -16,7 +16,6 @@ from vortexscatter.numerics import (
     q_substitution,
     refine_by_doubling,
     solve_system,
-    stripe_substitution,
 )
 import vortexscatter.numerics as numerics_module
 from vortexscatter.numerics import _dedupe
@@ -28,6 +27,7 @@ from _oracles import (
     fd_jacobian,
     richardson_det,
     sign_change_cells,
+    stripe_substitution,
 )
 
 

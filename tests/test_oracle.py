@@ -17,10 +17,15 @@ from vortexscatter.oracle import (
     _ConstraintKernel,
     draw_support_samples,
     oracle_amplitude,
-    single_twisted_oracle,
 )
 
-from _oracles import certified_root_scan, fd_jacobian, richardson_det, sign_change_cells
+from _oracles import (
+    certified_root_scan,
+    fd_jacobian,
+    richardson_det,
+    sign_change_cells,
+    single_twisted_oracle,
+)
 
 TWO_PI = 2.0 * math.pi
 

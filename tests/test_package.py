@@ -34,23 +34,40 @@ def test_runtime_imports_only_stdlib_and_numpy():
     assert foreign == []
 
 
-def test_every_private_definition_has_a_src_caller():
-    # a private function, class or method that only tests call belongs in tests/
+def _readme_library_names() -> set[str]:
+    """The identifiers in the code of README's Library section: its example
+    and its `code` spans."""
+    text = README.read_text(encoding="utf-8")
+    section = text.split("\n## Library\n", 1)[1].split("\n## ", 1)[0]
+    code = re.findall(r"```python\n(.*?)```", section, re.S)
+    code += re.findall(r"(?<!`)`([^`\n]+)`(?!`)", section)
+    return set(re.findall(r"[A-Za-z_]\w*", " ".join(code)))
+
+
+def test_every_definition_has_a_src_caller_or_a_library_entry():
+    # a function, class or method that only tests call belongs in tests/,
+    # unless it is public and README's Library section names it
     kinds = (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)
+    library = _readme_library_names()
     defined, used = [], set()
     for path in sorted(PACKAGE_DIR.glob("*.py")):
         tree = ast.parse(path.read_text(encoding="utf-8"))
         for node in tree.body:
             members = node.body if isinstance(node, ast.ClassDef) else []
             for d in [node, *members]:
-                if isinstance(d, kinds) and d.name.startswith("_") and not d.name.endswith("__"):
+                if isinstance(d, kinds) and not d.name.endswith("__"):
                     defined.append((path.name, d.name))
         for node in ast.walk(tree):
             if isinstance(node, ast.Name):
                 used.add(node.id)
             elif isinstance(node, ast.Attribute):
                 used.add(node.attr)
-    assert [f"{file}: {name}" for file, name in defined if name not in used] == []
+    unused = [
+        f"{file}: {name}"
+        for file, name in defined
+        if name not in used and (name.startswith("_") or name not in library)
+    ]
+    assert unused == []
 
 
 def test_readme_library_example_runs():

@@ -16,12 +16,7 @@ import pytest
 from vortexscatter.amplitudes import reduced_triple_amplitude, unit_imag_power
 from vortexscatter.errors import ConvergenceError
 from vortexscatter.kinematics import CollisionGeometry, TwistedState
-from vortexscatter.numerics import (
-    QuadratureSpec,
-    gauss_legendre_nodes,
-    q_substitution,
-    stripe_substitution,
-)
+from vortexscatter.numerics import QuadratureSpec, gauss_legendre_nodes, q_substitution
 import vortexscatter.wavepackets as wavepackets_module
 from vortexscatter.wavepackets import (
     _BLOCK_ELEMENTS,
@@ -39,6 +34,7 @@ from vortexscatter.wavepackets import (
     smeared_amplitude,
 )
 
+from _oracles import stripe_substitution
 from _pins import assert_hex
 
 
