@@ -56,6 +56,9 @@ _KZ_FACTOR = 50.0  # the reduced problem is k_z independent; any paraxial value 
 # Largest field grid: grid_n^2 CSV rows, about 1e6 at the cap. validate rejects
 # a larger grid before numpy allocates (past its maximum it raises ValueError).
 MAX_GRID_N = 1024
+# Largest oracle-check sample count: one oracle solve per sample, about 5 ms
+# each, so about an hour and a half at the cap.
+MAX_SAMPLE_COUNT = 10**6
 
 
 @dataclass(frozen=True)
@@ -183,6 +186,8 @@ def validate(cfg: RunConfig, command: str) -> list[str]:
             out.append("seed must be non-negative")
         if cfg.sample_count < 1:
             out.append("sample_count must be >= 1")
+        elif cfg.sample_count > MAX_SAMPLE_COUNT:
+            out.append(f"sample_count must not exceed MAX_SAMPLE_COUNT = {MAX_SAMPLE_COUNT}")
         if cfg.threshold < 0.0:
             out.append("threshold must be non-negative")
     elif command == "field":
@@ -247,9 +252,9 @@ def _profiles(cfg: RunConfig):
     )
 
 
-def _write_text(path: str, text: str) -> None:
+def _write_text(path: str, *texts: str) -> None:
     with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        fh.write(text)
+        fh.writelines(texts)
 
 
 def _probe_writable(path: str) -> None:
@@ -404,17 +409,14 @@ def cmd_field(cfg: RunConfig, out_path: str) -> int:
         kappas, weights = [cfg.kappa0], None
     phi_text = [_FLOAT9(phi) for phi in azimuths]
 
-    lines = ["r,phi,re,im"]
-    for r, (re, im) in zip(radii, mode_field(cfg.m, kappas, radii, azimuths)):
+    blocks = ["r,phi,re,im\n"]  # one string per radius
+    for r, z in zip(radii, mode_field(cfg.m, kappas, radii, azimuths)):
         if weights is not None:
-            # Python's sum over modes. It starts from +0, which erases the
-            # signed zeros of numpy's float64-by-complex product
-            # (w a - 0 b) + i (w b + 0 a), so plain w a and w b suffice.
-            re, im = sum(weights * re), sum(weights * im)
+            z = sum(weights * z)
         r_text = _FLOAT9(r)
-        for phi, x, y in zip(phi_text, re.ravel().tolist(), im.ravel().tolist()):
-            lines.append(f"{r_text},{phi},{x!r},{y!r}")
-    _write_text(out_path, "\n".join(lines) + "\n")
+        rows = zip(phi_text, z.real.ravel().tolist(), z.imag.ravel().tolist())
+        blocks.append("".join(f"{r_text},{phi},{x!r},{y!r}\n" for phi, x, y in rows))
+    _write_text(out_path, *blocks)
     return EXIT_OK
 
 

@@ -187,22 +187,18 @@ def triangle_geometry(
     )
 
 
-def mode_field(m: int, kappas, radii, azimuths) -> Iterator[tuple[np.ndarray, np.ndarray]]:
-    """For each radius in turn, the real and imaginary parts of
-    e^{i m phi} J_m(kappa r) sqrt(kappa / 2 pi) as (kappa x azimuth) arrays,
-    from one bessel_j call per kappa. (phase * radial) * scale is written out
-    in real arithmetic as z * x = z * (x + 0j), whose zero terms set the
-    signs of zero results."""
+def mode_field(m: int, kappas, radii, azimuths) -> Iterator[np.ndarray]:
+    """For each radius in turn, e^{i m phi} J_m(kappa r) sqrt(kappa / 2 pi) as
+    one complex (kappa x azimuth) array, phase * radial * scale, from one
+    bessel_j call per kappa."""
     order = abs(m)
     scale = np.array([math.sqrt(k / (2.0 * math.pi)) for k in kappas])[:, None]
-    cos_m = np.array([math.cos(m * phi) for phi in azimuths])
-    sin_m = np.array([math.sin(m * phi) for phi in azimuths])
+    phase = np.array([complex(math.cos(m * phi), math.sin(m * phi)) for phi in azimuths])
     for r in radii:
         radial = np.array([bessel_j(order, k * r) for k in kappas])[:, None]
         if m < 0 and order % 2 == 1:  # J_{-m} = (-1)^m J_m
             radial = -radial
-        re, im = cos_m * radial - sin_m * 0.0, cos_m * 0.0 + sin_m * radial
-        yield re * scale - im * 0.0, re * 0.0 + im * scale
+        yield phase * radial * scale
 
 
 def field_amplitude(state: TwistedState, r: float, phi_r: float) -> complex:
@@ -213,5 +209,5 @@ def field_amplitude(state: TwistedState, r: float, phi_r: float) -> complex:
     """
     if r < 0.0:
         raise ValueError("r must be non-negative")
-    ((re, im),) = mode_field(state.m, [state.kappa], [r], [phi_r])
-    return complex(re.item(), im.item())
+    (z,) = mode_field(state.m, [state.kappa], [r], [phi_r])
+    return complex(z.item())

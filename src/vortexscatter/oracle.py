@@ -2,9 +2,9 @@
 
 The three-dimensional momentum delta fixes the three azimuths (phi, phi1,
 phi2) of the cone momenta. This module solves those constraints numerically
-(multi-start Newton on the closed-form Jacobian of the residual, which also
-gives the determinants) and sums the plane-wave decomposition weights over the
-solutions with inverse-|Jacobian| factors:
+(multi-start Newton on _constraint_system, the residual with its closed-form
+Jacobian, which also gives the determinants) and sums the plane-wave
+decomposition weights over the solutions with inverse-|Jacobian| factors:
 
     amplitude = sum_roots  a(kappa, m; phi) a*(kappa1, m1; phi1) a*(kappa2, m2; phi2)
                            * kappa kappa1 kappa2 / |det dF/d(phi, phi1, phi2)|
@@ -50,44 +50,34 @@ class OracleResult:
     amplitude: complex
 
 
-class _ConstraintKernel:
-    """The conservation residual for one geometry, with its exact Jacobian.
-
-    Calling it with a (..., 3) array of (phi, phi1, phi2) triples returns
+def _constraint_system(geom: CollisionGeometry):
+    """solve_system's system for one geometry: (N, 3) batches of
+    (phi, phi1, phi2) triples -> the conservation residual
     (k(phi) + p - k1(phi1) - k2(phi2)) / kappa with p = (0, 0, -k_z) as
-    (..., 3). residual_and_jacobian(points), solve_system's system, returns
-    it with d residual_i / d (phi, phi1, phi2)_j as (..., 3, 3), the
-    derivative of the same cos/sin sum over kappa, from one cos and one sin.
+    (N, 3), and its exact Jacobian d residual_i / d (phi, phi1, phi2)_j as
+    (N, 3, 3), the derivative of the same cos/sin sum over kappa. Both come
+    from one cos and one sin of the points.
     """
+    kappa, kappa1, kappa2 = geom.initial.kappa, geom.kappa1, geom.kappa2
+    ex, ey, ez = tilt_frame(geom.theta)
+    gx = np.array([1.0, 0.0, 0.0])  # initial azimuth is measured from global x
+    gy = np.array([0.0, 1.0, 0.0])
+    # only q = k_{1z'} + k_{2z'} enters, never the longitudinal scale
+    offset = geom.q * ez
 
-    def __init__(self, geom: CollisionGeometry):
-        self.kappa, self.kappa1, self.kappa2 = geom.initial.kappa, geom.kappa1, geom.kappa2
-        self.ex, self.ey, ez = tilt_frame(geom.theta)
-        self.gx = np.array([1.0, 0.0, 0.0])  # initial azimuth is measured from global x
-        self.gy = np.array([0.0, 1.0, 0.0])
-        # only q = k_{1z'} + k_{2z'} enters, never the longitudinal scale
-        self.offset = geom.q * ez
-
-    @staticmethod
-    def _cos_sin(points):
+    def system(points):
         cos, sin = np.cos(points), np.sin(points)  # (..., 1) columns c, s, c1, s1, c2, s2
-        return [t[..., j : j + 1] for j in range(3) for t in (cos, sin)]
+        c, s, c1, s1, c2, s2 = (t[..., j : j + 1] for j in range(3) for t in (cos, sin))
+        initial = kappa * (c * gx + s * gy)  # k + p: the k_z parts cancel
+        final1 = kappa1 * (c1 * ex + s1 * ey)
+        final2 = kappa2 * (c2 * ex - s2 * ey)  # own-frame azimuth
+        residual = (initial - final1 - final2 - offset) / kappa
+        d_phi = kappa * (c * gy - s * gx)
+        d_phi1 = kappa1 * (s1 * ex - c1 * ey)
+        d_phi2 = kappa2 * (s2 * ex + c2 * ey)
+        return residual, np.stack([d_phi, d_phi1, d_phi2], axis=-1) / kappa
 
-    def _residual(self, c, s, c1, s1, c2, s2):
-        initial = self.kappa * (c * self.gx + s * self.gy)  # k + p: the k_z parts cancel
-        final1 = self.kappa1 * (c1 * self.ex + s1 * self.ey)
-        final2 = self.kappa2 * (c2 * self.ex - s2 * self.ey)  # own-frame azimuth
-        return (initial - final1 - final2 - self.offset) / self.kappa
-
-    def __call__(self, points):
-        return self._residual(*self._cos_sin(points))
-
-    def residual_and_jacobian(self, points):
-        c, s, c1, s1, c2, s2 = cos_sin = self._cos_sin(points)
-        d_phi = self.kappa * (c * self.gy - s * self.gx)
-        d_phi1 = self.kappa1 * (s1 * self.ex - c1 * self.ey)
-        d_phi2 = self.kappa2 * (s2 * self.ex + c2 * self.ey)
-        return self._residual(*cos_sin), np.stack([d_phi, d_phi1, d_phi2], axis=-1) / self.kappa
+    return system
 
 
 def oracle_amplitude(
@@ -105,9 +95,8 @@ def oracle_amplitude(
     configuration sits too close to a support boundary for the inverse-
     Jacobian weight to mean anything.
     """
-    kernel = _ConstraintKernel(geom)
-    kappa, kappa1, kappa2 = kernel.kappa, kernel.kappa1, kernel.kappa2
-    roots, degenerate = solve_system(kernel.residual_and_jacobian)
+    kappa, kappa1, kappa2 = geom.initial.kappa, geom.kappa1, geom.kappa2
+    roots, degenerate = solve_system(_constraint_system(geom))
     if degenerate:
         raise DegenerateJacobianError(
             f"{len(degenerate)} constraint solution(s) with singular Jacobian; "

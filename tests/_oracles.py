@@ -3,7 +3,11 @@
 Most deliberately avoid the package's own code paths: the Bessel series and
 integral representation, an adaptive panel quadrature, a bisection solver for
 the two-circle intersection, central-difference Jacobians with a Richardson-
-extrapolated determinant, and a dense sign-change scan on the 3-torus.
+extrapolated determinant, and a certified root witness on the 3-torus
+(certified_roots: box exclusion by a Lipschitz bound, then the Krawczyk
+test) with its own conservation residual, Jacobian and amplitude bounds,
+written out by components from the README conventions, not taken from the
+oracle's system.
 
 The rest are witnesses that call a few package kernels on purpose:
 
@@ -143,124 +147,136 @@ def richardson_det(f, point: np.ndarray, h: float = 1e-3) -> float:
     return float(np.linalg.det((4.0 * j2 - j1) / 3.0))
 
 
-def sign_change_cells(residual_batch, n: int = 24):
-    """Cells of an n^3 torus grid where every residual component changes sign
-    over the cell corners, merged into connected clusters; returns the list
-    of cluster center angle triples."""
-    axis = np.arange(n + 1) * 2.0 * math.pi / n
-    grid = np.stack(np.meshgrid(axis, axis, axis, indexing="ij"), axis=-1)
-    vals = residual_batch(grid.reshape(-1, 3)).reshape(n + 1, n + 1, n + 1, 3)
-    # wrap the last row/column onto the first so cells cover the torus
-    vals[-1] = vals[0]
-    vals[:, -1] = vals[:, 0]
-    vals[:, :, -1] = vals[:, :, 0]
+def conservation_residual(geom: CollisionGeometry, points) -> np.ndarray:
+    """(k(phi) - k1(phi1) - k2(phi2) - q ez) / kappa by components, (..., 3).
 
-    corners = np.stack(
-        [
-            vals[i : i + n, j : j + n, k : k + n]
-            for i in (0, 1)
-            for j in (0, 1)
-            for k in (0, 1)
-        ],
-        axis=0,
-    )  # (8, n, n, n, 3)
-    pos = (corners > 0).any(axis=0)
-    neg = (corners < 0).any(axis=0)
-    flagged = (pos & neg).all(axis=-1)
-
-    seen = np.zeros_like(flagged)
-    clusters = []
-    for idx in np.argwhere(flagged):
-        t = tuple(idx)
-        if seen[t]:
-            continue
-        stack, members = [t], []
-        seen[t] = True
-        while stack:
-            cur = stack.pop()
-            members.append(cur)
-            for d in range(3):
-                for step in (-1, 1):
-                    nb = list(cur)
-                    nb[d] = (nb[d] + step) % n
-                    nb = tuple(nb)
-                    if flagged[nb] and not seen[nb]:
-                        seen[nb] = True
-                        stack.append(nb)
-        center = (np.array(members).mean(axis=0) + 0.5) * 2.0 * math.pi / n
-        clusters.append(center)
-    return clusters
+    The beam's transverse momentum is kappa (cos phi, sin phi) about z (its
+    k_z cancels the plane wave's). The final states share z' = (sin t, 0, cos t)
+    with x' = (cos t, 0, -sin t) and y' = y; the first sits at azimuth phi1
+    about z', the second at its own-frame azimuth phi2 about -z', which is
+    -phi2 in the tilted frame. Their z' components add up to q.
+    """
+    phi, phi1, phi2 = points[..., 0], points[..., 1], points[..., 2]
+    st, ct = math.sin(geom.theta), math.cos(geom.theta)
+    k, k1, k2, q = geom.initial.kappa, geom.kappa1, geom.kappa2, geom.q
+    rx = k * np.cos(phi) - k1 * ct * np.cos(phi1) - k2 * ct * np.cos(phi2) - q * st
+    ry = k * np.sin(phi) - k1 * np.sin(phi1) + k2 * np.sin(phi2)
+    rz = k1 * st * np.cos(phi1) + k2 * st * np.cos(phi2) - q * ct
+    return np.stack([rx, ry, rz], axis=-1) / k
 
 
-def _lattice_flag(sub):
-    """True when every component takes both signs on the point lattice."""
-    pts = sub.reshape(-1, sub.shape[-1])
-    return bool(((pts > 0).any(axis=0) & (pts < 0).any(axis=0)).all())
+def conservation_jacobian(geom: CollisionGeometry, points) -> np.ndarray:
+    """d conservation_residual_i / d (phi, phi1, phi2)_j, (..., 3, 3)."""
+    phi, phi1, phi2 = points[..., 0], points[..., 1], points[..., 2]
+    st, ct = math.sin(geom.theta), math.cos(geom.theta)
+    k, k1, k2 = geom.initial.kappa, geom.kappa1, geom.kappa2
+    zero = np.zeros_like(phi)
+    rows = [
+        [-k * np.sin(phi), k1 * ct * np.sin(phi1), k2 * ct * np.sin(phi2)],
+        [k * np.cos(phi), -k1 * np.cos(phi1), k2 * np.cos(phi2)],
+        [zero, -k1 * st * np.sin(phi1), -k2 * st * np.sin(phi2)],
+    ]
+    return np.stack([np.stack(row, axis=-1) for row in rows], axis=-2) / k
 
 
-def certified_root_scan(residual_batch, n=28, depth=15, frontier_cap=8000, dedupe=5e-3):
-    """Locate all roots on the 3-torus by sign scanning alone.
+def conservation_amplitudes(geom: CollisionGeometry) -> np.ndarray:
+    """A[i, j], the amplitude of the sinusoid in phi_j of residual component
+    i: it bounds |dR_i / dphi_j| and |d^2 R_i / dphi_j^2|."""
+    st, ct = math.sin(geom.theta), math.cos(geom.theta)
+    k, k1, k2 = geom.initial.kappa, geom.kappa1, geom.kappa2
+    return np.array([[k, k1 * ct, k2 * ct], [k, k1, k2], [0.0, k1 * st, k2 * st]]) / k
 
-    Cells of an n^3 grid are flagged when every residual component changes
-    sign over the cell's 3x3x3 sublattice; flagged cells are recursively
-    subdivided (keeping every subcell whose 5x5x5 lattice still flags) until
-    the surviving cells are ~2^-depth of a cell wide. Decoy cells, where the
-    component zero surfaces pass close but do not intersect, die out during
-    subdivision. Independent of any Newton iteration or Jacobian.
+
+def certified_roots(
+    residual, jacobian, amplitudes, n=16, depth=12, frontier_cap=8000, group=5e-3, margin=1e-12
+):
+    """Every root on the 3-torus of a residual whose component i is a sum of
+    single-angle sinusoids plus a constant, amplitudes[i, j] being that of
+    the sinusoid in angle j; returns one point per root, within the
+    Krawczyk box that holds it.
+
+    Exclusion: on a box of half-width h about c, |R_i(x) - R_i(c)| <=
+    h sum_j A[i, j], so a box with |R_i(c)| above that plus margin for some
+    i holds no root. Starting from n^3 boxes, the surviving ones are halved
+    depth times; no root is ever dropped.
+
+    Confirmation: survivors within group of each other form one group, and
+    the smallest cube holding a group, grown twofold, must pass the Krawczyk
+    test with J(X) inside J(c) +- h A, which proves exactly one root in it.
+    The cubes must be disjoint, so the count is exact.
+
+    RuntimeError when a frontier exceeds frontier_cap boxes, a cube fails
+    the test or two cubes overlap.
     """
     two_pi = 2.0 * math.pi
-    fine = 2 * n
-    axis = np.arange(fine + 1) * two_pi / fine
-    grid = np.stack(np.meshgrid(axis, axis, axis, indexing="ij"), axis=-1)
-    vals = residual_batch(grid.reshape(-1, 3)).reshape(fine + 1, fine + 1, fine + 1, 3)
-    lattice = np.stack(
-        [
-            vals[a : a + fine - 1 : 2, b : b + fine - 1 : 2, c : c + fine - 1 : 2]
-            for a in (0, 1, 2)
-            for b in (0, 1, 2)
-            for c in (0, 1, 2)
-        ],
-        axis=0,
-    )  # (27, n, n, n, 3)
-    pos = (lattice > 0).any(axis=0)
-    neg = (lattice < 0).any(axis=0)
-    flagged = (pos & neg).all(axis=-1)
-
-    frontier = np.argwhere(flagged) * two_pi / n
-    sub_shift = np.stack(
-        np.meshgrid((0, 1), (0, 1), (0, 1), indexing="ij"), axis=-1
-    ).reshape(8, 3)
-    size = two_pi / n
-    for _ in range(depth):
-        half = 0.5 * size
-        pad = 0.25 * half  # overlap so boundary roots stay inside a survivor
-        corners = (frontier[:, None, :] + sub_shift[None, :, :] * half).reshape(-1, 3)
-        offs = np.linspace(-pad, half + pad, 5)
-        lattice = corners[:, None, None, None, :] + np.stack(
-            np.meshgrid(offs, offs, offs, indexing="ij"), axis=-1
-        )
-        vals = residual_batch(lattice.reshape(-1, 3)).reshape(len(corners), 125, 3)
-        keep = ((vals > 0).any(axis=1) & (vals < 0).any(axis=1)).all(axis=-1)
-        frontier = corners[keep]
-        size = half
-        if len(frontier) == 0:
+    amplitudes = np.asarray(amplitudes, dtype=float)
+    reach = amplitudes.sum(axis=1)
+    axis = (np.arange(n) + 0.5) * two_pi / n
+    centres = np.stack(np.meshgrid(axis, axis, axis, indexing="ij"), axis=-1).reshape(-1, 3)
+    children = np.stack(np.meshgrid((-1, 1), (-1, 1), (-1, 1), indexing="ij"), axis=-1)
+    children = children.reshape(8, 3)
+    half = math.pi / n
+    for level in range(depth + 1):
+        keep = (np.abs(residual(centres)) <= half * reach + margin).all(axis=1)
+        centres = centres[keep]
+        if len(centres) > frontier_cap:
+            raise RuntimeError(f"witness frontier exploded to {len(centres)} boxes")
+        if level == depth or len(centres) == 0:
             break
-        if len(frontier) > frontier_cap:
-            raise RuntimeError(
-                f"scan frontier exploded to {len(frontier)} cells; "
-                "residual unsuitable for sign certification"
-            )
+        half *= 0.5
+        centres = (centres[:, None, :] + half * children[None, :, :]).reshape(-1, 3)
 
-    roots = []
-    for lo in frontier:
-        p = (lo + 0.5 * size) % two_pi
-        if all(
-            np.max(np.minimum(np.abs(p - r) % two_pi, two_pi - np.abs(p - r) % two_pi))
-            > dedupe
-            for r in roots
-        ):
-            roots.append(p)
-    return roots
+    cubes = []
+    for members in _torus_groups(centres, group):
+        # unwrap the group around its first box before taking its extent
+        points = members[0] + (members - members[0] + math.pi) % two_pi - math.pi
+        lo, hi = points.min(axis=0) - half, points.max(axis=0) + half
+        c, h = 0.5 * (lo + hi), float(np.max(hi - lo))  # twice the half extent
+        if not _krawczyk_holds(residual, jacobian, amplitudes, c, h, margin):
+            raise RuntimeError(f"Krawczyk test failed on the box about {c} of half-width {h:g}")
+        cubes.append((c % two_pi, h))
+    for i, (a, ha) in enumerate(cubes):
+        for b, hb in cubes[:i]:
+            if _torus_gap(a, b) <= ha + hb:
+                raise RuntimeError(f"Krawczyk boxes about {a} and {b} overlap")
+    return [c for c, _ in cubes]
+
+
+def _torus_gap(points, ref):
+    """Largest per-angle separation modulo 2 pi of each row from ref."""
+    d = np.abs(points - ref) % (2.0 * math.pi)
+    return np.max(np.minimum(d, 2.0 * math.pi - d), axis=-1)
+
+
+def _torus_groups(points, tol):
+    """Connected groups of points, neighbours within tol of _torus_gap."""
+    unseen = np.ones(len(points), dtype=bool)
+    groups = []
+    while unseen.any():
+        stack = [int(np.argmax(unseen))]
+        unseen[stack[0]] = False
+        members = []
+        while stack:
+            i = stack.pop()
+            members.append(i)
+            near = unseen & (_torus_gap(points, points[i]) <= tol)
+            unseen &= ~near
+            stack.extend(np.flatnonzero(near).tolist())
+        groups.append(points[members])
+    return groups
+
+
+def _krawczyk_holds(residual, jacobian, amplitudes, c, h, margin):
+    """K(X) = c - Y R(c) + (I - Y J(X))(X - c) inside the open cube X = c +- h,
+    with Y = J(c)^-1 and |J(X) - J(c)| <= h A entrywise."""
+    jac = jacobian(c)
+    try:
+        y = np.linalg.inv(jac)
+    except np.linalg.LinAlgError:
+        return False
+    spread = np.abs(np.eye(3) - y @ jac) + np.abs(y) @ (h * amplitudes)
+    radius = np.abs(y @ residual(c)) + h * spread.sum(axis=1)
+    return bool(np.all(radius + margin < h))
 
 
 def stripe_substitution(a, b, w):

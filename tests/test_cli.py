@@ -24,6 +24,7 @@ from vortexscatter.cli import (
     EXIT_OK,
     EXIT_QUADRATURE,
     EXIT_THRESHOLD,
+    MAX_GRID_N,
     RunConfig,
     _COMMANDS,
     main,
@@ -41,16 +42,18 @@ def _write_config(tmp_path, name="config.json", **overrides):
     return path
 
 
-def _run_module(args, **kwargs):
-    """python -m vortexscatter <args> in a fresh interpreter on this checkout's
-    sources; kwargs go to subprocess.run."""
+def _run_python(args, **kwargs):
+    """python <args> in a fresh interpreter on this checkout's sources; kwargs
+    go to subprocess.run."""
     env = dict(os.environ)
     src = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
     env["PYTHONPATH"] = src + os.pathsep + env.get("PYTHONPATH", "")
-    return subprocess.run(
-        [sys.executable, "-m", "vortexscatter", *args],
-        capture_output=True, text=True, env=env, **kwargs,
-    )
+    return subprocess.run([sys.executable, *args], capture_output=True, text=True, env=env, **kwargs)
+
+
+def _run_module(args, **kwargs):
+    """python -m vortexscatter <args>, as _run_python."""
+    return _run_python(["-m", "vortexscatter", *args], **kwargs)
 
 
 def _eval_config(**overrides):
@@ -232,6 +235,12 @@ _BIG = 10**400
         # numpy's linspace raised ValueError: array is too big
         ("field", dict(grid_n=2**62), "grid_n must not exceed MAX_GRID_N = 1024"),
         ("field", dict(grid_n=200000), "grid_n must not exceed MAX_GRID_N = 1024"),
+        # drew samples for as long as it ran
+        (
+            "oracle-check",
+            dict(sample_count=10**12),
+            "sample_count must not exceed MAX_SAMPLE_COUNT = 1000000",
+        ),
     ],
 )
 def test_out_of_range_config_rejected(tmp_path, capsys, command, overrides, message):
@@ -576,6 +585,28 @@ class TestField:
             assert math.isfinite(float(re)) and math.isfinite(float(im))
         assert_md5("field packet", out.read_bytes())
 
+    @pytest.mark.skipif(resource is None, reason="no getrusage on this platform")
+    def test_largest_grid_peak_memory_below_twice_the_csv(self, tmp_path):
+        # a packet field at MAX_GRID_N writes about 65 MB; holding each of its
+        # million rows as a separate string grew the peak RSS by about 260 MB
+        cfg = _write_config(tmp_path, m=3, r_max=10.0, grid_n=MAX_GRID_N, field_packet=True)
+        out = tmp_path / "field.csv"
+        script = (
+            "import resource, sys\n"
+            "from vortexscatter.cli import main\n"
+            "before = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss\n"
+            "code = main(['field', '--config', sys.argv[1], '--out', sys.argv[2]])\n"
+            "after = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss\n"
+            "print(code, after - before)\n"
+        )
+        proc = _run_python(["-c", script, str(cfg), str(out)])
+        assert proc.returncode == 0, proc.stderr
+        code, growth_kib = (int(v) for v in proc.stdout.split())  # ru_maxrss is in KiB
+        assert code == EXIT_OK
+        size = out.stat().st_size
+        out.unlink()  # 65 MB; pytest keeps the last runs' temporary directories
+        assert 1024 * growth_kib < 2 * size
+
     @pytest.mark.parametrize("packet", [False, True])
     @pytest.mark.parametrize("m", [-3, -2, 0, 1, 4])
     def test_matches_per_point_formula_byte_for_byte(self, tmp_path, m, packet):
@@ -713,6 +744,7 @@ def _configs(draw):
 @example(command="map", config={"m": -(2**63 - 1), **_ONE_CELL, "node_count": 4})
 @example(command="map", config={"m": 2**62, **_ONE_CELL, "node_count": 4})
 @example(command="field", config={"grid_n": 2**62})
+@example(command="oracle-check", config={"sample_count": 10**12})
 def test_any_config_ends_in_an_exit_code(command, config):
     with tempfile.TemporaryDirectory() as tmp:
         path = os.path.join(tmp, "config.json")

@@ -24,9 +24,9 @@ from _oracles import (
     adaptive_open_quadrature,
     bessel_integral,
     bessel_series,
+    certified_roots,
     fd_jacobian,
     richardson_det,
-    sign_change_cells,
     stripe_substitution,
 )
 
@@ -279,6 +279,11 @@ def _embedded_two_root_jacobian(points):
     return np.stack([np.stack(row, axis=-1) for row in rows], axis=-2)
 
 
+# A[i, j]: amplitude of the sinusoid in angle j of component i (rz is
+# sqrt(2) sin(x - pi/4) + 1)
+_EMBEDDED_AMPLITUDES = [[3.0, 4.0, 3.0], [0.0, 4.0, 3.0], [math.sqrt(2.0), 0.0, 0.0]]
+
+
 def _embedded_two_root_system(points):
     return _embedded_two_root_residual(points), _embedded_two_root_jacobian(points)
 
@@ -364,15 +369,27 @@ class TestSolveSystem:
 
     def test_dense_grid_scan_agreement(self):
         roots, _ = solve_system(_fd(_embedded_two_root_residual))
-        clusters = sign_change_cells(_embedded_two_root_residual, n=28)
-        assert len(clusters) == len(roots)
-        cell = 2.0 * math.pi / 28
+        certified = certified_roots(
+            _embedded_two_root_residual, _embedded_two_root_jacobian, _EMBEDDED_AMPLITUDES
+        )
+        assert len(certified) == len(roots) == 2
         for root in roots:
             dists = []
-            for c in clusters:
+            for c in certified:
                 d = np.abs(root.angles - c) % (2.0 * math.pi)
                 dists.append(np.max(np.minimum(d, 2.0 * math.pi - d)))
-            assert min(dists) < 2.0 * cell
+            assert min(dists) < 5e-3
+
+    def test_witness_frontier_cap(self):
+        # an identically zero component excludes no box: the other two vanish
+        # on curves, which the survivors cover until they pass the cap
+        def flat_residual(points):
+            res = _embedded_two_root_residual(points)
+            res[..., 2] = 0.0
+            return res
+
+        with pytest.raises(RuntimeError, match="frontier exploded"):
+            certified_roots(flat_residual, _embedded_two_root_jacobian, _EMBEDDED_AMPLITUDES)
 
 
 # Parent-commit values of the drop-path solves below, as float.hex strings:

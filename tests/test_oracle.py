@@ -14,16 +14,18 @@ from vortexscatter.kinematics import (
 )
 import vortexscatter.numerics as numerics_module
 from vortexscatter.oracle import (
-    _ConstraintKernel,
+    _constraint_system,
     draw_support_samples,
     oracle_amplitude,
 )
 
 from _oracles import (
-    certified_root_scan,
+    certified_roots,
+    conservation_amplitudes,
+    conservation_jacobian,
+    conservation_residual,
     fd_jacobian,
     richardson_det,
-    sign_change_cells,
     single_twisted_oracle,
 )
 
@@ -52,6 +54,21 @@ def _analytic_solutions(geom):
     return out
 
 
+def _witness(geom):
+    """certified_roots' residual, Jacobian and amplitudes for geom."""
+    return (
+        lambda points: conservation_residual(geom, points),
+        lambda points: conservation_jacobian(geom, points),
+        conservation_amplitudes(geom),
+    )
+
+
+def _residual(geom):
+    """The residual half of the oracle's system."""
+    system = _constraint_system(geom)
+    return lambda points: system(points)[0]
+
+
 class TestConservationResidual:
     def test_collinear_smoke(self):
         # nearly transverse-free configuration: everything collapses as kappa -> 0
@@ -63,19 +80,20 @@ class TestConservationResidual:
             1e-12,
             1e-12,
         )
-        res = _ConstraintKernel(geom)(np.array([0.0, 1.0, 2.0]))
+        res = _residual(geom)(np.array([0.0, 1.0, 2.0]))
         assert np.linalg.norm(res) <= 2.0
 
     def test_analytic_construction_is_root(self):
         geom = _geom()
-        kernel = _ConstraintKernel(geom)
+        residual = _residual(geom)
         for triple in _analytic_solutions(geom):
-            res = kernel(np.array(triple))
+            res = residual(np.array(triple))
             assert np.max(np.abs(res)) < 1e-10
 
-    def test_out_of_stripe_has_no_sign_change_triple(self):
+    def test_out_of_stripe_has_no_surviving_box(self):
+        # the witness returns [] only when its exclusion leaves no box
         geom = _geom(kappa1=0.2, kappa2=3.0)  # violates the stripe
-        assert sign_change_cells(_ConstraintKernel(geom), n=20) == []
+        assert certified_roots(*_witness(geom)) == []
 
     def test_k_independence_is_exact(self):
         # only q = k_{1z'} + k_{2z'} enters the residual, never the beam's k_z
@@ -180,10 +198,11 @@ class TestOracleAmplitude:
             assert abs(b.amplitude) == pytest.approx(abs(a.amplitude), rel=1e-9)
 
     def test_solution_count_and_values_vs_dense_scan(self):
-        # sign-certification scan, fully independent of Newton and Jacobians
+        # certified witness on its own residual, independent of the oracle's
+        # system and of Newton
         rng = np.random.default_rng(2024)
         for geom, m, m1, m2 in draw_support_samples(rng, 100, theta=0.25):
-            scanned = certified_root_scan(_ConstraintKernel(geom), depth=12)
+            scanned = certified_roots(*_witness(geom))
             result = oracle_amplitude(geom, m, m1, m2)
             assert len(scanned) == len(result.solutions) == 4
             for sol in result.solutions:
@@ -203,30 +222,35 @@ class TestAnalyticJacobian:
     def test_matches_finite_differences(self):
         rng = np.random.default_rng(11)
         for geom, _, _, _ in draw_support_samples(rng, 5, theta=0.25):
-            kernel = _ConstraintKernel(geom)
+            system = _constraint_system(geom)
             points = rng.uniform(0.0, TWO_PI, (20, 3))
-            residual, exact = kernel.residual_and_jacobian(points)
+            residual, exact = system(points)
             assert residual.shape == (20, 3) and exact.shape == (20, 3, 3)
-            assert np.array_equal(residual, kernel(points))
-            fd = fd_jacobian(kernel, points, 1e-6)
+            # the witness's residual and Jacobian, written out by components
+            np.testing.assert_allclose(
+                residual, conservation_residual(geom, points), rtol=0, atol=1e-14
+            )
+            np.testing.assert_allclose(
+                exact, conservation_jacobian(geom, points), rtol=0, atol=1e-14
+            )
+            fd = fd_jacobian(_residual(geom), points, 1e-6)
             np.testing.assert_allclose(exact, fd, rtol=0, atol=1e-8)
             # one triple gives the batch's row, bit for bit
             for row, point in enumerate(points[:3]):
-                one_residual, one_exact = kernel.residual_and_jacobian(point)
+                one_residual, one_exact = system(point)
                 assert one_residual.shape == (3,) and one_exact.shape == (3, 3)
-                assert np.array_equal(one_residual, kernel(point))
                 assert np.array_equal(one_residual, residual[row])
                 assert np.array_equal(one_exact, exact[row])
 
     def test_det_matches_richardson_at_the_roots(self):
         geom = _geom()
-        kernel = _ConstraintKernel(geom)
+        system = _constraint_system(geom)
         result = oracle_amplitude(geom, 3, 2, -1)
         assert len(result.solutions) == 4
         for sol in result.solutions:
             point = np.array([sol.phi, sol.phi1, sol.phi2])
-            exact = abs(np.linalg.det(kernel.residual_and_jacobian(point)[1]))
-            richardson = abs(richardson_det(kernel, point))
+            exact = abs(np.linalg.det(system(point)[1]))
+            richardson = abs(richardson_det(_residual(geom), point))
             assert exact == pytest.approx(richardson, rel=1e-10)
             # the solution carries the determinant of the raw residual
             assert sol.jacobian_det == pytest.approx(exact * geom.initial.kappa**3, rel=1e-12)
