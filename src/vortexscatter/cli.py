@@ -59,6 +59,15 @@ MAX_GRID_N = 1024
 # Largest oracle-check sample count: one oracle solve per sample, about 5 ms
 # each, so about an hour and a half at the cap.
 MAX_SAMPLE_COUNT = 10**6
+# Largest map sizes. A q slice of the fine pass holds its triangle as four
+# n^3 float64 arrays at n = 2 node_count, 512 MiB at the node cap; per kappa
+# row it builds complex (helicity values x n^2) phase arrays, 3.7 MB each for
+# a 100 x 100 map at the default 24 nodes; each pass takes about q_nodes / 2
+# slices. Each cap bounds one size: a map near several caps at once can still
+# need more memory than the host has, which main reports as exit 2.
+MAX_HELICITY_CELLS = 10**4
+MAX_NODE_COUNT = 128
+MAX_Q_NODES = 1024
 
 
 @dataclass(frozen=True)
@@ -175,10 +184,20 @@ def validate(cfg: RunConfig, command: str) -> list[str]:
             out.append("m1_min must not exceed m1_max")
         if cfg.m2_min > cfg.m2_max:
             out.append("m2_min must not exceed m2_max")
+        cells = (cfg.m1_max - cfg.m1_min + 1) * (cfg.m2_max - cfg.m2_min + 1)
+        if cfg.m1_min <= cfg.m1_max and cfg.m2_min <= cfg.m2_max and cells > MAX_HELICITY_CELLS:
+            out.append(
+                f"helicity cells (m1_max - m1_min + 1) * (m2_max - m2_min + 1) = {cells} "
+                f"must not exceed MAX_HELICITY_CELLS = {MAX_HELICITY_CELLS}"
+            )
         if cfg.q_nodes < 2:
             out.append("q_nodes must be >= 2")
+        elif cfg.q_nodes > MAX_Q_NODES:
+            out.append(f"q_nodes must not exceed MAX_Q_NODES = {MAX_Q_NODES}")
         if cfg.node_count < 2:
             out.append("node_count must be >= 2")
+        elif cfg.node_count > MAX_NODE_COUNT:
+            out.append(f"node_count must not exceed MAX_NODE_COUNT = {MAX_NODE_COUNT}")
         if cfg.map_cell_rtol <= 0.0:
             out.append("map_cell_rtol must be positive")
     elif command == "oracle-check":

@@ -189,23 +189,25 @@ def triangle_geometry(
 
 def mode_field(m: int, kappas, radii, azimuths) -> Iterator[np.ndarray]:
     """For each radius in turn, e^{i m phi} J_m(kappa r) sqrt(kappa / 2 pi) as
-    one complex (kappa x azimuth) array, phase * radial * scale, from one
-    bessel_j call per kappa."""
+    one complex (kappa x azimuth) array, phase * radial * scale. One bessel_j
+    call takes the whole (radius x kappa) grid of arguments r * kappa, which
+    are bit for bit kappa * r."""
     order = abs(m)
     scale = np.array([math.sqrt(k / (2.0 * math.pi)) for k in kappas])[:, None]
     phase = np.array([complex(math.cos(m * phi), math.sin(m * phi)) for phi in azimuths])
-    for r in radii:
-        radial = np.array([bessel_j(order, k * r) for k in kappas])[:, None]
-        if m < 0 and order % 2 == 1:  # J_{-m} = (-1)^m J_m
-            radial = -radial
-        yield phase * radial * scale
+    radial = bessel_j(order, np.asarray(radii)[:, None] * np.asarray(kappas)[None, :])
+    if m < 0 and order % 2 == 1:  # J_{-m} = (-1)^m J_m
+        radial = -radial
+    for row in radial:
+        yield phase * row[:, None] * scale
 
 
 def field_amplitude(state: TwistedState, r: float, phi_r: float) -> complex:
     """Transverse Bessel mode e^{i m phi} J_m(kappa r) sqrt(kappa / 2 pi).
 
     Time and longitudinal phases are factored out. Negative helicity uses
-    J_{-m}(x) = (-1)^m J_m(x).
+    J_{-m}(x) = (-1)^m J_m(x). One bessel_j call per point: sample a grid
+    with mode_field.
     """
     if r < 0.0:
         raise ValueError("r must be non-negative")

@@ -1,12 +1,13 @@
 """Shared numerical kernels.
 
 Cylindrical Bessel functions of integer order (power series plus Miller's
-backward recurrence, no external special-function dependency), a numerically
-stable triangle area, the quadrature layer (Gauss-Legendre nodes on an
-interval, node doubling to a tolerance, and the substitution that absorbs the
-inverse-square-root edge of the allowed q region; wavepackets._triangle
-applies the one for the kappa1 stripe), and a multi-start Newton solver for
-three angles on the torus.
+backward recurrence, run over every argument of one order at once, each
+value independent of the others; no external special-function dependency),
+a numerically stable triangle area, the quadrature layer (Gauss-Legendre
+nodes on an interval, node doubling to a tolerance, and the substitution
+that absorbs the inverse-square-root edge of the allowed q region;
+wavepackets._triangle applies the one for the kappa1 stripe), and a
+multi-start Newton solver for three angles on the torus.
 
 All functions are pure and stateless; concurrent use is safe.
 """
@@ -93,67 +94,129 @@ def gauss_legendre_nodes(n: int) -> tuple[np.ndarray, np.ndarray]:
     return got
 
 
-def bessel_j(order: int, argument: float) -> float:
+def bessel_j(order: int, argument):
     """Cylindrical Bessel function J_m(x) for integer m >= 0, x >= 0.
 
-    Power series where its terms decrease from the start, Miller's backward
-    recurrence with the J_0 + 2*sum J_2k = 1 normalization elsewhere.
+    ``argument`` is a float, which returns a float, or an array of floats at
+    the one order, which returns an array of the same shape. Each lane takes
+    the power series where its terms decrease from the start, Miller's
+    backward recurrence with the J_0 + 2*sum J_2k = 1 normalization
+    elsewhere. A lane performs the float operations of a one-lane call in the
+    same order, so its value does not depend on the lanes beside it.
     Absolute error is below 1e-12 for order <= 50, argument <= 100.
+
+    Every recurrence step is a few numpy calls over all lanes, so one lane
+    costs about 0.11 ms for J_0(3) and 0.86 ms for J_200(50) (2-core x86,
+    numpy 2.4), and the 1024 lanes of a packet field grid about 1.2 ms
+    together: pass many arguments at once.
     """
     m = int(order)
     if m != order or m < 0 or m > MAX_BESSEL_ORDER:
         raise ValueError(f"order must be an integer in [0, {MAX_BESSEL_ORDER}]")
-    x = float(argument)
-    if not math.isfinite(x) or x < 0.0 or x > MAX_BESSEL_ARGUMENT:
+    x = np.asarray(argument, dtype=np.float64)
+    if not np.all((x >= 0.0) & (x <= MAX_BESSEL_ARGUMENT)):  # NaN fails both
         raise ValueError(f"argument must be finite in [0, {MAX_BESSEL_ARGUMENT}]")
-    if 0.5 * x == 0.0:  # x = 0, or the smallest subnormal, whose half rounds to 0
-        return 1.0 if m == 0 else 0.0
-    if x <= _SERIES_CUTOFF or x * x <= 2.0 * (m + 1):
-        return _bessel_series(m, x)
-    return _bessel_miller(m, x)
+    lanes = x.ravel()
+    # x = 0, or the smallest subnormal, whose half rounds to 0
+    zero = 0.5 * lanes == 0.0
+    series = ~zero & ((lanes <= _SERIES_CUTOFF) | (lanes * lanes <= 2.0 * (m + 1)))
+    miller = ~(zero | series)
+    values = np.where(zero, 1.0 if m == 0 else 0.0, 0.0)
+    values[series] = _series_lanes(m, lanes[series])
+    values[miller] = _miller_lanes(m, lanes[miller])
+    if x.ndim == 0:
+        return float(values[0])
+    return values.reshape(x.shape)
 
 
-def _bessel_series(m: int, x: float) -> float:
-    # First term via logs; (x/2)^m alone can overflow long before the term does.
-    log_first = m * math.log(0.5 * x) - math.lgamma(m + 1.0)
-    if log_first < -745.0:  # underflows to zero anyway
-        return 0.0
-    term = math.exp(log_first)
-    total = term
-    quarter_x2 = 0.25 * x * x
+def _series_lanes(m: int, x: np.ndarray) -> np.ndarray:
+    # First term via logs; (x/2)^m alone can overflow long before the term
+    # does. math.log and math.exp per lane: numpy's vector log and exp need
+    # not round as the C library does.
+    log_gamma = math.lgamma(m + 1.0)
+    log_first = [m * math.log(0.5 * v) - log_gamma for v in x.tolist()]
+    values = np.zeros(len(x))  # lanes whose first term underflows stay 0
+    live = np.flatnonzero(np.array(log_first) >= -745.0)
+    term = np.array([math.exp(log_first[i]) for i in live.tolist()])
+    total = term.copy()
+    neg_quarter_x2 = -(0.25 * x[live] * x[live])
     for k in range(1, 400):
-        term *= -quarter_x2 / (k * (m + k))
-        total += term
-        if abs(term) <= 1e-17 * abs(total) + 5e-324:
+        if not live.size:
             break
-    return total
+        term *= neg_quarter_x2 / (k * (m + k))
+        total += term
+        done = np.abs(term) <= 1e-17 * np.abs(total) + 5e-324
+        if done.any():
+            # a lane leaves at its own stop, where the scalar loop breaks
+            values[live[done]] = total[done]
+            keep = ~done
+            live, term, total = live[keep], term[keep], total[keep]
+            neg_quarter_x2 = neg_quarter_x2[keep]
+    values[live] = total
+    return values
 
 
-def _bessel_miller(m: int, x: float) -> float:
-    start = max(m, int(math.ceil(x))) + _MILLER_PAD + 2 * int(math.sqrt(max(m, x)))
-    if start % 2:
-        start += 1
-    j_up = 0.0  # J_{k+1}
-    j_cur = 1e-30  # J_k, arbitrary seed
-    norm = 2.0 * j_cur if start >= 2 else j_cur
-    saved = j_cur if m == start else 0.0
-    for k in range(start, 0, -1):
-        j_down = (2.0 * k / x) * j_cur - j_up
-        j_up = j_cur
-        j_cur = j_down
-        if abs(j_cur) > 1e250:
-            j_cur *= 1e-250
-            j_up *= 1e-250
-            norm *= 1e-250
-            saved *= 1e-250
+_MILLER_SEED = 1e-30  # J_start, arbitrary; J_{start+1} = 0
+
+
+def _miller_lanes(m: int, x: np.ndarray) -> np.ndarray:
+    if not x.size:
+        return x.copy()
+    start = (
+        np.maximum(m, np.ceil(x)).astype(np.int64)
+        + _MILLER_PAD
+        + 2 * np.sqrt(np.maximum(m, x)).astype(np.int64)
+    )
+    start += start % 2
+    # Lanes by descending start, so that those running at step k (start >= k)
+    # are a prefix; each enters at its own start as a one-lane call would.
+    order = np.argsort(-start, kind="stable")
+    x = x[order]
+    top = int(start[order[0]])
+    widths = np.searchsorted(-start[order], -np.arange(top, 0, -1), side="right").tolist()
+    least = np.minimum.accumulate(x).tolist()  # least[n - 1]: smallest x of the first n lanes
+    up, cur, new = np.empty(len(x)), np.empty(len(x)), np.empty(len(x))  # J_{k+1}, J_k, J_{k-1}
+    norm = np.empty(len(x))
+    saved = np.zeros(len(x))
+    width = 0
+    # Bounds of |J_{k+1}| and |J_k| over the running lanes: a lane is tested
+    # for the 1e250 rescale only on steps where the bound allows it to pass.
+    bound_up = bound_cur = 0.0
+    for k, n in zip(range(top, 0, -1), widths):
+        if n != width:
+            up[width:n] = 0.0
+            cur[width:n] = _MILLER_SEED
+            norm[width:n] = 2.0 * _MILLER_SEED
+            width = n
+            xv, upv, curv, newv, normv = x[:n], up[:n], cur[:n], new[:n], norm[:n]
+            x_least = least[n - 1]
+            bound_cur = max(bound_cur, _MILLER_SEED)
+        np.divide(2.0 * k, xv, out=newv)
+        newv *= curv
+        newv -= upv
+        up, cur, new = cur, new, up
+        upv, curv, newv = curv, newv, upv
+        # |J_{k-1}| <= (2k/x)|J_k| + |J_{k+1}|; the factor covers the rounding
+        # of both sides, and bounds of at least the seed stay normal floats
+        bound_up, bound_cur = bound_cur, (2.0 * k / x_least * bound_cur + bound_up) * (1.0 + 1e-12)
+        if bound_cur > 1e250:
+            np.abs(curv, out=newv)
+            big = newv > 1e250
+            for v in (curv, upv, normv, saved[:n]):
+                v[big] *= 1e-250
+            bound_cur = max(float(np.abs(curv).max()), _MILLER_SEED)
+            bound_up = max(float(np.abs(upv).max()), _MILLER_SEED)
         idx = k - 1
         if idx == 0:
-            norm += j_cur
+            normv += curv
         elif idx % 2 == 0:
-            norm += 2.0 * j_cur
+            np.multiply(2.0, curv, out=newv)
+            normv += newv
         if idx == m:
-            saved = j_cur
-    return saved / norm
+            saved[:n] = curv
+    values = np.empty(len(x))
+    values[order] = saved / norm
+    return values
 
 
 def heron_area(a: float, b: float, c: float) -> float:

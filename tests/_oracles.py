@@ -9,10 +9,13 @@ test) with its own conservation residual, Jacobian and amplitude bounds,
 written out by components from the README conventions, not taken from the
 oracle's system.
 
-The rest are witnesses that call a few package kernels on purpose:
+The rest are witnesses that share a package algorithm or call a few package
+kernels on purpose:
 
-  * the per-point field formula takes J_m from the package's bessel_j, so
-    that it can be compared bit for bit;
+  * scalar_bessel_j, the one-argument power series and Miller recurrence
+    with the package's dispatch and constants, is the bit-for-bit witness of
+    the lane-parallel bessel_j; the per-point field formula takes J_m from
+    it, so that the field can be compared bit for bit;
   * stripe_substitution, the stripe rule kappa1^2 = a + (b - a) sin^2 w on
     its own, is the witness of wavepackets._triangle, which applies the rule
     inline from the angle w (the cosine-law triangle of test_wavepackets
@@ -34,7 +37,7 @@ import numpy as np
 
 from vortexscatter.amplitudes import fourier_weight, unit_imag_power
 from vortexscatter.kinematics import CollisionGeometry, TwistedState, angle_set
-from vortexscatter.numerics import bessel_j, gauss_legendre_on
+from vortexscatter.numerics import _MILLER_PAD, _SERIES_CUTOFF, gauss_legendre_on
 
 _PLANE_WAVE_NODES = 128  # Gauss-Legendre nodes on the w axis of the kappa1 stripe
 
@@ -60,6 +63,59 @@ def bessel_integral(m: int, x: float, nodes: int = 800) -> float:
     return float(np.sum(0.5 * math.pi * w * np.cos(m * tau - x * np.sin(tau))) / math.pi)
 
 
+def scalar_bessel_j(m: int, x: float) -> float:
+    """J_m(x) one argument at a time, by the float operations that bessel_j
+    performs on each of its lanes."""
+    if 0.5 * x == 0.0:  # x = 0, or the smallest subnormal, whose half rounds to 0
+        return 1.0 if m == 0 else 0.0
+    if x <= _SERIES_CUTOFF or x * x <= 2.0 * (m + 1):
+        return _bessel_series(m, x)
+    return _bessel_miller(m, x)
+
+
+def _bessel_series(m: int, x: float) -> float:
+    # First term via logs; (x/2)^m alone can overflow long before the term does.
+    log_first = m * math.log(0.5 * x) - math.lgamma(m + 1.0)
+    if log_first < -745.0:  # underflows to zero anyway
+        return 0.0
+    term = math.exp(log_first)
+    total = term
+    quarter_x2 = 0.25 * x * x
+    for k in range(1, 400):
+        term *= -quarter_x2 / (k * (m + k))
+        total += term
+        if abs(term) <= 1e-17 * abs(total) + 5e-324:
+            break
+    return total
+
+
+def _bessel_miller(m: int, x: float) -> float:
+    start = max(m, int(math.ceil(x))) + _MILLER_PAD + 2 * int(math.sqrt(max(m, x)))
+    if start % 2:
+        start += 1
+    j_up = 0.0  # J_{k+1}
+    j_cur = 1e-30  # J_k, arbitrary seed
+    norm = 2.0 * j_cur if start >= 2 else j_cur
+    saved = j_cur if m == start else 0.0
+    for k in range(start, 0, -1):
+        j_down = (2.0 * k / x) * j_cur - j_up
+        j_up = j_cur
+        j_cur = j_down
+        if abs(j_cur) > 1e250:
+            j_cur *= 1e-250
+            j_up *= 1e-250
+            norm *= 1e-250
+            saved *= 1e-250
+        idx = k - 1
+        if idx == 0:
+            norm += j_cur
+        elif idx % 2 == 0:
+            norm += 2.0 * j_cur
+        if idx == m:
+            saved = j_cur
+    return saved / norm
+
+
 def _times_real(re: float, im: float, x: float) -> tuple[float, float]:
     """(re + i im)(x + 0i) = (re x - im 0) + i(re 0 + im x), the complex-by-float
     product as CPython 3.11 forms it, signed zeros included, written out so
@@ -70,7 +126,7 @@ def _times_real(re: float, im: float, x: float) -> tuple[float, float]:
 def per_point_field(m: int, kappa: float, r: float, phi: float) -> complex:
     """e^{i m phi} J_m(kappa r) sqrt(kappa / 2 pi), phase * radial * scale,
     one point and one mode at a time."""
-    radial = bessel_j(abs(m), kappa * r)
+    radial = scalar_bessel_j(abs(m), kappa * r)
     if m < 0 and abs(m) % 2 == 1:
         radial = -radial
     re, im = _times_real(math.cos(m * phi), math.sin(m * phi), radial)

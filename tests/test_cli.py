@@ -25,6 +25,7 @@ from vortexscatter.cli import (
     EXIT_QUADRATURE,
     EXIT_THRESHOLD,
     MAX_GRID_N,
+    MAX_NODE_COUNT,
     RunConfig,
     _COMMANDS,
     main,
@@ -241,6 +242,14 @@ _BIG = 10**400
             dict(sample_count=10**12),
             "sample_count must not exceed MAX_SAMPLE_COUNT = 1000000",
         ),
+        # out of memory, or swap without an address-space limit
+        (
+            "map",
+            dict(m1_min=-10**8, m1_max=10**8, q_nodes=4, node_count=4),
+            "= 4200000021 must not exceed MAX_HELICITY_CELLS = 10000",
+        ),
+        ("map", dict(q_nodes=10**9), "q_nodes must not exceed MAX_Q_NODES = 1024"),
+        ("map", dict(node_count=100000), "node_count must not exceed MAX_NODE_COUNT = 128"),
     ],
 )
 def test_out_of_range_config_rejected(tmp_path, capsys, command, overrides, message):
@@ -389,9 +398,12 @@ def test_memory_error_exits_config(tmp_path, capsys, monkeypatch, command, confi
 
 @pytest.mark.skipif(resource is None, reason="no address-space limit on this platform")
 def test_oversized_map_exits_config_under_an_address_space_limit(tmp_path):
-    # 100000 nodes per axis need 74.5 GiB for the Gauss-Legendre companion
-    # matrix alone; a 2 GB address space makes that a MemoryError, not swap
-    cfg = _write_config(tmp_path, node_count=100000)
+    # within every map cap, 10^4 helicity values at 128 nodes need a 2.4 GiB
+    # phase array per kappa row; a 2 GB address space makes that a
+    # MemoryError, not swap
+    cfg = _write_config(
+        tmp_path, m1_min=-5000, m1_max=4999, m2_min=0, m2_max=0, node_count=MAX_NODE_COUNT
+    )
     out = tmp_path / "map.csv"
 
     def limit_address_space():
@@ -745,6 +757,9 @@ def _configs(draw):
 @example(command="map", config={"m": 2**62, **_ONE_CELL, "node_count": 4})
 @example(command="field", config={"grid_n": 2**62})
 @example(command="oracle-check", config={"sample_count": 10**12})
+@example(command="map", config={"m1_min": -10**8, "m1_max": 10**8, "q_nodes": 4, "node_count": 4})
+@example(command="map", config={"q_nodes": 10**9})
+@example(command="map", config={"node_count": 100000})
 def test_any_config_ends_in_an_exit_code(command, config):
     with tempfile.TemporaryDirectory() as tmp:
         path = os.path.join(tmp, "config.json")

@@ -4,11 +4,13 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import given
+from hypothesis import example, given
 from hypothesis import strategies as st
 
 from vortexscatter.errors import ConvergenceError
 from vortexscatter.numerics import (
+    MAX_BESSEL_ARGUMENT,
+    MAX_BESSEL_ORDER,
     QuadratureSpec,
     bessel_j,
     gauss_legendre_on,
@@ -18,17 +20,45 @@ from vortexscatter.numerics import (
     solve_system,
 )
 import vortexscatter.numerics as numerics_module
-from vortexscatter.numerics import _dedupe
+from vortexscatter.numerics import _dedupe, _miller_lanes
 
 from _oracles import (
+    _bessel_miller,
     adaptive_open_quadrature,
     bessel_integral,
     bessel_series,
     certified_roots,
     fd_jacobian,
     richardson_det,
+    scalar_bessel_j,
     stripe_substitution,
 )
+
+
+def _lane_argument(m: int):
+    """One lane's argument at order m: x = 0, the smallest subnormal, the
+    switches x = 10 and x^2 = 2(m + 1) with their float neighbours, an x
+    whose first series term e^{m log(x/2) - lgamma(m + 1)} is subnormal or
+    below the e^-745 cut to 0, or x in [0, 300]."""
+    edges = [0.0, 5e-324]
+    for edge in (10.0, math.sqrt(2.0 * (m + 1))):
+        edges += [math.nextafter(edge, 0.0), edge, math.nextafter(edge, math.inf)]
+    lanes = [st.sampled_from(edges), st.floats(0.0, 30.0), st.floats(0.0, 300.0)]
+    if m > 0:
+        log_gamma = math.lgamma(m + 1.0)
+        lanes.append(st.floats(-750.0, -700.0).map(lambda t: 2.0 * math.exp((t + log_gamma) / m)))
+    return st.one_of(lanes)
+
+
+@st.composite
+def _order_and_lanes(draw):
+    """One order and 1-300 lane arguments at it, at most one of them in
+    (300, MAX_BESSEL_ARGUMENT], whose Miller recurrence runs up to about 1e4
+    steps."""
+    m = draw(st.integers(0, MAX_BESSEL_ORDER))
+    xs = draw(st.lists(_lane_argument(m), min_size=1, max_size=300))
+    xs += draw(st.lists(st.floats(300.0, MAX_BESSEL_ARGUMENT), max_size=1))
+    return m, draw(st.permutations(xs))
 
 
 class TestBessel:
@@ -47,38 +77,76 @@ class TestBessel:
         assert bessel_j(1, 1.0) == pytest.approx(expected, abs=1e-13)
 
     def test_series_oracle_where_float64_valid(self):
+        # one array call per order; every lane is its one-argument value
         for m in (0, 1, 2, 5, 10, 25, 50):
-            for x in (0.1, 0.5, 1.0, 3.0, 7.0, 10.0):
-                assert bessel_j(m, x) == pytest.approx(bessel_series(m, x), abs=1e-12)
+            xs = (0.1, 0.5, 1.0, 3.0, 7.0, 10.0)
+            for x, value in zip(xs, bessel_j(m, np.array(xs))):
+                assert value == pytest.approx(bessel_series(m, x), abs=1e-12)
         # order-dominated region: terms decrease from the start
         for m in (30, 50):
-            for x in (0.5 * m, 0.3 * m):
-                assert bessel_j(m, x) == pytest.approx(bessel_series(m, x), rel=1e-10, abs=1e-300)
+            xs = (0.5 * m, 0.3 * m)
+            for x, value in zip(xs, bessel_j(m, np.array(xs))):
+                assert value == pytest.approx(bessel_series(m, x), rel=1e-10, abs=1e-300)
 
     def test_integral_representation_full_range(self):
         for m in (0, 1, 2, 5, 10, 20, 35, 50):
-            for x in (0.5, 1.0, 5.0, 12.0, 20.0, 40.0, 70.0, 100.0):
-                assert bessel_j(m, x) == pytest.approx(bessel_integral(m, x), abs=1e-12)
+            xs = (0.5, 1.0, 5.0, 12.0, 20.0, 40.0, 70.0, 100.0)
+            for x, value in zip(xs, bessel_j(m, np.array(xs))):
+                assert value == pytest.approx(bessel_integral(m, x), abs=1e-12)
 
     def test_recurrence_identity(self):
         rng = np.random.default_rng(11)
-        for _ in range(300):
-            m = int(rng.integers(1, 50))
-            x = float(rng.uniform(0.5, 100.0))
-            lhs = bessel_j(m - 1, x) + bessel_j(m + 1, x)
-            rhs = 2.0 * m / x * bessel_j(m, x)
-            scale = max(abs(bessel_j(m - 1, x)), abs(bessel_j(m + 1, x)), abs(rhs))
+        draws = [(int(rng.integers(1, 50)), float(rng.uniform(0.5, 100.0))) for _ in range(300)]
+        xs = np.array([x for _, x in draws])
+        j = [bessel_j(order, xs).tolist() for order in range(51)]  # j[order][draw]
+        for i, (m, x) in enumerate(draws):
+            lhs = j[m - 1][i] + j[m + 1][i]
+            rhs = 2.0 * m / x * j[m][i]
+            scale = max(abs(j[m - 1][i]), abs(j[m + 1][i]), abs(rhs))
             assert abs(lhs - rhs) <= 1e-10 * max(scale, 1e-300)
 
     def test_range_errors(self):
-        with pytest.raises(ValueError):
-            bessel_j(-1, 1.0)
-        with pytest.raises(ValueError):
-            bessel_j(201, 1.0)
-        with pytest.raises(ValueError):
-            bessel_j(0, -0.5)
-        with pytest.raises(ValueError):
-            bessel_j(0, math.inf)
+        for order in (-1, 201, 2.5):
+            for argument in (1.0, np.array([1.0, 2.0])):
+                with pytest.raises(ValueError, match="order must be an integer"):
+                    bessel_j(order, argument)
+        # one lane out of range rejects the whole call, with the scalar message
+        for argument in (
+            -0.5, math.inf, math.nan, math.nextafter(MAX_BESSEL_ARGUMENT, math.inf),
+            [1.0, -0.5], [[1.0, 2.0], [math.nan, 3.0]], np.array([0.0, 5.0, math.inf]),
+            np.array([2.0, math.nextafter(MAX_BESSEL_ARGUMENT, math.inf)]),
+        ):
+            with pytest.raises(ValueError, match=r"argument must be finite in \[0, 10000"):
+                bessel_j(0, argument)
+
+    @given(_order_and_lanes())
+    @example((0, [0.5 * k for k in range(300)]))
+    @example((200, [4.0, 3.7, 20.0, math.nextafter(math.sqrt(402.0), math.inf), 21.0, 1e4]))
+    def test_lanes_match_scalar_bit_for_bit(self, case):
+        m, xs = case
+        values = bessel_j(m, np.array(xs)).tolist()
+        assert [v.hex() for v in values] == [scalar_bessel_j(m, x).hex() for x in xs]
+
+    @pytest.mark.parametrize("m, xs", [
+        (200, [10.5, 11.0, 11.5, 12.0, 25.0, 300.0]),
+        (150, [5.0, 6.0, 7.0, 150.0]),
+    ])
+    def test_miller_rescale_lanes_bit_for_bit(self, m, xs):
+        # bessel_j sends no lane past |J_k| = 1e250 (its largest Miller peak
+        # is about 3e237, at m = 199 and x just above 20); below the series
+        # switch the recurrence does pass it, and only some lanes rescale
+        values = _miller_lanes(m, np.array(xs)).tolist()
+        assert [v.hex() for v in values] == [_bessel_miller(m, x).hex() for x in xs]
+
+    def test_array_shapes(self):
+        assert type(bessel_j(3, 2.0)) is float
+        empty = bessel_j(3, np.array([]))
+        assert isinstance(empty, np.ndarray) and empty.shape == (0,)
+        assert bessel_j(3, np.zeros((0, 4))).shape == (0, 4)
+        grid = np.array([[0.0, 2.0, 12.0], [30.0, 5e-324, 7.5]])
+        values = bessel_j(1, grid)
+        assert values.shape == (2, 3)
+        assert values.tolist() == [[bessel_j(1, x) for x in row] for row in grid.tolist()]
 
     def test_high_order(self):
         assert bessel_j(200, 50.0) == pytest.approx(bessel_integral(200, 50.0), abs=1e-12)
@@ -92,8 +160,8 @@ class TestBessel:
             edges = [10.0, math.sqrt(2.0 * (m + 1))]
             xs = list(np.linspace(0.0, 100.0, 401))
             xs += [math.nextafter(x, side) for x in edges for side in (0.0, math.inf)] + edges
-            for x in xs:
-                assert bessel_j(m, x) == pytest.approx(float(special.jv(m, x)), abs=1e-12), (m, x)
+            for x, value in zip(xs, bessel_j(m, np.array(xs))):
+                assert value == pytest.approx(float(special.jv(m, x)), abs=1e-12), (m, x)
 
 
 class TestHeron:
