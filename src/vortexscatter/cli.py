@@ -18,6 +18,7 @@ digits), so identical configs produce byte-identical outputs.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import math
 import os
@@ -97,6 +98,10 @@ class RunConfig:
     map_cell_rtol: float = 1e-2
 
 
+# every RunConfig field name -> its declared type, resolved once from the
+# string annotations
+_FIELD_TYPES = typing.get_type_hints(RunConfig)
+
 # declared field type -> (accepted JSON value types, name in messages)
 _VALUE_TYPES = {
     int: ((int,), "an integer"),
@@ -113,9 +118,8 @@ def _type_problems(raw: dict) -> list[str]:
     takes the seed at any size), a float field only one within the float
     range."""
     out = []
-    hints = typing.get_type_hints(RunConfig)
     for key, value in raw.items():
-        kind = hints.get(key)
+        kind = _FIELD_TYPES.get(key)
         if kind not in _VALUE_TYPES:
             continue
         accepted, name = _VALUE_TYPES[kind]
@@ -140,8 +144,7 @@ def load_config(path: str) -> tuple[RunConfig | None, list[str]]:
     if not isinstance(raw, dict):
         return None, ["config must be a JSON object"]
 
-    known = {f.name for f in fields(RunConfig)}
-    violations = [f"unknown config key: {k!r}" for k in sorted(set(raw) - known)]
+    violations = [f"unknown config key: {k!r}" for k in sorted(set(raw) - _FIELD_TYPES.keys())]
     violations.extend(_type_problems(raw))
     if violations:
         return None, violations
@@ -415,8 +418,9 @@ def cmd_map(cfg: RunConfig, out_path: str) -> int:
 def cmd_field(cfg: RunConfig, out_path: str) -> int:
     """field_amplitude on the polar grid, or its packet superposition
     sum_k w_k field_amplitude(mode k), from mode_field one radius at a time.
-    The packet adds its modes in Python's order, so every value is bit for
-    bit the per-point one."""
+    np.add.reduce over the mode axis starts from 0 and adds the modes in
+    order, as Python's sum does, so every value is bit for bit the per-point
+    one."""
     radii = np.linspace(0.0, cfg.r_max, cfg.grid_n).tolist()
     azimuths = np.linspace(0.0, 2.0 * math.pi, cfg.grid_n, endpoint=False).tolist()
     if cfg.field_packet:
@@ -431,7 +435,7 @@ def cmd_field(cfg: RunConfig, out_path: str) -> int:
     blocks = ["r,phi,re,im\n"]  # one string per radius
     for r, z in zip(radii, mode_field(cfg.m, kappas, radii, azimuths)):
         if weights is not None:
-            z = sum(weights * z)
+            z = np.add.reduce(weights * z, axis=0)
         r_text = _FLOAT9(r)
         rows = zip(phi_text, z.real.ravel().tolist(), z.imag.ravel().tolist())
         blocks.append("".join(f"{r_text},{phi},{x!r},{y!r}\n" for phi, x, y in rows))
@@ -447,7 +451,9 @@ _COMMANDS = {
 }
 
 
-def main(argv: list[str] | None = None) -> int:
+@functools.cache
+def _parser() -> argparse.ArgumentParser:
+    """The argument parser, built once per process; parse_args leaves it as it was."""
     parser = argparse.ArgumentParser(
         prog="vortexscatter",
         description="Twisted-beam on plane-wave scattering: amplitudes, oracle checks, intensity maps",
@@ -457,7 +463,11 @@ def main(argv: list[str] | None = None) -> int:
         p = sub.add_parser(name)
         p.add_argument("--config", required=True, help="JSON configuration file")
         p.add_argument("--out", required=True, help="output file path")
-    args = parser.parse_args(argv)
+    return parser
+
+
+def main(argv: list[str] | None = None) -> int:
+    args = _parser().parse_args(argv)
 
     cfg, violations = load_config(args.config)
     if cfg is not None:

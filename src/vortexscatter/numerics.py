@@ -106,8 +106,8 @@ def bessel_j(order: int, argument):
     Absolute error is below 1e-12 for order <= 50, argument <= 100.
 
     Every recurrence step is a few numpy calls over all lanes, so one lane
-    costs about 0.11 ms for J_0(3) and 0.86 ms for J_200(50) (2-core x86,
-    numpy 2.4), and the 1024 lanes of a packet field grid about 1.2 ms
+    costs about 0.16 ms for J_0(3) and 1.0 ms for J_200(50) (2-core x86,
+    numpy 2.4), and the 1024 lanes of a packet field grid about 0.8 ms
     together: pass many arguments at once.
     """
     m = int(order)
@@ -133,27 +133,21 @@ def _series_lanes(m: int, x: np.ndarray) -> np.ndarray:
     # First term via logs; (x/2)^m alone can overflow long before the term
     # does. math.log and math.exp per lane: numpy's vector log and exp need
     # not round as the C library does.
-    log_gamma = math.lgamma(m + 1.0)
-    log_first = [m * math.log(0.5 * v) - log_gamma for v in x.tolist()]
-    values = np.zeros(len(x))  # lanes whose first term underflows stay 0
-    live = np.flatnonzero(np.array(log_first) >= -745.0)
-    term = np.array([math.exp(log_first[i]) for i in live.tolist()])
+    log_first = m * np.array(list(map(math.log, (0.5 * x).tolist()))) - math.lgamma(m + 1.0)
+    live = log_first >= -745.0  # lanes whose first term underflows stay 0
+    term = np.zeros(len(x))
+    term[live] = list(map(math.exp, log_first[live].tolist()))
     total = term.copy()
-    neg_quarter_x2 = -(0.25 * x[live] * x[live])
+    neg_quarter_x2 = -(0.25 * x * x)
     for k in range(1, 400):
-        if not live.size:
+        if not live.any():
             break
-        term *= neg_quarter_x2 / (k * (m + k))
-        total += term
-        done = np.abs(term) <= 1e-17 * np.abs(total) + 5e-324
-        if done.any():
-            # a lane leaves at its own stop, where the scalar loop breaks
-            values[live[done]] = total[done]
-            keep = ~done
-            live, term, total = live[keep], term[keep], total[keep]
-            neg_quarter_x2 = neg_quarter_x2[keep]
-    values[live] = total
-    return values
+        # lanes stay in place; a lane stops at its own step, where the scalar
+        # loop breaks, and keeps its total from then on
+        np.multiply(term, neg_quarter_x2 / (k * (m + k)), out=term, where=live)
+        np.add(total, term, out=total, where=live)
+        live &= np.abs(term) > 1e-17 * np.abs(total) + 5e-324
+    return total
 
 
 _MILLER_SEED = 1e-30  # J_start, arbitrary; J_{start+1} = 0

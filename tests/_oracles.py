@@ -29,6 +29,7 @@ kernels on purpose:
     and makes its own on-cone test.
 """
 
+import functools
 import math
 from dataclasses import dataclass
 from typing import Callable, Sequence
@@ -58,9 +59,20 @@ def bessel_series(m: int, x: float, terms: int = 120) -> float:
 
 def bessel_integral(m: int, x: float, nodes: int = 800) -> float:
     """J_m(x) = (1/pi) Integral_0^pi cos(m t - x sin t) dt by Gauss-Legendre."""
+    tau, sin_tau, weights = _integral_rule(nodes)
+    return float(np.sum(weights * np.cos(m * tau - x * sin_tau)) / math.pi)
+
+
+@functools.cache
+def _integral_rule(nodes: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Nodes tau on [0, pi], sin(tau) and the weights of bessel_integral, built
+    once per node count (leggauss(800) takes tens of milliseconds)."""
     t, w = np.polynomial.legendre.leggauss(nodes)
     tau = 0.5 * math.pi * (t + 1.0)
-    return float(np.sum(0.5 * math.pi * w * np.cos(m * tau - x * np.sin(tau))) / math.pi)
+    rule = (tau, np.sin(tau), 0.5 * math.pi * w)
+    for array in rule:
+        array.flags.writeable = False
+    return rule
 
 
 def scalar_bessel_j(m: int, x: float) -> float:

@@ -14,6 +14,20 @@ import numpy as np
 
 _PINS = json.loads(pathlib.Path(__file__).with_name("pinned_outputs.json").read_text())
 
+# The config of each "criterion 8 <command>" pin.
+CRITERION_8_CONFIGS = {
+    "eval": dict(
+        m=5, theta=0.2, kappa0=1.0, kappa01=0.9, kappa02=0.7,
+        q=0.05, m1_min=6, m1_max=6, m2_min=1, m2_max=1,
+    ),
+    "oracle-check": dict(sample_count=3, seed=12345),
+    "map": dict(
+        m=5, m1_min=4, m1_max=6, m2_min=-1, m2_max=1,
+        node_count=16, q_nodes=48,
+    ),
+    "field": dict(m=1, kappa0=1.0, grid_n=5, r_max=4.0),
+}
+
 
 def _machine() -> str:
     try:

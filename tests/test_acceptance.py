@@ -35,7 +35,7 @@ from _oracles import (
     circle_intersection_azimuths,
     plane_wave_limit_check,
 )
-from _pins import assert_md5
+from _pins import CRITERION_8_CONFIGS, assert_md5
 
 README = pathlib.Path(__file__).resolve().parents[1] / "README.md"
 
@@ -323,19 +323,7 @@ def test_criterion_8_cli_determinism(tmp_path):
     src = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
     env["PYTHONPATH"] = src + os.pathsep + env.get("PYTHONPATH", "")
 
-    jobs = {
-        "eval": dict(
-            m=5, theta=0.2, kappa0=1.0, kappa01=0.9, kappa02=0.7,
-            q=0.05, m1_min=6, m1_max=6, m2_min=1, m2_max=1,
-        ),
-        "oracle-check": dict(sample_count=3, seed=12345),
-        "map": dict(
-            m=5, m1_min=4, m1_max=6, m2_min=-1, m2_max=1,
-            node_count=16, q_nodes=48,
-        ),
-        "field": dict(m=1, kappa0=1.0, grid_n=5, r_max=4.0),
-    }
-    for command, cfg in jobs.items():
+    for command, cfg in CRITERION_8_CONFIGS.items():
         cfg_path = tmp_path / f"{command}.json"
         cfg_path.write_text(json.dumps(cfg))
         blobs = []

@@ -34,7 +34,7 @@ from vortexscatter.numerics import gauss_legendre_on
 from vortexscatter.oracle import OracleResult
 from vortexscatter.wavepackets import IntensityMap, WavePacketProfile
 
-from _pins import assert_md5
+from _pins import CRITERION_8_CONFIGS, assert_md5
 
 
 def _write_config(tmp_path, name="config.json", **overrides):
@@ -545,6 +545,28 @@ class TestMap:
         assert (tmp_path / "map.csv.partial").exists()
 
 
+# Packet field runs over the benchmark's ranges (kappa0 0.5-2, r_max 4-20,
+# grid_n 8-16), m of both signs; r = 0 is always on the grid.
+_PINNED_PACKET_RUNS = [
+    (-8, 0.5, 20.0, 8),
+    (-7, 2.0, 12.0, 9),
+    (-5, 1.3, 4.0, 10),
+    (-3, 0.8, 16.0, 11),
+    (-2, 1.7, 7.5, 12),
+    (-1, 1.0, 10.0, 13),
+    (0, 0.6, 18.0, 14),
+    (0, 2.0, 5.0, 16),
+    (1, 1.1, 20.0, 15),
+    (2, 0.5, 9.0, 16),
+    (3, 1.9, 14.0, 8),
+    (4, 0.9, 6.0, 9),
+    (5, 1.5, 11.0, 10),
+    (6, 0.7, 4.5, 12),
+    (7, 1.2, 17.0, 14),
+    (8, 2.0, 20.0, 16),
+]
+
+
 class TestField:
     def test_vortex_core_rows(self, tmp_path):
         cfg = _write_config(tmp_path, m=3, kappa0=1.0, grid_n=4, r_max=2.0)
@@ -630,6 +652,19 @@ class TestField:
         assert main(["field", "--config", str(cfg), "--out", str(out)]) == EXIT_OK
         assert out.read_bytes() == _per_point_field_csv(**doc).encode()
 
+    @pytest.mark.parametrize("m, kappa0, r_max, grid_n", _PINNED_PACKET_RUNS)
+    def test_packet_runs_are_pinned(self, tmp_path, m, kappa0, r_max, grid_n):
+        cfg = _write_config(
+            tmp_path, m=m, kappa0=kappa0, r_max=r_max, grid_n=grid_n, field_packet=True
+        )
+        out = tmp_path / "field.csv"
+        assert main(["field", "--config", str(cfg), "--out", str(out)]) == EXIT_OK
+        assert_md5(_packet_pin_name(m, kappa0, r_max, grid_n), out.read_bytes())
+
+
+def _packet_pin_name(m, kappa0, r_max, grid_n):
+    return f"field packet m{m} kappa0 {kappa0:g} r_max {r_max:g} grid_n {grid_n}"
+
 
 def _per_point_field_csv(m, kappa0, sigma_rel, r_max, grid_n, field_packet):
     """The field CSV from the per-point formula of _oracles, one point and
@@ -675,6 +710,25 @@ class TestSubprocessDeterminism:
             outputs.append(out.read_bytes())
         assert outputs[0] == outputs[1]
         assert_md5("map subprocess", outputs[0])
+
+
+def test_reused_parser_keeps_every_output(tmp_path):
+    # main builds its parser once per process; errors on it must not change
+    # the next runs
+    with pytest.raises(SystemExit) as exc:
+        main(["field", "--config", str(tmp_path / "config.json")])  # no --out
+    assert exc.value.code == 2
+    bad = _write_config(tmp_path, "bad.json", grid_n=1)
+    assert main(["field", "--config", str(bad), "--out", str(tmp_path / "bad.csv")]) == EXIT_CONFIG
+    for command, config in CRITERION_8_CONFIGS.items():
+        cfg = _write_config(tmp_path, f"{command}.json", **config)
+        out = tmp_path / f"{command}.out"
+        assert main([command, "--config", str(cfg), "--out", str(out)]) == EXIT_OK
+        assert_md5(f"criterion 8 {command}", out.read_bytes())
+    for _ in range(2):
+        with pytest.raises(SystemExit) as exc:
+            main(["--help"])
+        assert exc.value.code == 0
 
 
 # Edge values for float fields: zero, negative, underflow, overflow and the
