@@ -267,10 +267,16 @@ def q_substitution(q_max: float, n: int) -> tuple[np.ndarray, np.ndarray]:
     return q_max * np.sin(u), wu * q_max * np.cos(u)
 
 
+def _row_max(values: np.ndarray) -> np.ndarray:
+    """Largest entry of each row of an (N, 3) array, from its three columns:
+    one loop over the N rows per call, not N loops of three."""
+    return np.maximum(np.maximum(values[:, 0], values[:, 1]), values[:, 2])
+
+
 def _torus_distance(points: np.ndarray, ref: np.ndarray) -> np.ndarray:
     """Largest per-angle separation modulo 2 pi of each row from ref."""
     d = np.abs(points - ref) % _TWO_PI
-    return np.max(np.minimum(d, _TWO_PI - d), axis=-1)
+    return _row_max(np.minimum(d, _TWO_PI - d))
 
 
 def _dedupe(points: np.ndarray, tol: float) -> list[int]:
@@ -292,7 +298,10 @@ def solve_system(
 
     system maps an (N, 3) batch of angle triples to the (N, 3) residuals and
     their (N, 3, 3) Jacobians d residual_i / d angle_j; it is called once per
-    Newton step on the active iterates and once on the converged ones.
+    Newton step on the active iterates and once on the converged ones. The
+    arrays may have any memory layout. Inside the Newton loop numpy's
+    floating-point warnings are ignored, the system's included: a row that
+    turns non-finite is dropped.
 
     Newton iterations start from a uniform grid of _START_GRID_DENSITY^3
     points. An iterate is dropped when its residual, step or Jacobian
@@ -314,39 +323,42 @@ def solve_system(
     norms1 = norms2 = np.full(len(active), np.nan)
 
     settled: list[np.ndarray] = []
-    for _ in range(_MAX_ITERATIONS):
-        if len(active) == 0:
-            break
-        res, jac = system(active)
-        norms = np.max(np.abs(res), axis=1)
-        done = norms <= _RESIDUAL_TOL
-        if done.any():
-            settled.append(active[done])
-        # only an iterate whose residual did not fall can be in a 2-cycle
-        cycling = norms >= norms2
-        if cycling.any():
-            cycling[cycling] = _torus_distance(active[cycling], back2[cycling]) <= _RESIDUAL_TOL
-        with np.errstate(all="ignore"):
+    with np.errstate(all="ignore"):  # non-finite rows are dropped, not reported
+        for _ in range(_MAX_ITERATIONS):
+            if len(active) == 0:
+                break
+            res, jac = system(active)
+            norms = _row_max(np.abs(res))
+            done = norms <= _RESIDUAL_TOL
+            if done.any():
+                settled.append(active[done])
+            # only an iterate whose residual did not fall can be in a 2-cycle
+            cycling = norms >= norms2
+            if cycling.any():
+                cycling[cycling] = _torus_distance(active[cycling], back2[cycling]) <= _RESIDUAL_TOL
             dets = np.linalg.det(jac)
-            solvable = np.isfinite(dets) & (np.abs(dets) > 1e-300) & np.isfinite(res).all(axis=1)
+            # a max of |res| is finite only where every component is
+            solvable = np.isfinite(dets) & (np.abs(dets) > 1e-300) & np.isfinite(norms)
             if not solvable.all():  # solve raises on det 0; these rows are dropped below
                 jac = np.where(solvable[:, None, None], jac, np.eye(3))
             steps = np.linalg.solve(jac, -res[..., None])[..., 0]
-        keep = solvable & ~(done | cycling) & np.isfinite(steps).all(axis=1)
-        if not keep.all():
-            active, steps, norms, back1, norms1 = (
-                a[keep] for a in (active, steps, norms, back1, norms1)
-            )
-        back2, norms2 = back1, norms1
-        back1, norms1 = active, norms
-        active = (active + np.clip(steps, -_MAX_NEWTON_STEP, _MAX_NEWTON_STEP)) % _TWO_PI
+            keep = solvable & ~(done | cycling) & np.isfinite(steps).all(axis=1)
+            if not keep.all():
+                active, steps, norms, back1, norms1 = (
+                    a.compress(keep, axis=0) for a in (active, steps, norms, back1, norms1)
+                )
+            back2, norms2 = back1, norms1
+            back1, norms1 = active, norms
+            np.maximum(steps, -_MAX_NEWTON_STEP, out=steps)
+            np.minimum(steps, _MAX_NEWTON_STEP, out=steps)
+            active = (active + steps) % _TWO_PI
 
     if not settled:
         return [], []
 
     final = np.concatenate(settled) % _TWO_PI
     res, jac = system(final)
-    final_norms = np.max(np.abs(res), axis=1)
+    final_norms = _row_max(np.abs(res))
     order = np.argsort(final_norms, kind="stable")
     order = order[final_norms[order] <= _RESIDUAL_TOL]
     picked = order[_dedupe(final[order], _DEDUPE_TOL)]

@@ -57,25 +57,33 @@ def _constraint_system(geom: CollisionGeometry):
     (N, 3), and its exact Jacobian d residual_i / d (phi, phi1, phi2)_j as
     (N, 3, 3), the derivative of the same cos/sin sum over kappa. Both come
     from one cos and one sin of the points.
+
+    The work runs on (angle, component, point) arrays, one loop over the N
+    points per numpy call, and both results are transposed views. Each value
+    is bit for bit that of the per-vector sums kappa_i (cos phi_i u_i +
+    sin phi_i v_i) over the frames' unit vectors: a - b rounds as a + (-b).
     """
     kappa, kappa1, kappa2 = geom.initial.kappa, geom.kappa1, geom.kappa2
     ex, ey, ez = tilt_frame(geom.theta)
     gx = np.array([1.0, 0.0, 0.0])  # initial azimuth is measured from global x
     gy = np.array([0.0, 1.0, 0.0])
+    # unit vectors of cos and sin in k, k1 and k2 (own-frame azimuth -phi2),
+    # and in their derivatives; kappa_i stays the last factor of each term
+    cos_units, sin_units, d_sin_units, d_cos_units = np.array(
+        [(gx, ex, ex), (gy, ey, -ey), (-gx, ex, ex), (gy, -ey, ey)]
+    )[..., None]
+    kappas = np.array([kappa, kappa1, kappa2])[:, None, None]
     # only q = k_{1z'} + k_{2z'} enters, never the longitudinal scale
-    offset = geom.q * ez
+    offset = (geom.q * ez)[:, None]
 
     def system(points):
-        cos, sin = np.cos(points), np.sin(points)  # (..., 1) columns c, s, c1, s1, c2, s2
-        c, s, c1, s1, c2, s2 = (t[..., j : j + 1] for j in range(3) for t in (cos, sin))
-        initial = kappa * (c * gx + s * gy)  # k + p: the k_z parts cancel
-        final1 = kappa1 * (c1 * ex + s1 * ey)
-        final2 = kappa2 * (c2 * ex - s2 * ey)  # own-frame azimuth
-        residual = (initial - final1 - final2 - offset) / kappa
-        d_phi = kappa * (c * gy - s * gx)
-        d_phi1 = kappa1 * (s1 * ex - c1 * ey)
-        d_phi2 = kappa2 * (s2 * ex + c2 * ey)
-        return residual, np.stack([d_phi, d_phi1, d_phi2], axis=-1) / kappa
+        shape = np.shape(points)
+        angles = np.reshape(points, (-1, 3)).T
+        cos, sin = np.cos(angles)[:, None], np.sin(angles)[:, None]
+        momenta = (cos * cos_units + sin * sin_units) * kappas  # k + p: the k_z parts cancel
+        residual = (momenta[0] - momenta[1] - momenta[2] - offset) / kappa
+        deriv = (sin * d_sin_units + cos * d_cos_units) * kappas / kappa
+        return residual.T.reshape(shape), deriv.transpose(2, 1, 0).reshape(shape + (3,))
 
     return system
 

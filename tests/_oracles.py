@@ -12,6 +12,10 @@ oracle's system.
 The rest are witnesses that share a package algorithm or call a few package
 kernels on purpose:
 
+  * per_vector_system, the oracle's constraint residual and Jacobian as
+    per-vector sums over tilt_frame's unit vectors, is the bit-for-bit
+    witness of oracle._constraint_system, which forms the same float
+    operations on long point rows;
   * scalar_bessel_j, the one-argument power series and Miller recurrence
     with the package's dispatch and constants, is the bit-for-bit witness of
     the lane-parallel bessel_j; the per-point field formula takes J_m from
@@ -37,7 +41,7 @@ from typing import Callable, Sequence
 import numpy as np
 
 from vortexscatter.amplitudes import fourier_weight, unit_imag_power
-from vortexscatter.kinematics import CollisionGeometry, TwistedState, angle_set
+from vortexscatter.kinematics import CollisionGeometry, TwistedState, angle_set, tilt_frame
 from vortexscatter.numerics import _MILLER_PAD, _SERIES_CUTOFF, gauss_legendre_on
 
 _PLANE_WAVE_NODES = 128  # Gauss-Legendre nodes on the w axis of the kappa1 stripe
@@ -245,6 +249,27 @@ def conservation_jacobian(geom: CollisionGeometry, points) -> np.ndarray:
         [zero, -k1 * st * np.sin(phi1), -k2 * st * np.sin(phi2)],
     ]
     return np.stack([np.stack(row, axis=-1) for row in rows], axis=-2) / k
+
+
+def per_vector_system(geom: CollisionGeometry, points) -> tuple[np.ndarray, np.ndarray]:
+    """The oracle's residual and Jacobian as per-vector sums: each cos or sin
+    column of the points times a unit vector, then times kappa_i, (..., 3)
+    and (..., 3, 3). Every float operation of oracle._constraint_system,
+    which runs them on (angle, component, point) arrays instead."""
+    kappa, kappa1, kappa2 = geom.initial.kappa, geom.kappa1, geom.kappa2
+    ex, ey, ez = tilt_frame(geom.theta)
+    gx = np.array([1.0, 0.0, 0.0])
+    gy = np.array([0.0, 1.0, 0.0])
+    cos, sin = np.cos(points), np.sin(points)
+    c, s, c1, s1, c2, s2 = (t[..., j : j + 1] for j in range(3) for t in (cos, sin))
+    initial = kappa * (c * gx + s * gy)
+    final1 = kappa1 * (c1 * ex + s1 * ey)
+    final2 = kappa2 * (c2 * ex - s2 * ey)
+    residual = (initial - final1 - final2 - geom.q * ez) / kappa
+    d_phi = kappa * (c * gy - s * gx)
+    d_phi1 = kappa1 * (s1 * ex - c1 * ey)
+    d_phi2 = kappa2 * (s2 * ex + c2 * ey)
+    return residual, np.stack([d_phi, d_phi1, d_phi2], axis=-1) / kappa
 
 
 def conservation_amplitudes(geom: CollisionGeometry) -> np.ndarray:

@@ -1,5 +1,8 @@
 import json
 import math
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import numpy as np
@@ -25,6 +28,7 @@ from _oracles import (
     conservation_jacobian,
     conservation_residual,
     fd_jacobian,
+    per_vector_system,
     richardson_det,
     single_twisted_oracle,
 )
@@ -242,6 +246,35 @@ class TestAnalyticJacobian:
                 assert np.array_equal(one_residual, residual[row])
                 assert np.array_equal(one_exact, exact[row])
 
+    def test_matches_per_vector_witness_bit_for_bit(self):
+        rng = np.random.default_rng(21)
+        edge = np.nextafter(TWO_PI, 0.0)
+        for theta in (0.1, 0.2, 0.35):
+            for geom, _, _, _ in draw_support_samples(rng, 3, theta=theta):
+                system = _constraint_system(geom)
+                batches = []
+
+                def recorded(points):
+                    batches.append(points.copy())
+                    return system(points)
+
+                numerics_module.solve_system(recorded)
+                assert batches[0].shape == (216, 3)  # the start grid, then every iterate
+                batches += [
+                    rng.uniform(0.0, TWO_PI, (1, 3)),
+                    rng.uniform(0.0, TWO_PI, (60, 3)),
+                    rng.uniform(0.0, TWO_PI, 3),
+                    np.array([[0.0, 0.0, 0.0], [edge, edge, edge], [0.0, edge, 0.0]]),
+                    np.array([edge, 0.0, edge]),
+                ]
+                for points in batches:
+                    residual, exact = system(points)
+                    witness_residual, witness_exact = per_vector_system(geom, points)
+                    assert residual.shape == points.shape
+                    assert exact.shape == points.shape + (3,)
+                    assert np.array_equal(residual, witness_residual)
+                    assert np.array_equal(exact, witness_exact)
+
     def test_det_matches_richardson_at_the_roots(self):
         geom = _geom()
         system = _constraint_system(geom)
@@ -327,3 +360,37 @@ class TestSingleTwistedOracle:
             value = single_twisted_oracle(state, k1, k2)
             closed = single_twisted_amplitude(state, kappa, psi)
             assert value == pytest.approx(closed.smooth, rel=1e-12)
+
+
+# numpy's AVX2 paths, as on a CPU without AVX-512; numpy refuses to import
+# when asked to disable a target that it does not dispatch
+_WITHOUT_AVX512 = "AVX512_SPR AVX512_ICL X86_V4"
+
+
+def _dispatches(targets: str) -> bool:
+    try:
+        from numpy._core._multiarray_umath import __cpu_dispatch__
+    except ImportError:
+        return False
+    return set(targets.split()) <= set(__cpu_dispatch__)
+
+
+@pytest.mark.skipif(
+    not _dispatches(_WITHOUT_AVX512), reason="numpy does not dispatch these AVX-512 targets"
+)
+def test_solver_pins_hold_without_avx512_dispatch():
+    # the oracle's and the solver's pins use only sin, cos, det and solve,
+    # which round alike on both dispatch paths
+    root = Path(__file__).resolve().parents[1]
+    env = dict(os.environ, NPY_DISABLE_CPU_FEATURES=_WITHOUT_AVX512)
+    env["PYTHONPATH"] = str(root / "src") + os.pathsep + env.get("PYTHONPATH", "")
+    tests = [
+        "tests/test_oracle.py::TestOracleAmplitude::test_pinned_bits",
+        "tests/test_numerics.py::TestDroppedIterates",
+    ]
+    done = subprocess.run(
+        [sys.executable, "-m", "pytest", "-q", "-p", "no:cacheprovider", *tests],
+        capture_output=True, text=True, cwd=root, env=env,
+    )
+    assert done.returncode == 0, done.stdout + done.stderr
+    assert "7 passed" in done.stdout
