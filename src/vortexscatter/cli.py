@@ -62,10 +62,11 @@ MAX_GRID_N = 1024
 MAX_SAMPLE_COUNT = 10**6
 # Largest map sizes. A q slice of the fine pass holds its triangle as four
 # n^3 float64 arrays at n = 2 node_count, 512 MiB at the node cap; per kappa
-# row it builds complex (helicity values x n^2) phase arrays, 3.7 MB each for
-# a 100 x 100 map at the default 24 nodes; each pass takes about q_nodes / 2
-# slices. Each cap bounds one size: a map near several caps at once can still
-# need more memory than the host has, which main reports as exit 2.
+# row it builds real cos and sin tables of (distinct |m| x n^2) float64, at
+# most 1.8 MB each for a 100 x 100 map at the default 24 nodes; each pass
+# takes about q_nodes / 2 slices. Each cap bounds one size: a map near
+# several caps at once can still need more memory than the host has, which
+# main reports as exit 2.
 MAX_HELICITY_CELLS = 10**4
 MAX_NODE_COUNT = 128
 MAX_Q_NODES = 1024

@@ -8,9 +8,13 @@ mismatch names both the machine the pins were recorded on and this one.
 
 import hashlib
 import json
+import os
 import pathlib
+import subprocess
+import sys
 
 import numpy as np
+import pytest
 
 _PINS = json.loads(pathlib.Path(__file__).with_name("pinned_outputs.json").read_text())
 
@@ -55,3 +59,33 @@ def assert_md5(name: str, data: bytes) -> None:
 def assert_hex(name: str, values) -> None:
     """Each complex value's real and imaginary float.hex equal their pins."""
     _expect("hex", name, [[complex(v).real.hex(), complex(v).imag.hex()] for v in values])
+
+
+# numpy's AVX2 paths, as on a CPU without AVX-512; numpy refuses to import
+# when asked to disable a target that it does not dispatch
+WITHOUT_AVX512 = "AVX512_SPR AVX512_ICL X86_V4"
+
+
+def _dispatches(targets: str) -> bool:
+    try:
+        from numpy._core._multiarray_umath import __cpu_dispatch__
+    except ImportError:
+        return False
+    return set(targets.split()) <= set(__cpu_dispatch__)
+
+
+needs_avx512_dispatch = pytest.mark.skipif(
+    not _dispatches(WITHOUT_AVX512), reason="numpy does not dispatch these AVX-512 targets"
+)
+
+
+def run_without_avx512(tests: list[str]) -> subprocess.CompletedProcess:
+    """Run the given pytest node ids in a subprocess with numpy's AVX-512
+    dispatch turned off; its subprocesses inherit the setting."""
+    root = pathlib.Path(__file__).resolve().parents[1]
+    env = dict(os.environ, NPY_DISABLE_CPU_FEATURES=WITHOUT_AVX512)
+    env["PYTHONPATH"] = str(root / "src") + os.pathsep + env.get("PYTHONPATH", "")
+    return subprocess.run(
+        [sys.executable, "-m", "pytest", "-q", "-p", "no:cacheprovider", *tests],
+        capture_output=True, text=True, cwd=root, env=env,
+    )

@@ -34,7 +34,7 @@ from vortexscatter.numerics import gauss_legendre_on
 from vortexscatter.oracle import OracleResult
 from vortexscatter.wavepackets import IntensityMap, WavePacketProfile
 
-from _pins import CRITERION_8_CONFIGS, assert_md5
+from _pins import CRITERION_8_CONFIGS, assert_md5, needs_avx512_dispatch, run_without_avx512
 
 
 def _write_config(tmp_path, name="config.json", **overrides):
@@ -529,6 +529,21 @@ class TestMap:
         assert not out.exists()
         assert (tmp_path / "map.csv.partial").exists()
         assert_md5("map under-resolved .partial", (tmp_path / "map.csv.partial").read_bytes())
+
+    @needs_avx512_dispatch
+    def test_map_pins_hold_without_avx512_dispatch(self):
+        # tan, arccos and exp round differently on numpy's AVX2 paths, which
+        # moves the map's weights in their last bits but not the 9 digits
+        # that the CSVs print
+        done = run_without_avx512([
+            "tests/test_cli.py::TestMap::test_single_cell_self_normalizes",
+            "tests/test_cli.py::TestMap::test_csv_round_trip_and_plot_script",
+            "tests/test_cli.py::TestMap::test_underresolved_map_aborts_with_partial",
+            "tests/test_cli.py::test_tiny_theta_still_runs",
+            "tests/test_acceptance.py::test_criterion_8_cli_determinism",
+        ])
+        assert done.returncode == 0, done.stdout + done.stderr
+        assert "5 passed" in done.stdout
 
     def test_nan_cell_delta_fails_closed(self, tmp_path, monkeypatch, capsys):
         def nan_map(*args, **kwargs):

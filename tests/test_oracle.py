@@ -1,8 +1,5 @@
 import json
 import math
-import os
-import subprocess
-import sys
 from pathlib import Path
 
 import numpy as np
@@ -32,6 +29,7 @@ from _oracles import (
     richardson_det,
     single_twisted_oracle,
 )
+from _pins import needs_avx512_dispatch, run_without_avx512
 
 TWO_PI = 2.0 * math.pi
 
@@ -362,35 +360,13 @@ class TestSingleTwistedOracle:
             assert value == pytest.approx(closed.smooth, rel=1e-12)
 
 
-# numpy's AVX2 paths, as on a CPU without AVX-512; numpy refuses to import
-# when asked to disable a target that it does not dispatch
-_WITHOUT_AVX512 = "AVX512_SPR AVX512_ICL X86_V4"
-
-
-def _dispatches(targets: str) -> bool:
-    try:
-        from numpy._core._multiarray_umath import __cpu_dispatch__
-    except ImportError:
-        return False
-    return set(targets.split()) <= set(__cpu_dispatch__)
-
-
-@pytest.mark.skipif(
-    not _dispatches(_WITHOUT_AVX512), reason="numpy does not dispatch these AVX-512 targets"
-)
+@needs_avx512_dispatch
 def test_solver_pins_hold_without_avx512_dispatch():
     # the oracle's and the solver's pins use only sin, cos, det and solve,
     # which round alike on both dispatch paths
-    root = Path(__file__).resolve().parents[1]
-    env = dict(os.environ, NPY_DISABLE_CPU_FEATURES=_WITHOUT_AVX512)
-    env["PYTHONPATH"] = str(root / "src") + os.pathsep + env.get("PYTHONPATH", "")
-    tests = [
+    done = run_without_avx512([
         "tests/test_oracle.py::TestOracleAmplitude::test_pinned_bits",
         "tests/test_numerics.py::TestDroppedIterates",
-    ]
-    done = subprocess.run(
-        [sys.executable, "-m", "pytest", "-q", "-p", "no:cacheprovider", *tests],
-        capture_output=True, text=True, cwd=root, env=env,
-    )
+    ])
     assert done.returncode == 0, done.stdout + done.stderr
     assert "7 passed" in done.stdout

@@ -21,8 +21,10 @@ import vortexscatter.wavepackets as wavepackets_module
 from vortexscatter.wavepackets import (
     _BLOCK_ELEMENTS,
     WavePacketProfile,
+    _abs_helicities,
     _block_row_sums,
     _grid_values,
+    _helicity_phases,
     _map_pass,
     _row_blocks,
     _slice_axes,
@@ -470,7 +472,9 @@ def _cell_grid(sl, m, m1_values, m2_values):
     )
 
 
-@pytest.mark.parametrize("m1_range, m2_range", [((-3, 6), (-5, 2)), ((6, 6), (1, 1))])
+@pytest.mark.parametrize(
+    "m1_range, m2_range", [((-3, 6), (-5, 2)), ((6, 6), (1, 1)), ((-7, -2), (3, 8))]
+)
 def test_grid_values_match_cell_values(m1_range, m2_range):
     # the map's grid against the cosine-law cells and the smeared kernel's cells
     axes = _slice_axes(_profiles(), 0.2, 0.03, 16)
@@ -485,6 +489,50 @@ def test_grid_values_match_cell_values(m1_range, m2_range):
     np.testing.assert_allclose(
         grid, kernel_cells, rtol=0.0, atol=1e-13 * np.abs(kernel_cells).max()
     )
+
+
+# delta at 0, at pi and just below it (where t = tan(delta / 2) is near 1.6e16,
+# so sin delta must not be formed as t (1 + cos delta)), and in between
+_PHASE_DELTAS = np.concatenate([
+    [0.0, math.pi, math.nextafter(math.pi, 0.0), math.pi - 1e-8, 1e-300],
+    np.random.default_rng(3).uniform(0.0, math.pi, 200),
+])
+
+
+@pytest.mark.parametrize(
+    "lo, hi",
+    [(-5, 15), (-10, 10), (-4, 0), (0, 9), (3, 12), (-12, -3), (0, 0), (7, 7), (-7, -7),
+     (10**4, 10**4), (-(10**4), -(10**4))],
+)
+@pytest.mark.parametrize("scaled", [False, True], ids=["unscaled", "scaled"])
+def test_helicity_phases_match_complex_exp(lo, hi, scaled):
+    first, count = _abs_helicities(lo, hi)
+    assert list(range(first, first + count)) == sorted({abs(m) for m in range(lo, hi + 1)})
+    scale = np.random.default_rng(4).uniform(0.5, 2.0, _PHASE_DELTAS.size) if scaled else None
+    cos_table, sin_table = _helicity_phases(_PHASE_DELTAS, first, count, scale)
+    assert cos_table.shape == sin_table.shape == (count, _PHASE_DELTAS.size)
+    assert count <= hi - lo + 1  # no more table rows than the range has values
+    k = np.arange(first, first + count)[:, None]
+    expected = np.exp(1j * k * _PHASE_DELTAS) * (1.0 if scale is None else scale)
+    # the recurrence adds a few eps per step, and k delta itself rounds by
+    # |k| pi eps / 2
+    tol = 4.0 * (k + 1) * np.finfo(float).eps * (1.0 if scale is None else scale)
+    assert np.all(np.abs(cos_table - expected.real) <= tol)
+    assert np.all(np.abs(sin_table - expected.imag) <= tol)
+
+
+def test_grid_tables_hold_one_row_per_distinct_abs_helicity(monkeypatch):
+    # the reference grid m1 -5..15, m2 -10..10 needs |m1| 0..15 and |m2| 0..10
+    counts = []
+
+    def recording(delta, first, count, scale=None):
+        counts.append((first, count))
+        return _helicity_phases(delta, first, count, scale)
+
+    monkeypatch.setattr(wavepackets_module, "_helicity_phases", recording)
+    axes = _slice_axes(_profiles(), 0.2, 0.03, 4)
+    _grid_values(axes, _triangle(axes, slice(None)), 5, np.arange(-5, 16), np.arange(-10, 11))
+    assert counts == [(0, 16), (0, 11)] * 4
 
 
 @pytest.mark.parametrize("q_nodes", [6, 7])
