@@ -7,7 +7,9 @@ a numerically stable triangle area, the quadrature layer (Gauss-Legendre
 nodes on an interval, node doubling to a tolerance, and the substitution
 that absorbs the inverse-square-root edge of the allowed q region;
 wavepackets._triangle applies the one for the kappa1 stripe), and a
-multi-start Newton solver for three angles on the torus.
+multi-start Newton solver for three angles on the torus. The solver takes its
+3x3 determinants and steps by Cramer's rule in elementwise arithmetic, with no
+BLAS or LAPACK call, so its bits do not depend on the BLAS kernel.
 
 All functions are pure and stateless; concurrent use is safe.
 """
@@ -280,6 +282,37 @@ def _torus_distance(points: np.ndarray, ref: np.ndarray) -> np.ndarray:
     return _row_max(np.minimum(d, _TWO_PI - d))
 
 
+# Flat (column, component) indices into a 3x3 matrix's columns c0, c1, c2 of
+# the four factors of row k, component i of det(J) J^-1 = c_{k+1} x c_{k+2}:
+# c_{k+1}[i+1] c_{k+2}[i+2] - c_{k+1}[i+2] c_{k+2}[i+1], indices modulo 3.
+_COFACTOR_FACTORS = np.array([
+    [3 * ((k + a) % 3) + (i + b) % 3 for k in range(3) for i in range(3)]
+    for a, b in ((1, 1), (2, 2), (1, 2), (2, 1))
+])
+
+
+def _cofactors(jac: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Adjugate and determinant of an (N, 3, 3) batch, by elementwise
+    arithmetic only: row k of det(J) J^-1 is c_{k+1} x c_{k+2} over J's
+    columns, returned as a (row, component, N) array, and det J is
+    (c1 x c2) . c0. Only IEEE +, - and x enter, so the bits do not depend on
+    a BLAS kernel. A zero row or column, or c1 = c2, gives det exactly 0."""
+    cols = jac.transpose(2, 1, 0).reshape(9, len(jac))  # (column, component) rows
+    f = cols.take(_COFACTOR_FACTORS, axis=0)
+    adj = (f[0] * f[1] - f[2] * f[3]).reshape(3, 3, len(jac))
+    lead = adj[0] * cols[:3]
+    return adj, lead[0] + lead[1] + lead[2]
+
+
+def _newton_step(jac: np.ndarray, res: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """det J and the Newton step -J^-1 res of (N, 3, 3) Jacobians and (N, 3)
+    residuals by Cramer's rule, the step as (N, 3). A row with det 0 gets an
+    inf or NaN step (numpy warns unless its errors are ignored)."""
+    adj, det = _cofactors(jac)
+    terms = adj * res.T
+    return det, ((terms[:, 0] + terms[:, 1] + terms[:, 2]) / -det).T
+
+
 def _dedupe(points: np.ndarray, tol: float) -> list[int]:
     """Indices of greedy representatives, in order: a point is picked when no
     earlier pick lies within tol of it on the torus."""
@@ -305,8 +338,10 @@ def solve_system(
     turns non-finite is dropped.
 
     Newton iterations start from a uniform grid of _START_GRID_DENSITY^3
-    points. An iterate is dropped when its residual, step or Jacobian
-    determinant is not finite or |det| <= 1e-300, and when it is back within
+    points. Each step's determinant and -J^-1 residual come from the cofactors
+    of the Jacobian (_newton_step), and so do the roots' |det|. An iterate is
+    dropped when its residual, step or Jacobian determinant is not finite or
+    |det| <= 1e-300, and when it is back within
     _RESIDUAL_TOL of where it stood two steps earlier with no smaller
     residual (a 2-cycle; the test does not use _DEDUPE_TOL, so a wider merge
     radius drops no iterate that would still converge). Converged iterates
@@ -337,12 +372,9 @@ def solve_system(
             cycling = norms >= norms2
             if cycling.any():
                 cycling[cycling] = _torus_distance(active[cycling], back2[cycling]) <= _RESIDUAL_TOL
-            dets = np.linalg.det(jac)
+            dets, steps = _newton_step(jac, res)
             # a max of |res| is finite only where every component is
             solvable = np.isfinite(dets) & (np.abs(dets) > 1e-300) & np.isfinite(norms)
-            if not solvable.all():  # solve raises on det 0; these rows are dropped below
-                jac = np.where(solvable[:, None, None], jac, np.eye(3))
-            steps = np.linalg.solve(jac, -res[..., None])[..., 0]
             keep = solvable & ~(done | cycling) & np.isfinite(steps).all(axis=1)
             if not keep.all():
                 active, steps, norms, back1, norms1 = (
@@ -363,7 +395,7 @@ def solve_system(
     order = np.argsort(final_norms, kind="stable")
     order = order[final_norms[order] <= _RESIDUAL_TOL]
     picked = order[_dedupe(final[order], _DEDUPE_TOL)]
-    dets = np.abs(np.linalg.det(jac[picked])).tolist()
+    dets = np.abs(_cofactors(jac[picked])[1]).tolist()
 
     found = sorted(
         map(TorusRoot, final[picked], dets, final_norms[picked].tolist()),

@@ -2,10 +2,12 @@
 amplitudes, recorded from an earlier commit in pinned_outputs.json.
 
 A deliberate change to an output shows up here as a pin change. numpy's SIMD
-transcendentals may round differently on another numpy build or CPU, so a
-mismatch names both the machine the pins were recorded on and this one.
+transcendentals and OpenBLAS's per-CPU kernels may round differently on
+another numpy build or CPU, so a mismatch names both the machine the pins
+were recorded on and this one.
 """
 
+import ctypes
 import hashlib
 import json
 import os
@@ -33,6 +35,22 @@ CRITERION_8_CONFIGS = {
 }
 
 
+def _openblas_core() -> str:
+    """The CPU kernel OpenBLAS runs: OPENBLAS_CORETYPE when it is set, else
+    the core that numpy's vendored scipy-openblas reports, else "unknown"."""
+    if os.environ.get("OPENBLAS_CORETYPE"):
+        return os.environ["OPENBLAS_CORETYPE"]
+    libs = pathlib.Path(np.__file__).resolve().parent.parent / "numpy.libs"
+    for lib in sorted(libs.glob("libscipy_openblas64_*.so*")):
+        try:
+            corename = ctypes.CDLL(str(lib)).scipy_openblas_get_corename64_
+        except (OSError, AttributeError):
+            continue
+        corename.argtypes, corename.restype = [], ctypes.c_char_p
+        return corename().decode()
+    return "unknown"
+
+
 def _machine() -> str:
     try:
         from numpy._core._multiarray_umath import __cpu_features__
@@ -40,7 +58,7 @@ def _machine() -> str:
         flags = "unknown"
     else:
         flags = " ".join(sorted(name for name, on in __cpu_features__.items() if on))
-    return f"numpy {np.__version__}, CPU features {flags}"
+    return f"numpy {np.__version__}, OpenBLAS core {_openblas_core()}, CPU features {flags}"
 
 
 def _expect(kind: str, name: str, got):
@@ -79,11 +97,26 @@ needs_avx512_dispatch = pytest.mark.skipif(
 )
 
 
-def run_without_avx512(tests: list[str]) -> subprocess.CompletedProcess:
-    """Run the given pytest node ids in a subprocess with numpy's AVX-512
-    dispatch turned off; its subprocesses inherit the setting."""
+def _dynamic_openblas() -> bool:
+    """numpy's BLAS is an OpenBLAS that picks its kernel at run time, so
+    OPENBLAS_CORETYPE selects it."""
+    blas = np.show_config(mode="dicts")["Build Dependencies"].get("blas", {})
+    return "openblas" in blas.get("name", "") and "DYNAMIC_ARCH" in blas.get(
+        "openblas configuration", ""
+    )
+
+
+needs_dynamic_openblas = pytest.mark.skipif(
+    not _dynamic_openblas(), reason="numpy's BLAS is not an OpenBLAS built with DYNAMIC_ARCH"
+)
+
+
+def run_pytest(tests: list[str], **env: str) -> subprocess.CompletedProcess:
+    """Run the given pytest node ids in a subprocess on this checkout's
+    sources, with the given environment variables set; its own subprocesses
+    inherit them."""
     root = pathlib.Path(__file__).resolve().parents[1]
-    env = dict(os.environ, NPY_DISABLE_CPU_FEATURES=WITHOUT_AVX512)
+    env = dict(os.environ, **env)
     env["PYTHONPATH"] = str(root / "src") + os.pathsep + env.get("PYTHONPATH", "")
     return subprocess.run(
         [sys.executable, "-m", "pytest", "-q", "-p", "no:cacheprovider", *tests],

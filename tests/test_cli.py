@@ -34,7 +34,7 @@ from vortexscatter.numerics import gauss_legendre_on
 from vortexscatter.oracle import OracleResult
 from vortexscatter.wavepackets import IntensityMap, WavePacketProfile
 
-from _pins import CRITERION_8_CONFIGS, assert_md5, needs_avx512_dispatch, run_without_avx512
+from _pins import CRITERION_8_CONFIGS, WITHOUT_AVX512, assert_md5, needs_avx512_dispatch, run_pytest
 
 
 def _write_config(tmp_path, name="config.json", **overrides):
@@ -535,13 +535,13 @@ class TestMap:
         # tan, arccos and exp round differently on numpy's AVX2 paths, which
         # moves the map's weights in their last bits but not the 9 digits
         # that the CSVs print
-        done = run_without_avx512([
+        done = run_pytest([
             "tests/test_cli.py::TestMap::test_single_cell_self_normalizes",
             "tests/test_cli.py::TestMap::test_csv_round_trip_and_plot_script",
             "tests/test_cli.py::TestMap::test_underresolved_map_aborts_with_partial",
             "tests/test_cli.py::test_tiny_theta_still_runs",
             "tests/test_acceptance.py::test_criterion_8_cli_determinism",
-        ])
+        ], NPY_DISABLE_CPU_FEATURES=WITHOUT_AVX512)
         assert done.returncode == 0, done.stdout + done.stderr
         assert "5 passed" in done.stdout
 

@@ -29,7 +29,7 @@ from _oracles import (
     richardson_det,
     single_twisted_oracle,
 )
-from _pins import needs_avx512_dispatch, run_without_avx512
+from _pins import WITHOUT_AVX512, needs_avx512_dispatch, needs_dynamic_openblas, run_pytest
 
 TWO_PI = 2.0 * math.pi
 
@@ -360,13 +360,31 @@ class TestSingleTwistedOracle:
             assert value == pytest.approx(closed.smooth, rel=1e-12)
 
 
+# The oracle's and the solver's pins: besides sin and cos they use only
+# IEEE +, -, x and / (numerics._newton_step), never a BLAS or LAPACK kernel.
+_SOLVER_PIN_TESTS = [
+    "tests/test_oracle.py::TestOracleAmplitude::test_pinned_bits",
+    "tests/test_numerics.py::TestDroppedIterates",
+]
+
+
 @needs_avx512_dispatch
 def test_solver_pins_hold_without_avx512_dispatch():
-    # the oracle's and the solver's pins use only sin, cos, det and solve,
-    # which round alike on both dispatch paths
-    done = run_without_avx512([
-        "tests/test_oracle.py::TestOracleAmplitude::test_pinned_bits",
-        "tests/test_numerics.py::TestDroppedIterates",
-    ])
+    # sin and cos round alike on both dispatch paths, and so does the
+    # elementwise arithmetic
+    done = run_pytest(_SOLVER_PIN_TESTS, NPY_DISABLE_CPU_FEATURES=WITHOUT_AVX512)
     assert done.returncode == 0, done.stdout + done.stderr
     assert "7 passed" in done.stdout
+
+
+@needs_dynamic_openblas
+@pytest.mark.parametrize("core", ["Haswell", "Sandybridge"])
+def test_oracle_pins_hold_on_other_openblas_kernels(core):
+    # the kernel OpenBLAS picks for an AVX2-only or an AVX-only CPU; no
+    # oracle pin may depend on it
+    done = run_pytest(
+        [*_SOLVER_PIN_TESTS, "tests/test_cli.py::TestOracleCheck::test_seed_7_report_is_pinned"],
+        OPENBLAS_CORETYPE=core,
+    )
+    assert done.returncode == 0, done.stdout + done.stderr
+    assert "8 passed" in done.stdout
