@@ -16,6 +16,7 @@ All functions are pure and stateless; concurrent use is safe.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass, fields
 from typing import Callable
@@ -84,16 +85,10 @@ class TorusRoot:
     residual_norm: float
 
 
-_leggauss_cache: dict[int, tuple[np.ndarray, np.ndarray]] = {}
-
-
+@functools.cache
 def gauss_legendre_nodes(n: int) -> tuple[np.ndarray, np.ndarray]:
     """Nodes and weights on [-1, 1], cached by node count."""
-    got = _leggauss_cache.get(n)
-    if got is None:
-        got = np.polynomial.legendre.leggauss(n)
-        _leggauss_cache[n] = got
-    return got
+    return np.polynomial.legendre.leggauss(n)
 
 
 def bessel_j(order: int, argument):
@@ -107,8 +102,14 @@ def bessel_j(order: int, argument):
     does not depend on the lanes beside it.
     Absolute error is below 1e-12 for order <= 50, argument <= 100.
 
+    The recurrence needs no rescale: over the accepted domain its largest
+    value, the normalization sum included, is about 1.7e238 (m = 199, x just
+    above 20, where Miller's range starts), 70 decades below overflow. A
+    step multiplies by about 2k/x, so each order peaks highest at its first
+    Miller argument.
+
     Every recurrence step is a few numpy calls over all lanes, so one lane
-    costs about 0.08 ms for J_0(3) and 1.0 ms for J_200(50) (2-core x86,
+    costs about 0.08 ms for J_0(3) and 0.9 ms for J_200(50) (2-core x86,
     numpy 2.4), and the 1024 lanes of a packet field grid about 0.5 ms
     together: pass many arguments at once.
     """
@@ -171,14 +172,9 @@ def _miller_lanes(m: int, x: np.ndarray) -> np.ndarray:
     x = x[order]
     top = int(start[order[0]])
     widths = np.searchsorted(-start[order], -np.arange(top, 0, -1), side="right").tolist()
-    least = np.minimum.accumulate(x).tolist()  # least[n - 1]: smallest x of the first n lanes
     up, cur, new = np.empty(len(x)), np.empty(len(x)), np.empty(len(x))  # J_{k+1}, J_k, J_{k-1}
     norm = np.empty(len(x))
-    saved = np.zeros(len(x))
     width = 0
-    # Bounds of |J_{k+1}| and |J_k| over the running lanes: a lane is tested
-    # for the 1e250 rescale only on steps where the bound allows it to pass.
-    bound_up = bound_cur = 0.0
     for k, n in zip(range(top, 0, -1), widths):
         if n != width:
             up[width:n] = 0.0
@@ -186,31 +182,19 @@ def _miller_lanes(m: int, x: np.ndarray) -> np.ndarray:
             norm[width:n] = 2.0 * _MILLER_SEED
             width = n
             xv, upv, curv, newv, normv = x[:n], up[:n], cur[:n], new[:n], norm[:n]
-            x_least = least[n - 1]
-            bound_cur = max(bound_cur, _MILLER_SEED)
         np.divide(2.0 * k, xv, out=newv)
         newv *= curv
         newv -= upv
         up, cur, new = cur, new, up
         upv, curv, newv = curv, newv, upv
-        # |J_{k-1}| <= (2k/x)|J_k| + |J_{k+1}|; the factor covers the rounding
-        # of both sides, and bounds of at least the seed stay normal floats
-        bound_up, bound_cur = bound_cur, (2.0 * k / x_least * bound_cur + bound_up) * (1.0 + 1e-12)
-        if bound_cur > 1e250:
-            np.abs(curv, out=newv)
-            big = newv > 1e250
-            for v in (curv, upv, normv, saved[:n]):
-                v[big] *= 1e-250
-            bound_cur = max(float(np.abs(curv).max()), _MILLER_SEED)
-            bound_up = max(float(np.abs(upv).max()), _MILLER_SEED)
         idx = k - 1
         if idx == 0:
             normv += curv
         elif idx % 2 == 0:
             np.multiply(2.0, curv, out=newv)
             normv += newv
-        if idx == m:
-            saved[:n] = curv
+        if idx == m:  # every lane runs here, as start >= m + _MILLER_PAD
+            saved = curv.copy()
     values = np.empty(len(x))
     values[order] = saved / norm
     return values

@@ -59,8 +59,8 @@ calling thread among them) takes the blocks in turn; numpy releases the
 interpreter lock in these elementwise loops, and a slice of one block starts
 no thread. The kappa, kappa2 and unit axes are built once per estimate and
 shared. Every tensor element depends on its own kappa row alone, and the row
-sums are joined in row order before the one dot over all rows, so the value
-is bit for bit the single-block one.
+sums are joined in row order before the one product and sum over all rows,
+so the value is bit for bit the single-block one.
 
 The smearing happens at the amplitude level, before squaring, exactly so the
 stripe edge stays integrable.
@@ -363,9 +363,10 @@ def _smeared_estimate(profiles, theta, q, m, m1, m2, n: int) -> float:
     """The cell: cos(m phi_star - (m1 - m2) phi_tilde_star) dot the row sums of
     the q slice at n nodes per axis (0 if empty), built and row-summed in the
     _row_blocks that up to _usable_cores() threads take in turn. The row
-    sums are joined in row order before the one dot, so the value is the
-    whole slice's bit for bit for any block size, thread count and hand-out
-    order."""
+    sums are joined in row order before the one product and sum, so the
+    value is the whole slice's bit for bit for any block size, thread count
+    and hand-out order. The sum is numpy's, not a BLAS dot, whose bits would
+    follow OpenBLAS's per-CPU kernel."""
     axes = _slice_axes(profiles, theta, q, n)
     if axes is None:
         return 0.0
@@ -374,7 +375,7 @@ def _smeared_estimate(profiles, theta, q, m, m1, m2, n: int) -> float:
         lambda k: _block_row_sums(axes, blocks[k], m1, m2), len(blocks), _usable_cores()
     )
     cos_a = np.cos(m * axes.phi_star - (m1 - m2) * axes.phi_tilde_star)
-    return float(np.dot(cos_a, np.concatenate(sums)))
+    return float(np.add.reduce(cos_a * np.concatenate(sums)))
 
 
 def smeared_amplitude(

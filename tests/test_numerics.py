@@ -21,10 +21,9 @@ from vortexscatter.numerics import (
     solve_system,
 )
 import vortexscatter.numerics as numerics_module
-from vortexscatter.numerics import _cofactors, _dedupe, _miller_lanes, _newton_step
+from vortexscatter.numerics import _cofactors, _dedupe, _newton_step
 
 from _oracles import (
-    _bessel_miller,
     adaptive_open_quadrature,
     bessel_integral,
     bessel_series,
@@ -128,16 +127,18 @@ class TestBessel:
         values = bessel_j(m, np.array(xs)).tolist()
         assert [v.hex() for v in values] == [scalar_bessel_j(m, x).hex() for x in xs]
 
-    @pytest.mark.parametrize("m, xs", [
-        (200, [10.5, 11.0, 11.5, 12.0, 25.0, 300.0]),
-        (150, [5.0, 6.0, 7.0, 150.0]),
-    ])
-    def test_miller_rescale_lanes_bit_for_bit(self, m, xs):
-        # bessel_j sends no lane past |J_k| = 1e250 (its largest Miller peak
-        # is about 3e237, at m = 199 and x just above 20); below the series
-        # switch the recurrence does pass it, and only some lanes rescale
-        values = _miller_lanes(m, np.array(xs)).tolist()
-        assert [v.hex() for v in values] == [_bessel_miller(m, x).hex() for x in xs]
+    def test_miller_lanes_need_no_rescale(self):
+        # the recurrence of order m peaks highest at the first Miller argument,
+        # x just above max(10, sqrt(2 (m + 1))); over the whole domain its
+        # largest value is about 1.7e238 (m = 199, x just above 20). The
+        # witness still rescales past 1e250, so a lane that would need it
+        # differs in its bits, and an overflow fails as a RuntimeWarning.
+        for m in range(MAX_BESSEL_ORDER + 1):
+            first = math.nextafter(max(10.0, math.sqrt(2.0 * (m + 1))), math.inf)
+            xs = [first, math.nextafter(first, math.inf), 1.5 * first, 3.0 * first, 10.0 * first]
+            values = bessel_j(m, np.array(xs)).tolist()
+            assert all(map(math.isfinite, values)), m
+            assert [v.hex() for v in values] == [scalar_bessel_j(m, x).hex() for x in xs], m
 
     def test_array_shapes(self):
         assert type(bessel_j(3, 2.0)) is float
