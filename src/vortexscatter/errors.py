@@ -24,7 +24,9 @@ class DegenerateJacobianError(ArithmeticError):
 class ConvergenceError(RuntimeError):
     """Quadrature refinement did not reach the requested tolerance.
 
-    Carries the last two refinement estimates, coarser first, in ``estimates``.
+    Carries the last two doubling estimates, coarser first, in ``estimates``;
+    an extra coarser estimate that only measured the convergence rate is
+    never among them.
     """
 
     def __init__(self, message, estimates=None):

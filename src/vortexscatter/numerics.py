@@ -36,6 +36,18 @@ _SERIES_CUTOFF = 10.0
 # converges super-exponentially in this padding.
 _MILLER_PAD = 40
 
+# Largest contraction rate that refine_by_doubling's second stop test trusts,
+# as QUADPACK scales its raw differences before it trusts them. A smeared
+# amplitude converges only algebraically past the kink where the kappa1
+# interval meets the packet support, and one doubling's rate can overshoot
+# the next: uncapped, the test stopped 17 of the 98 candidates that the
+# perfbench smeared-scan pool leaves out (24 nodes, rel_tol 1e-6, three
+# doublings) at n = 48, up to 20 times outside 10 rel_tol of their n = 384
+# references. At 9 none of those 98 and the pool's 639 points misses (worst
+# 8.1e-6); 20 still misses none and 30 lets 3 through. A lower cap costs
+# time: 5 sends 105 pool points on to n = 96, where 9 sends 61.
+_RATE_CAP = 9.0
+
 _MAX_NEWTON_STEP = 0.7  # rad; keeps multi-start iterates on their own basins
 _TWO_PI = 2.0 * math.pi
 
@@ -56,11 +68,16 @@ def _reject_non_finite(spec) -> None:
 
 @dataclass(frozen=True)
 class QuadratureSpec:
-    """Controls for refinable Gauss-Legendre quadrature."""
+    """Controls for refinable Gauss-Legendre quadrature.
+
+    Three doublings by default, so an out-of-reach rel_tol ends in
+    ConvergenceError at 8 * node_count nodes (256 by default) within seconds,
+    not after hours of n^3 slices.
+    """
 
     node_count: int = 32
     rel_tol: float = 1e-9
-    max_refinements: int = 8
+    max_refinements: int = 3
 
     def __post_init__(self):
         _reject_non_finite(self)
@@ -225,20 +242,33 @@ def gauss_legendre_on(a: float, b: float, n: int) -> tuple[np.ndarray, np.ndarra
 
 
 def refine_by_doubling(estimate: Callable[[int], float], spec: QuadratureSpec, what: str) -> float:
-    """estimate(n) for n = spec.node_count, 2n, 4n, ... until two successive
-    values agree to spec.rel_tol relative to the finer one (two exact zeros
-    agree); returns the finer one.
+    """estimate(n) for n = spec.node_count, 2n, 4n, ... until the finer of
+    the last two values A_n, A_2n is within spec.rel_tol; returns A_2n as
+    estimated, never extrapolated.
 
-    Raises ConvergenceError carrying the last two estimates after
+    A_2n is accepted when the two agree, |A_2n - A_n| <= rel_tol |A_2n| (two
+    exact zeros agree), or else when the contraction rate
+    rho = |A_n - A_n/2| / |A_2n - A_n| of the ladder of estimates so far puts
+    the error of A_2n, Richardson's |A_2n - A_n| / (min(rho, _RATE_CAP) - 1),
+    within rel_tol |A_2n|. If the first doubling fails the agreement test,
+    it takes one extra estimate at spec.node_count // 2, when the node count
+    is even and at least 4; later doublings reuse the ladder.
+
+    Raises ConvergenceError carrying the last two doubling estimates after
     spec.max_refinements doublings.
     """
     n = spec.node_count
-    cur = estimate(n)
+    ladder = [estimate(n)]
     for _ in range(spec.max_refinements):
-        prev = cur
         n *= 2
-        cur = estimate(n)
-        if abs(cur - prev) <= spec.rel_tol * abs(cur):
+        ladder.append(estimate(n))
+        prev, cur = ladder[-2], ladder[-1]
+        move, allowed = abs(cur - prev), spec.rel_tol * abs(cur)
+        if move <= allowed:
+            return cur
+        if len(ladder) == 2 and spec.node_count % 2 == 0 and spec.node_count >= 4:
+            ladder.insert(0, estimate(spec.node_count // 2))
+        if len(ladder) > 2 and move <= allowed * (min(abs(prev - ladder[-3]) / move, _RATE_CAP) - 1.0):
             return cur
     raise ConvergenceError(f"{what} did not converge at {n} nodes", estimates=(prev, cur))
 

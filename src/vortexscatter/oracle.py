@@ -111,7 +111,7 @@ def oracle_amplitude(
             "configuration too close to the stripe boundary"
         )
 
-    amplitude = 0j
+    terms = []
     solutions = []
     for root in roots:
         phi, phi1, phi2 = (float(v) for v in root.angles)
@@ -119,8 +119,11 @@ def oracle_amplitude(
         w1 = fourier_weight(kappa1, m1, phi1).conjugate()
         w2 = fourier_weight(kappa2, m2, phi2).conjugate()
         det_raw = root.jacobian_det * kappa**3  # undo the residual normalization
-        amplitude += w0 * w1 * w2 * (kappa * kappa1 * kappa2) / det_raw
+        terms.append(w0 * w1 * w2 * (kappa * kappa1 * kappa2) / det_raw)
         solutions.append(ConstraintSolution(phi, phi1, phi2, det_raw))
+    # exactly rounded sums, so the root order, which the last bit of a paired
+    # root's angles can flip, does not reach the amplitude's bits
+    amplitude = complex(math.fsum(t.real for t in terms), math.fsum(t.imag for t in terms))
     return OracleResult(solutions=tuple(solutions), amplitude=amplitude)
 
 

@@ -392,10 +392,12 @@ def smeared_amplitude(
     Only theta is read from geom_template (the helicity is the m argument);
     the kappa moduli are integrated over the three profiles. Returns 0 when
     q lies outside every allowed region over the initial packet's support
-    (ValueError if q is not finite). Node counts double until the estimate
-    moves by less than the quadrature tolerance. Each estimate runs in small
-    row blocks on every core in the process's CPU affinity (see
-    _smeared_estimate).
+    (ValueError if q is not finite). Node counts double until the last two
+    estimates agree to quad.rel_tol, or until their contraction rate puts the
+    finer one's error within it (numerics.refine_by_doubling, which may take
+    one estimate at quad.node_count // 2); the finer estimate is returned as
+    computed. Each estimate runs in small row blocks on every core in the
+    process's CPU affinity (see _smeared_estimate).
     """
     if not math.isfinite(q):
         raise ValueError("q must be finite")

@@ -317,6 +317,74 @@ class TestQuadrature:
         assert val == pytest.approx(ref, rel=1e-10)
 
 
+def _refine_ladder(values: dict, spec: QuadratureSpec):
+    """refine_by_doubling on stored estimates by node count: (value, the
+    node counts it asked for, in order)."""
+    called = []
+
+    def estimate(n):
+        called.append(n)
+        return values[n]
+
+    return refine_by_doubling(estimate, spec, "ladder"), called
+
+
+def _geometric(rate: float, node_counts, first_error: float = 2.0**-8) -> dict:
+    """1 + first_error / rate^k at the k-th node count; at a power-of-two
+    rate every value and difference is exact."""
+    return {n: 1.0 + first_error / rate**k for k, n in enumerate(node_counts)}
+
+
+class TestRefineByDoubling:
+    """The two stop tests of refine_by_doubling on synthetic ladders."""
+
+    def test_agreement_exit_takes_no_half_estimate(self):
+        values = {24: 1.0, 48: 1.0 + 2.0**-40}
+        value, called = _refine_ladder(values, QuadratureSpec(24, rel_tol=1e-6))
+        assert (value, called) == (values[48], [24, 48])
+
+    def test_rate_4_ladder_stops_one_doubling_before_agreement(self):
+        # errors 2^-8, 2^-10, ... at n = 8, 16, ...: rate 4 puts the error of
+        # A_64 at a third of its move, within 1e-4; agreement alone waits for
+        # n = 128
+        values = _geometric(4.0, (8, 16, 32, 64, 128))
+        spec = QuadratureSpec(16, rel_tol=1e-4)
+        assert abs(values[64] - values[32]) > spec.rel_tol * values[64]
+        assert abs(values[128] - values[64]) <= spec.rel_tol * values[128]
+        value, called = _refine_ladder(values, spec)
+        assert (value, called) == (values[64], [16, 32, 8, 64])
+
+    def test_large_contraction_then_stall_is_refused(self, monkeypatch):
+        # |A_16 - A_8| is 1e5 moves of 10 rel_tol, then the moves stall: the
+        # capped rate refuses A_32, where the raw rate would accept it
+        values = {8: 2.0, 16: 1.0, 32: 1.0 + 1e-5, 64: 1.0 + 2e-5}
+        spec = QuadratureSpec(16, rel_tol=1e-6, max_refinements=2)
+        with pytest.raises(ConvergenceError) as err:
+            _refine_ladder(values, spec)
+        assert err.value.estimates == (values[32], values[64])
+        monkeypatch.setattr(numerics_module, "_RATE_CAP", math.inf)
+        assert _refine_ladder(values, spec) == (values[32], [16, 32, 8])
+
+    @pytest.mark.parametrize("node_count", [5, 2])
+    def test_odd_or_two_node_count_takes_no_half_estimate(self, node_count):
+        counts = [node_count * 2**k for k in range(4)]
+        values = _geometric(4.0, counts)
+        value, called = _refine_ladder(values, QuadratureSpec(node_count, rel_tol=2.0**-11))
+        assert called == counts[:3]
+        assert value == values[counts[2]]
+
+    def test_convergence_error_carries_the_last_two_doublings(self):
+        # the n/2 estimate is taken, yet never reported
+        values, called = _geometric(1.5, (8, 16, 32)), []
+        spec = QuadratureSpec(16, rel_tol=1e-9, max_refinements=1)
+        with pytest.raises(ConvergenceError) as err:
+            refine_by_doubling(lambda n: called.append(n) or values[n], spec, "ladder")
+        assert called == [16, 32, 8]
+        coarse, fine = err.value.estimates
+        assert (coarse, fine) == (values[16], values[32])
+        assert coarse != fine
+
+
 def _embedded_two_root_residual(points):
     # 3-4-5 transverse closure (two orientations) with a smooth periodic phi
     # pin. The pin vanishes at phi = pi/4 and at pi/4 + 3pi/2, but at the

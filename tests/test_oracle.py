@@ -1,3 +1,4 @@
+import itertools
 import json
 import math
 from pathlib import Path
@@ -5,7 +6,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from vortexscatter.amplitudes import reduced_triple_amplitude
+from vortexscatter.amplitudes import fourier_weight, reduced_triple_amplitude
 from vortexscatter.kinematics import (
     CollisionGeometry,
     TwistedState,
@@ -136,6 +137,36 @@ class TestOracleAmplitude:
                 }
             )
         assert got == pinned["samples"]
+
+    def test_root_order_keeps_the_amplitude_bits(self, monkeypatch):
+        # the roots of a pair share phi, so the last bit of phi orders them;
+        # every order of the roots gives the same bits, where a running sum
+        # of the terms in that order would not
+        import vortexscatter.oracle as oracle_module
+
+        solve = oracle_module.solve_system
+        order_sensitive = 0
+        for geom, m, m1, m2 in draw_support_samples(np.random.default_rng(1), 8, theta=0.1):
+            roots, degenerate = solve(_constraint_system(geom))
+            bits, running = set(), set()
+            for perm in itertools.permutations(roots):
+                monkeypatch.setattr(oracle_module, "solve_system", lambda _, p=perm: (list(p), []))
+                result = oracle_amplitude(geom, m, m1, m2)
+                bits.add((result.amplitude.real.hex(), result.amplitude.imag.hex()))
+                total = 0j
+                for s in result.solutions:
+                    total += (
+                        fourier_weight(geom.initial.kappa, m, s.phi)
+                        * fourier_weight(geom.kappa1, m1, s.phi1).conjugate()
+                        * fourier_weight(geom.kappa2, m2, s.phi2).conjugate()
+                        * (geom.initial.kappa * geom.kappa1 * geom.kappa2)
+                        / s.jacobian_det
+                    )
+                running.add((total.real.hex(), total.imag.hex()))
+            assert len(roots) == 4 and degenerate == []
+            assert len(bits) == 1
+            order_sensitive += len(running) > 1
+        assert order_sensitive >= 4
 
     def test_out_of_stripe_empty(self):
         result = oracle_amplitude(_geom(kappa1=0.2, kappa2=3.0), 2, 1, 1)
