@@ -1,13 +1,25 @@
 """Pinned outputs: md5s of CLI outputs and float.hex values of smeared
-amplitudes, recorded from an earlier commit in pinned_outputs.json.
+amplitudes, recorded in pinned_outputs.json, and the environments every pin
+must hold in.
 
-A deliberate change to an output shows up here as a pin change. numpy's SIMD
-transcendentals and OpenBLAS's per-CPU kernels may round differently on
-another numpy build or CPU, so a mismatch names both the machine the pins
-were recorded on and this one.
+A deliberate change to an output shows up here as a pin change. Every test
+that reads a pin carries the registered `pin` marker, and test_pins.py runs
+`pytest -m pin` once in each of ENVIRONMENTS besides the suite's own run.
+
+Most pins hold in every environment. Three kinds follow numpy's SIMD `tan`,
+`arccos` and `exp` or the map's GEMM kernel, which round differently on
+another dispatch target or OpenBLAS core: the README reference map's
+weights, the packet `field` runs whose weights take their last bits from
+`np.exp`, and the smeared pool. pinned_outputs.json keeps each of those as a
+map from environment key (environment_key(): the highest SIMD target numpy
+runs and the core OpenBLAS runs) to value. A pin read under a key that it
+has no value for fails with the key, the value got and the recorded keys.
+To record a new key, run `pytest -m pin` there and copy the values that the
+failures print.
 """
 
 import ctypes
+import functools
 import hashlib
 import json
 import os
@@ -36,10 +48,9 @@ CRITERION_8_CONFIGS = {
 
 
 def _openblas_core() -> str:
-    """The CPU kernel OpenBLAS runs: OPENBLAS_CORETYPE when it is set, else
-    the core that numpy's vendored scipy-openblas reports, else "unknown"."""
-    if os.environ.get("OPENBLAS_CORETYPE"):
-        return os.environ["OPENBLAS_CORETYPE"]
+    """The CPU kernel OpenBLAS runs, as numpy's vendored scipy-openblas
+    reports it; OPENBLAS_CORETYPE only when no such library answers, since
+    OpenBLAS ignores a name it does not know; else "unknown"."""
     libs = pathlib.Path(np.__file__).resolve().parent.parent / "numpy.libs"
     for lib in sorted(libs.glob("libscipy_openblas64_*.so*")):
         try:
@@ -48,7 +59,27 @@ def _openblas_core() -> str:
             continue
         corename.argtypes, corename.restype = [], ctypes.c_char_p
         return corename().decode()
-    return "unknown"
+    return os.environ.get("OPENBLAS_CORETYPE") or "unknown"
+
+
+def _simd_target() -> str:
+    """The highest SIMD target numpy dispatches to here, or its baseline's
+    highest when it dispatches to none."""
+    try:
+        from numpy._core._multiarray_umath import (
+            __cpu_baseline__, __cpu_dispatch__, __cpu_features__,
+        )
+    except ImportError:
+        return "unknown"
+    enabled = [target for target in __cpu_dispatch__ if __cpu_features__.get(target)]
+    return (enabled or __cpu_baseline__ or ["none"])[-1]
+
+
+@functools.cache
+def environment_key() -> str:
+    """The key of the per-environment pins: the SIMD target and the OpenBLAS
+    core, for example "AVX512_SPR/SkylakeX"."""
+    return f"{_simd_target()}/{_openblas_core()}"
 
 
 def _machine() -> str:
@@ -63,9 +94,16 @@ def _machine() -> str:
 
 def _expect(kind: str, name: str, got):
     pinned = _PINS[kind][name]
+    key = environment_key()
+    if isinstance(pinned, dict):  # kept per environment
+        assert key in pinned, (
+            f"{kind} pin {name!r} has no value for environment {key!r}: "
+            f"got {json.dumps(got)}; recorded for {sorted(pinned)}"
+        )
+        pinned = pinned[key]
     assert got == pinned, (
-        f"{kind} pin {name!r} changed: got {got}, pinned {pinned}. "
-        f"Pinned on {_PINS['recorded_on']}; running on {_machine()}"
+        f"{kind} pin {name!r} changed in environment {key!r}: got {json.dumps(got)}, "
+        f"pinned {json.dumps(pinned)}. Pinned on {_PINS['recorded_on']}; running on {_machine()}"
     )
 
 
@@ -83,6 +121,16 @@ def assert_hex(name: str, values) -> None:
 # when asked to disable a target that it does not dispatch
 WITHOUT_AVX512 = "AVX512_SPR AVX512_ICL X86_V4"
 
+# The environments that every pin runs in besides the suite's own, by id:
+# numpy's AVX2 paths, the OpenBLAS kernels of an AVX2-only and of an
+# AVX-only CPU, and both AVX2 settings together, as on an AVX2-only runner.
+ENVIRONMENTS = {
+    "avx2": {"NPY_DISABLE_CPU_FEATURES": WITHOUT_AVX512},
+    "haswell": {"OPENBLAS_CORETYPE": "Haswell"},
+    "sandybridge": {"OPENBLAS_CORETYPE": "Sandybridge"},
+    "avx2-haswell": {"NPY_DISABLE_CPU_FEATURES": WITHOUT_AVX512, "OPENBLAS_CORETYPE": "Haswell"},
+}
+
 
 def _dispatches(targets: str) -> bool:
     try:
@@ -90,11 +138,6 @@ def _dispatches(targets: str) -> bool:
     except ImportError:
         return False
     return set(targets.split()) <= set(__cpu_dispatch__)
-
-
-needs_avx512_dispatch = pytest.mark.skipif(
-    not _dispatches(WITHOUT_AVX512), reason="numpy does not dispatch these AVX-512 targets"
-)
 
 
 def _dynamic_openblas() -> bool:
@@ -106,19 +149,41 @@ def _dynamic_openblas() -> bool:
     )
 
 
-needs_dynamic_openblas = pytest.mark.skipif(
-    not _dynamic_openblas(), reason="numpy's BLAS is not an OpenBLAS built with DYNAMIC_ARCH"
-)
+_NOT_DYNAMIC = "numpy's BLAS is not an OpenBLAS built with DYNAMIC_ARCH"
+needs_dynamic_openblas = pytest.mark.skipif(not _dynamic_openblas(), reason=_NOT_DYNAMIC)
 
 
-def run_pytest(tests: list[str], **env: str) -> subprocess.CompletedProcess:
-    """Run the given pytest node ids in a subprocess on this checkout's
-    sources, with the given environment variables set; its own subprocesses
-    inherit them."""
+def unusable(variables: dict[str, str]) -> str | None:
+    """Why an environment cannot be made here, or None when it can."""
+    features = variables.get("NPY_DISABLE_CPU_FEATURES")
+    if features and not _dispatches(features):
+        return f"numpy does not dispatch {features}"
+    if "OPENBLAS_CORETYPE" in variables and not _dynamic_openblas():
+        return _NOT_DYNAMIC
+    return None
+
+
+def run_python(args: list[str], variables: dict[str, str]) -> subprocess.CompletedProcess:
+    """Run Python on this checkout's sources and tests in a subprocess whose
+    environment has every variable named in ENVIRONMENTS removed and then
+    `variables` set; its own subprocesses inherit them."""
     root = pathlib.Path(__file__).resolve().parents[1]
-    env = dict(os.environ, **env)
-    env["PYTHONPATH"] = str(root / "src") + os.pathsep + env.get("PYTHONPATH", "")
+    named = {name for env in ENVIRONMENTS.values() for name in env}
+    env = {name: value for name, value in os.environ.items() if name not in named}
+    env.update(variables)
+    path = [str(root / "src"), str(root / "tests"), env.get("PYTHONPATH")]
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, path))
     return subprocess.run(
-        [sys.executable, "-m", "pytest", "-q", "-p", "no:cacheprovider", *tests],
-        capture_output=True, text=True, cwd=root, env=env,
+        [sys.executable, *args], capture_output=True, text=True, cwd=root, env=env
+    )
+
+
+def run_pins(variables: dict[str, str]) -> subprocess.CompletedProcess:
+    """Run every test marked `pin` in a subprocess environment as run_python
+    makes it. No pin test uses a third-party pytest plugin, and loading them
+    makes pytest rewrite the asserts of hypothesis's modules on each start
+    where bytecode is not written: about 0.8 of 2 s before the first test."""
+    return run_python(
+        ["-m", "pytest", "-q", "-p", "no:cacheprovider", "-m", "pin"],
+        {**variables, "PYTEST_DISABLE_PLUGIN_AUTOLOAD": "1"},
     )

@@ -257,6 +257,7 @@ def test_criterion_6_intensity_map_properties(fig2_map):
     assert elapsed < 600.0
 
 
+@pytest.mark.pin
 def test_readme_reference_map_outputs_are_pinned(fig2_map, tmp_path, monkeypatch):
     # the README's map config through `map`, its map taken from the
     # criterion-6 fixture once the arguments are checked to be the same
@@ -318,6 +319,7 @@ def test_criterion_7_numerics():
     assert ok
 
 
+@pytest.mark.pin
 def test_criterion_8_cli_determinism(tmp_path):
     env = dict(os.environ)
     src = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")

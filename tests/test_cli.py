@@ -34,7 +34,7 @@ from vortexscatter.numerics import gauss_legendre_on
 from vortexscatter.oracle import OracleResult
 from vortexscatter.wavepackets import IntensityMap, WavePacketProfile
 
-from _pins import CRITERION_8_CONFIGS, WITHOUT_AVX512, assert_md5, needs_avx512_dispatch, run_pytest
+from _pins import CRITERION_8_CONFIGS, assert_md5
 
 
 def _write_config(tmp_path, name="config.json", **overrides):
@@ -279,6 +279,7 @@ def test_unreadable_config_rejected(tmp_path, capsys, content):
     assert "config invalid" in capsys.readouterr().err
 
 
+@pytest.mark.pin
 def test_tiny_theta_still_runs(tmp_path):
     # sin(1e-150)^2 = 1e-300 is still a normal float
     cfg = _write_config(tmp_path, theta=1e-150, **_ONE_CELL)
@@ -435,6 +436,7 @@ class TestOracleCheck:
         assert report["dispersion"] < 1e-8
         assert len(report["per_sample_re"]) == 8
 
+    @pytest.mark.pin
     def test_seed_7_report_is_pinned(self, tmp_path):
         cfg = _write_config(tmp_path, sample_count=300, seed=7)
         out = tmp_path / "report.json"
@@ -468,6 +470,7 @@ class TestOracleCheck:
 
 
 class TestMap:
+    @pytest.mark.pin
     def test_single_cell_self_normalizes(self, tmp_path):
         cfg = _write_config(
             tmp_path,
@@ -479,6 +482,7 @@ class TestMap:
         assert out.read_text() == "m1,m2,intensity\n5,0,1\n"
         assert_md5("map one cell", out.read_bytes())
 
+    @pytest.mark.pin
     def test_csv_round_trip_and_plot_script(self, tmp_path):
         cfg = _write_config(
             tmp_path,
@@ -517,6 +521,7 @@ class TestMap:
         assert f"unknown config key: {key!r}" in capsys.readouterr().err
         assert not out.exists()
 
+    @pytest.mark.pin
     def test_underresolved_map_aborts_with_partial(self, tmp_path, capsys):
         cfg = _write_config(
             tmp_path,
@@ -529,21 +534,6 @@ class TestMap:
         assert not out.exists()
         assert (tmp_path / "map.csv.partial").exists()
         assert_md5("map under-resolved .partial", (tmp_path / "map.csv.partial").read_bytes())
-
-    @needs_avx512_dispatch
-    def test_map_pins_hold_without_avx512_dispatch(self):
-        # tan, arccos and exp round differently on numpy's AVX2 paths, which
-        # moves the map's weights in their last bits but not the 9 digits
-        # that the CSVs print
-        done = run_pytest([
-            "tests/test_cli.py::TestMap::test_single_cell_self_normalizes",
-            "tests/test_cli.py::TestMap::test_csv_round_trip_and_plot_script",
-            "tests/test_cli.py::TestMap::test_underresolved_map_aborts_with_partial",
-            "tests/test_cli.py::test_tiny_theta_still_runs",
-            "tests/test_acceptance.py::test_criterion_8_cli_determinism",
-        ], NPY_DISABLE_CPU_FEATURES=WITHOUT_AVX512)
-        assert done.returncode == 0, done.stdout + done.stderr
-        assert "5 passed" in done.stdout
 
     def test_nan_cell_delta_fails_closed(self, tmp_path, monkeypatch, capsys):
         def nan_map(*args, **kwargs):
@@ -622,6 +612,7 @@ class TestField:
         cfg = _write_config(tmp_path, grid_n=1)
         assert main(["field", "--config", str(cfg), "--out", "x"]) == EXIT_CONFIG
 
+    @pytest.mark.pin
     def test_packet_superposition_runs(self, tmp_path):
         cfg = _write_config(tmp_path, m=1, kappa0=1.0, grid_n=3, r_max=2.0, field_packet=True)
         out = tmp_path / "field.csv"
@@ -667,6 +658,7 @@ class TestField:
         assert main(["field", "--config", str(cfg), "--out", str(out)]) == EXIT_OK
         assert out.read_bytes() == _per_point_field_csv(**doc).encode()
 
+    @pytest.mark.pin
     @pytest.mark.parametrize("m, kappa0, r_max, grid_n", _PINNED_PACKET_RUNS)
     def test_packet_runs_are_pinned(self, tmp_path, m, kappa0, r_max, grid_n):
         cfg = _write_config(
@@ -710,6 +702,7 @@ def _per_point_field_csv(m, kappa0, sigma_rel, r_max, grid_n, field_packet):
 
 
 class TestSubprocessDeterminism:
+    @pytest.mark.pin
     def test_repeated_runs_byte_identical(self, tmp_path):
         cfg = _write_config(
             tmp_path,
@@ -727,6 +720,7 @@ class TestSubprocessDeterminism:
         assert_md5("map subprocess", outputs[0])
 
 
+@pytest.mark.pin
 def test_reused_parser_keeps_every_output(tmp_path):
     # main builds its parser once per process; errors on it must not change
     # the next runs

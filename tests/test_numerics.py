@@ -699,6 +699,7 @@ def _root_hexes(roots):
 
 
 class TestDroppedIterates:
+    @pytest.mark.pin
     @pytest.mark.parametrize("name", list(_DROP_SYSTEMS))
     def test_same_roots_and_rows_as_pinned(self, name):
         system, bands = _DROP_SYSTEMS[name]

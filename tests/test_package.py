@@ -100,3 +100,81 @@ def test_readme_config_table_names_exactly_the_config_fields():
     rows = [line for line in table.splitlines() if line.startswith("| `")]
     keys = [key for row in rows for key in re.findall(r"`([^`]+)`", row.split(" | ")[0])]
     assert sorted(keys) == sorted(f.name for f in dataclasses.fields(RunConfig))
+
+
+def _defined_names(node) -> set[str]:
+    if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+        return {node.name}
+    if isinstance(node, ast.Assign):
+        return {target.id for target in node.targets if isinstance(target, ast.Name)}
+    return set()
+
+
+def _mentions(node, names: set[str]) -> bool:
+    """node uses one of names as a name or a fixture argument, or passes it
+    to a call as a string, as in `path.with_name("pinned_bits.json")`."""
+    for sub in ast.walk(node):
+        if isinstance(sub, ast.Name) and sub.id in names:
+            return True
+        if isinstance(sub, ast.arg) and sub.arg in names:
+            return True
+        if isinstance(sub, ast.Call) and any(
+            isinstance(arg, ast.Constant) and arg.value in names for arg in sub.args
+        ):
+            return True
+    return False
+
+
+def _reaching(tree, seeds: set[str]) -> set[str]:
+    """seeds and the module-level names whose definitions use one of them,
+    directly or through another such name."""
+    names = set(seeds)
+    while True:
+        more = {
+            name
+            for node in tree.body
+            if _mentions(node, names)
+            for name in _defined_names(node) - names
+        }
+        if not more:
+            return names
+        names |= more
+
+
+def _tests(tree):
+    """Each test function of a module: its name, its node and whether it or
+    its class carries the pin marker."""
+
+    def pin(node):
+        return any(ast.unparse(d) == "pytest.mark.pin" for d in node.decorator_list)
+
+    for node in tree.body:
+        if isinstance(node, ast.FunctionDef) and node.name.startswith("test"):
+            yield node.name, node, pin(node)
+        elif isinstance(node, ast.ClassDef) and node.name.startswith("Test"):
+            for method in node.body:
+                if isinstance(method, ast.FunctionDef) and method.name.startswith("test"):
+                    yield f"{node.name}::{method.name}", method, pin(node) or pin(method)
+
+
+def test_every_test_that_reads_a_pin_is_marked():
+    # `pytest -m pin` in each environment runs exactly the marked tests, and
+    # the test that starts those runs must not be one of them
+    reading, unmarked, running, recursing = [], [], [], []
+    for path in sorted(pathlib.Path(__file__).parent.glob("test_*.py")):
+        tree = ast.parse(path.read_text(encoding="utf-8"))
+        readers = _reaching(tree, {"assert_md5", "assert_hex", "pinned_bits.json"})
+        runners = _reaching(tree, {"run_pins"})
+        for name, test, marked in _tests(tree):
+            name = f"{path.name}::{name}"
+            if _mentions(test, readers):
+                reading.append(name)
+                if not marked:
+                    unmarked.append(name)
+            if _mentions(test, runners):
+                running.append(name)
+                if marked:
+                    recursing.append(name)
+    assert reading and running
+    assert unmarked == []
+    assert recursing == []

@@ -37,7 +37,7 @@ from vortexscatter.wavepackets import (
 )
 
 from _oracles import stripe_substitution
-from _pins import assert_hex, needs_dynamic_openblas, run_pytest
+from _pins import assert_hex
 
 
 def _template(theta=0.2, m=5, kappa0=1.0, kappa1=1.0, kappa2=0.5):
@@ -469,6 +469,7 @@ class TestBlockKernel:
 _REFERENCES = pathlib.Path(__file__).resolve().parents[1] / "perfbench" / "references"
 
 
+@pytest.mark.pin
 def test_benchmark_pool_points_pass_its_check_at_their_doublings(monkeypatch):
     # about 40 points of the smeared-scan benchmark's pool, drawn per doubling
     # count in the pool's shares: each lands within 10 rel_tol of its n = 192
@@ -531,19 +532,6 @@ def test_rate_cap_holds_on_candidates_the_pool_leaves_out():
             misses.append((point, abs(value - ref) / abs(ref)))
     assert len(points) == 17
     assert not misses
-
-
-@needs_dynamic_openblas
-@pytest.mark.parametrize("core", ["Haswell", "Sandybridge"])
-def test_smeared_pins_hold_on_other_openblas_kernels(core):
-    # the kernel OpenBLAS picks for an AVX2-only or an AVX-only CPU; the
-    # smeared amplitude makes no BLAS call, so its pins may not depend on it
-    done = run_pytest(
-        ["tests/test_wavepackets.py::test_benchmark_pool_points_pass_its_check_at_their_doublings"],
-        OPENBLAS_CORETYPE=core,
-    )
-    assert done.returncode == 0, done.stdout + done.stderr
-    assert "1 passed" in done.stdout
 
 
 def _cell_grid(sl, m, m1_values, m2_values):
