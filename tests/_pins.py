@@ -3,8 +3,11 @@ amplitudes, recorded in pinned_outputs.json, and the environments every pin
 must hold in.
 
 A deliberate change to an output shows up here as a pin change. Every test
-that reads a pin carries the registered `pin` marker, and test_pins.py runs
-`pytest -m pin` once in each of ENVIRONMENTS besides the suite's own run.
+that reads a pin carries the registered `pin` marker, and the `pin_runs`
+fixture of conftest.py runs `pytest -m pin` once in each of ENVIRONMENTS
+besides the suite's own run. test_pins.py checks each whole run; a few tests
+in the other files check their own file's pin cases in one run with
+assert_pins_held.
 
 Most pins hold in every environment. Three kinds follow numpy's SIMD `tan`,
 `arccos` and `exp` or the map's GEMM kernel, which round differently on
@@ -24,6 +27,7 @@ import hashlib
 import json
 import os
 import pathlib
+import re
 import subprocess
 import sys
 
@@ -184,6 +188,26 @@ def run_pins(variables: dict[str, str]) -> subprocess.CompletedProcess:
     makes pytest rewrite the asserts of hypothesis's modules on each start
     where bytecode is not written: about 0.8 of 2 s before the first test."""
     return run_python(
-        ["-m", "pytest", "-q", "-p", "no:cacheprovider", "-m", "pin"],
+        ["-m", "pytest", "-v", "-p", "no:cacheprovider", "-m", "pin"],
         {**variables, "PYTEST_DISABLE_PLUGIN_AUTOLOAD": "1"},
     )
+
+
+# a line of `pytest -v`: a node id and its outcome
+_OUTCOME = re.compile(r"^(\S+?::.+?) (PASSED|FAILED|ERROR|SKIPPED|XFAIL|XPASS)\b", re.M)
+
+
+def assert_pins_held(runs: dict, name: str, path: str) -> None:
+    """Every pin case of the test file at `path` passed in the pin run of
+    environment `name` (from the `pin_runs` fixture), and there is one."""
+    reason = unusable(ENVIRONMENTS[name])
+    if reason:
+        pytest.skip(reason)
+    done = runs[name].result()
+    root = pathlib.Path(__file__).resolve().parents[1]
+    prefix = pathlib.Path(path).resolve().relative_to(root).as_posix() + "::"
+    outcomes = {
+        node: outcome for node, outcome in _OUTCOME.findall(done.stdout) if node.startswith(prefix)
+    }
+    assert outcomes, done.stdout + done.stderr
+    assert set(outcomes.values()) == {"PASSED"}, done.stdout + done.stderr

@@ -34,7 +34,7 @@ from vortexscatter.numerics import gauss_legendre_on
 from vortexscatter.oracle import OracleResult
 from vortexscatter.wavepackets import IntensityMap, WavePacketProfile
 
-from _pins import CRITERION_8_CONFIGS, assert_md5
+from _pins import CRITERION_8_CONFIGS, assert_md5, assert_pins_held
 
 
 def _write_config(tmp_path, name="config.json", **overrides):
@@ -534,6 +534,12 @@ class TestMap:
         assert not out.exists()
         assert (tmp_path / "map.csv.partial").exists()
         assert_md5("map under-resolved .partial", (tmp_path / "map.csv.partial").read_bytes())
+
+    def test_map_pins_hold_without_avx512_dispatch(self, pin_runs):
+        # tan, arccos and exp round differently on numpy's AVX2 paths, which
+        # moves the map's weights in their last bits but not the 9 digits
+        # that the CSVs print
+        assert_pins_held(pin_runs, "avx2", __file__)
 
     def test_nan_cell_delta_fails_closed(self, tmp_path, monkeypatch, capsys):
         def nan_map(*args, **kwargs):

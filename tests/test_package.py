@@ -164,7 +164,7 @@ def test_every_test_that_reads_a_pin_is_marked():
     for path in sorted(pathlib.Path(__file__).parent.glob("test_*.py")):
         tree = ast.parse(path.read_text(encoding="utf-8"))
         readers = _reaching(tree, {"assert_md5", "assert_hex", "pinned_bits.json"})
-        runners = _reaching(tree, {"run_pins"})
+        runners = _reaching(tree, {"run_pins", "pin_runs"})
         for name, test, marked in _tests(tree):
             name = f"{path.name}::{name}"
             if _mentions(test, readers):

@@ -37,7 +37,7 @@ from vortexscatter.wavepackets import (
 )
 
 from _oracles import stripe_substitution
-from _pins import assert_hex
+from _pins import assert_hex, assert_pins_held
 
 
 def _template(theta=0.2, m=5, kappa0=1.0, kappa1=1.0, kappa2=0.5):
@@ -532,6 +532,13 @@ def test_rate_cap_holds_on_candidates_the_pool_leaves_out():
             misses.append((point, abs(value - ref) / abs(ref)))
     assert len(points) == 17
     assert not misses
+
+
+@pytest.mark.parametrize("core", ["Haswell", "Sandybridge"])
+def test_smeared_pins_hold_on_other_openblas_kernels(core, pin_runs):
+    # the kernel OpenBLAS picks for an AVX2-only or an AVX-only CPU; the
+    # smeared amplitude makes no BLAS call, so its pins may not depend on it
+    assert_pins_held(pin_runs, core.lower(), __file__)
 
 
 def _cell_grid(sl, m, m1_values, m2_values):
