@@ -412,7 +412,8 @@ def cmd_map(cfg: RunConfig, out_path: str) -> int:
         return EXIT_QUADRATURE
     _write_text(out_path, csv_text)
     if cfg.plot_script:
-        _write_text(out_path + ".gp", _PLOT_TEMPLATE.format(csv=out_path))
+        # gnuplot writes a ' inside a single-quoted string as ''
+        _write_text(out_path + ".gp", _PLOT_TEMPLATE.format(csv=out_path.replace("'", "''")))
     return EXIT_OK
 
 

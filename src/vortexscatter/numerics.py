@@ -11,7 +11,7 @@ multi-start Newton solver for three angles on the torus. The solver takes its
 3x3 determinants and steps by Cramer's rule in elementwise arithmetic, with no
 BLAS or LAPACK call, so its bits do not depend on the BLAS kernel.
 
-All functions are pure and stateless; concurrent use is safe.
+Functions are pure (cached nodes are read-only); concurrent use is safe.
 """
 
 from __future__ import annotations
@@ -104,8 +104,10 @@ class TorusRoot:
 
 @functools.cache
 def gauss_legendre_nodes(n: int) -> tuple[np.ndarray, np.ndarray]:
-    """Nodes and weights on [-1, 1], cached by node count."""
-    return np.polynomial.legendre.leggauss(n)
+    """Nodes and weights on [-1, 1], cached by node count, read-only."""
+    x, w = np.polynomial.legendre.leggauss(n)
+    x.flags.writeable = w.flags.writeable = False
+    return x, w
 
 
 def bessel_j(order: int, argument):
@@ -346,22 +348,22 @@ def solve_system(
 
     system maps an (N, 3) batch of angle triples to the (N, 3) residuals and
     their (N, 3, 3) Jacobians d residual_i / d angle_j; it is called once per
-    Newton step on the active iterates and once on the converged ones. The
-    arrays may have any memory layout. Inside the Newton loop numpy's
-    floating-point warnings are ignored, the system's included: a row that
-    turns non-finite is dropped.
+    Newton step on the active iterates. The arrays may have any memory
+    layout. Inside the Newton loop numpy's floating-point warnings are
+    ignored, the system's included: a row that turns non-finite is dropped.
 
     Newton iterations start from a uniform grid of _START_GRID_DENSITY^3
     points. Each step's determinant and -J^-1 residual come from the cofactors
-    of the Jacobian (_newton_step), and so do the roots' |det|. An iterate is
-    dropped when its residual, step or Jacobian determinant is not finite or
-    |det| <= 1e-300, and when it is back within
-    _RESIDUAL_TOL of where it stood two steps earlier with no smaller
-    residual (a 2-cycle; the test does not use _DEDUPE_TOL, so a wider merge
-    radius drops no iterate that would still converge). Converged iterates
-    are deduplicated modulo 2 pi within _DEDUPE_TOL, in order of increasing
-    residual. Returns (roots, degenerate), each sorted by angles; a root with
-    |det| below _RESIDUAL_TOL is degenerate and must not enter amplitude sums.
+    of the Jacobian (_newton_step); a root keeps the |det| and residual norm of
+    the step at which its iterate settled. An iterate is dropped when its
+    residual, step or Jacobian determinant is not finite or |det| <= 1e-300,
+    and when it is back within _RESIDUAL_TOL of where it stood two steps
+    earlier with no smaller residual (a 2-cycle; the test does not use
+    _DEDUPE_TOL, so a wider merge radius drops no iterate that would still
+    converge). Converged iterates are deduplicated modulo 2 pi within
+    _DEDUPE_TOL, in order of increasing residual. Returns (roots,
+    degenerate), each sorted by angles; a root with |det| below
+    _RESIDUAL_TOL is degenerate and must not enter amplitude sums.
     """
     d = _START_GRID_DENSITY
     # Irrational offset keeps the regular grid off exact Jacobian singularities.
@@ -372,21 +374,21 @@ def solve_system(
     back1 = back2 = active
     norms1 = norms2 = np.full(len(active), np.nan)
 
-    settled: list[np.ndarray] = []
+    settled = []  # (points, residual norms, dets) of each step's settled rows
     with np.errstate(all="ignore"):  # non-finite rows are dropped, not reported
         for _ in range(_MAX_ITERATIONS):
             if len(active) == 0:
                 break
             res, jac = system(active)
             norms = _row_max(np.abs(res))
+            dets, steps = _newton_step(jac, res)
             done = norms <= _RESIDUAL_TOL
             if done.any():
-                settled.append(active[done])
+                settled.append((active[done], norms[done], dets[done]))
             # only an iterate whose residual did not fall can be in a 2-cycle
             cycling = norms >= norms2
             if cycling.any():
                 cycling[cycling] = _torus_distance(active[cycling], back2[cycling]) <= _RESIDUAL_TOL
-            dets, steps = _newton_step(jac, res)
             # a max of |res| is finite only where every component is
             solvable = np.isfinite(dets) & (np.abs(dets) > 1e-300) & np.isfinite(norms)
             keep = solvable & ~(done | cycling) & np.isfinite(steps).all(axis=1)
@@ -403,16 +405,12 @@ def solve_system(
     if not settled:
         return [], []
 
-    final = np.concatenate(settled) % _TWO_PI
-    res, jac = system(final)
-    final_norms = _row_max(np.abs(res))
-    order = np.argsort(final_norms, kind="stable")
-    order = order[final_norms[order] <= _RESIDUAL_TOL]
-    picked = order[_dedupe(final[order], _DEDUPE_TOL)]
-    dets = np.abs(_cofactors(jac[picked])[1]).tolist()
-
+    points, norms, dets = map(np.concatenate, zip(*settled))
+    points %= _TWO_PI  # the step's modulo can round an angle to 2 pi itself
+    order = np.argsort(norms, kind="stable")
+    picked = order[_dedupe(points[order], _DEDUPE_TOL)]
     found = sorted(
-        map(TorusRoot, final[picked], dets, final_norms[picked].tolist()),
+        map(TorusRoot, points[picked], np.abs(dets[picked]).tolist(), norms[picked].tolist()),
         key=lambda r: tuple(r.angles),
     )
     degenerate = [r for r in found if r.jacobian_det < _RESIDUAL_TOL]

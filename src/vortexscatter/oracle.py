@@ -55,8 +55,8 @@ def _constraint_system(geom: CollisionGeometry):
     (phi, phi1, phi2) triples -> the conservation residual
     (k(phi) + p - k1(phi1) - k2(phi2)) / kappa with p = (0, 0, -k_z) as
     (N, 3), and its exact Jacobian d residual_i / d (phi, phi1, phi2)_j as
-    (N, 3, 3), the derivative of the same cos/sin sum over kappa. Both come
-    from one cos and one sin of the points.
+    (N, 3, 3), the derivative of the same cos/sin sum over kappa, both from
+    one cos and one sin of the points, once per Newton step of solve_system.
 
     The work runs on (angle, component, point) arrays, one loop over the N
     points per numpy call, and both results are transposed views. Each value

@@ -504,6 +504,18 @@ class TestMap:
         gp = (tmp_path / "map.csv.gp").read_bytes().replace(str(out).encode(), b"<out>")
         assert_md5("map n16 q48 .gp", gp)
 
+    def test_plot_script_quotes_a_path_with_an_apostrophe(self, tmp_path):
+        cfg = _write_config(
+            tmp_path,
+            m=5, m1_min=5, m1_max=5, m2_min=0, m2_max=0,
+            node_count=12, q_nodes=32,
+            plot_script=True,
+        )
+        out = tmp_path / "it's map.csv"
+        assert main(["map", "--config", str(cfg), "--out", str(out)]) == EXIT_OK
+        gp = (tmp_path / "it's map.csv.gp").read_text()
+        assert f"plot '{tmp_path}/it''s map.csv' skip 1" in gp
+
     # the former nested objects: the map's node count is now the top-level
     # node_count, and the oracle's Newton controls are not settable
     @pytest.mark.parametrize(

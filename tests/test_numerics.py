@@ -14,6 +14,7 @@ from vortexscatter.numerics import (
     MAX_BESSEL_ORDER,
     QuadratureSpec,
     bessel_j,
+    gauss_legendre_nodes,
     gauss_legendre_on,
     heron_area,
     q_substitution,
@@ -22,6 +23,7 @@ from vortexscatter.numerics import (
 )
 import vortexscatter.numerics as numerics_module
 from vortexscatter.numerics import _cofactors, _dedupe, _newton_step
+from vortexscatter.oracle import _constraint_system, draw_support_samples
 
 from _oracles import (
     adaptive_open_quadrature,
@@ -289,6 +291,16 @@ class TestQuadrature:
             integrate_q_substituted(rough, 0.2, spec, kappa=1.0)
         coarse, fine = err.value.estimates
         assert coarse != fine
+
+    def test_cached_nodes_are_read_only(self):
+        x, w = gauss_legendre_nodes(4)
+        for a in (x, w):
+            with pytest.raises(ValueError):
+                a *= 0.0
+        ref_x, ref_w = np.polynomial.legendre.leggauss(4)
+        nodes, weights = gauss_legendre_on(0.0, 1.0, 4)
+        assert np.array_equal(nodes, 0.5 + 0.5 * ref_x)
+        assert np.array_equal(weights, 0.5 * ref_w)
 
     @pytest.mark.parametrize("kt, k2", [(1.0, 0.5), (0.8, 0.9), (1.2, 0.05), (0.7, 0.7)])
     def test_stripe_substitution_linear_weight_exact(self, kt, k2):
@@ -713,10 +725,30 @@ class TestDroppedIterates:
         roots, degenerate = solve_system(counted)
         # each drop band holds iterates after the first step...
         for k in range(len(bands)):
-            assert any(counts[k] for counts in band_rows[1:-1])
+            assert any(counts[k] for counts in band_rows[1:])
         # ...and none at the last step: they were dropped
-        assert not any(band_rows[-2])
+        assert not any(band_rows[-1])
         pinned = PINNED[name]
         assert rows == pinned["call_rows"]
         assert _root_hexes(roots) == pinned["roots"]
         assert _root_hexes(degenerate) == pinned["degenerate"]
+
+
+def _witness_systems():
+    for theta in (0.05, 0.2, 1.0):
+        for geom, *_ in draw_support_samples(np.random.default_rng(7), 50, theta=theta):
+            yield _constraint_system(geom)
+    for system, _ in _DROP_SYSTEMS.values():
+        yield system
+
+
+def test_roots_carry_the_norm_and_det_of_their_point():
+    # a root's residual norm and |det| come from the Newton step at which it
+    # settled; a fresh call of the system at the reported angles repeats them
+    for system in _witness_systems():
+        roots, degenerate = solve_system(system)
+        assert roots
+        for root in roots + degenerate:
+            res, jac = system(root.angles[None])
+            assert float(np.max(np.abs(res))).hex() == root.residual_norm.hex()
+            assert float(abs(_cofactors(jac)[1][0])).hex() == root.jacobian_det.hex()
