@@ -60,13 +60,13 @@ MAX_GRID_N = 1024
 # Largest oracle-check sample count: one oracle solve per sample, about 5 ms
 # each, so about an hour and a half at the cap.
 MAX_SAMPLE_COUNT = 10**6
-# Largest map sizes. A q slice of the fine pass holds its triangle as four
-# n^3 float64 arrays at n = 2 node_count, 512 MiB at the node cap; per kappa
-# row it builds real cos and sin tables of (distinct |m| x n^2) float64, at
-# most 1.8 MB each for a 100 x 100 map at the default 24 nodes; each pass
-# takes about q_nodes / 2 slices. Each cap bounds one size: a map near
-# several caps at once can still need more memory than the host has, which
-# main reports as exit 2.
+# Largest map sizes. The fine pass builds each q slice's triangle in blocks of
+# kappa rows at n = 2 node_count nodes per axis, 1 MiB per array at the node
+# cap; per kappa row it builds real cos and sin tables of (distinct |m| x n^2)
+# float64, at most 1.8 MB each for a 100 x 100 map at the default 24 nodes;
+# each pass takes about q_nodes / 2 slices. Each cap bounds one size: a map
+# near several caps at once can still need more memory than the host has,
+# which main reports as exit 2.
 MAX_HELICITY_CELLS = 10**4
 MAX_NODE_COUNT = 128
 MAX_Q_NODES = 1024
@@ -495,6 +495,3 @@ def main(argv: list[str] | None = None) -> int:
         print(f"config too large: out of memory ({str(exc) or 'MemoryError'})", file=sys.stderr)
         return EXIT_CONFIG
 
-
-if __name__ == "__main__":
-    raise SystemExit(main())

@@ -15,6 +15,7 @@ The tilt angle xi is defined through sin(xi) = q / kappa and exists only for
 from __future__ import annotations
 
 import math
+import numbers
 from collections.abc import Iterator
 from dataclasses import dataclass
 
@@ -41,6 +42,8 @@ class TwistedState:
     omega: float
 
     def __post_init__(self):
+        if not isinstance(self.m, numbers.Integral):
+            raise ValueError("m must be an integer")
         if not all(math.isfinite(v) for v in (self.kappa, self.k_z, self.omega)):
             raise ValueError("kappa, k_z and omega must be finite")
         scale = max(abs(self.kappa), abs(self.k_z), abs(self.omega))

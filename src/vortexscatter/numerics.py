@@ -18,7 +18,8 @@ from __future__ import annotations
 
 import functools
 import math
-from dataclasses import dataclass, fields
+import numbers
+from dataclasses import dataclass
 from typing import Callable
 
 import numpy as np
@@ -58,14 +59,6 @@ _RESIDUAL_TOL = 1e-12
 _DEDUPE_TOL = 1e-6  # merge radius of converged iterates, modulo 2 pi
 
 
-def _reject_non_finite(spec) -> None:
-    # every comparison with NaN is false, so the range checks would pass it
-    for f in fields(spec):
-        value = getattr(spec, f.name)
-        if isinstance(value, float) and not math.isfinite(value):
-            raise ValueError(f"{f.name} must be finite")
-
-
 @dataclass(frozen=True)
 class QuadratureSpec:
     """Controls for refinable Gauss-Legendre quadrature.
@@ -80,7 +73,11 @@ class QuadratureSpec:
     max_refinements: int = 3
 
     def __post_init__(self):
-        _reject_non_finite(self)
+        for name in ("node_count", "max_refinements"):
+            if not isinstance(getattr(self, name), numbers.Integral):
+                raise ValueError(f"{name} must be an integer")
+        if not math.isfinite(self.rel_tol):  # NaN would pass the range check
+            raise ValueError("rel_tol must be finite")
         if self.node_count < 2:
             raise ValueError("node_count must be >= 2")
         if self.rel_tol <= 0.0:

@@ -33,8 +33,8 @@ the size of its kappa rows. The q integral of the map uses
 numerics.q_substitution, and the smeared amplitude doubles its node count
 through numerics.refine_by_doubling.
 
-The map takes each whole q slice's triangle and contracts the whole helicity
-grid of the slice at once (_grid_values). For each kappa row it builds real
+The map contracts the whole helicity grid of a q slice from its triangle's
+row blocks (_grid_values, _row_blocks). For each kappa row it builds real
 tables over the row's (kappa2, w) nodes j, one row per distinct |m| of each
 helicity axis: C1, S1 = cos, sin(|m1| delta1_j) and C2, S2 = weight_j cos,
 sin(|m2| delta2_j), by the power recurrence E^(k+1) = E^k exp(i delta) from
@@ -45,8 +45,8 @@ factor cos(m phi* - (m1 - m2) phi~*) applies to the whole grid. The map
 also folds the q grid: |A(q)|^2 is even in q (q -> -q keeps the weights and
 the deltas and sends phi* -> pi - phi*, phi~* -> pi - phi~*), and the nodes of
 q_substitution are symmetric, so only slices with q >= 0 are built, q > 0
-nodes with twice their weight. The map builds each whole slice on the
-calling thread.
+nodes with twice their weight. The map builds the blocks one after another on
+the calling thread, so no array holds a slice's n^3 nodes.
 
 A single smeared amplitude contracts its one cell directly, which is cheaper
 than the grid path for one cell (_block_row_sums): one more tan per node for
@@ -453,9 +453,9 @@ def _helicity_phases(delta: np.ndarray, first: int, count: int, scale=None):
     return cos_table, sin_table
 
 
-def _grid_values(axes: _SliceAxes, triangle, m: int, m1_values, m2_values) -> np.ndarray:
+def _grid_values(axes: _SliceAxes, m: int, m1_values, m2_values) -> np.ndarray:
     """The _smeared_estimate cell for every (m1, m2) of a consecutive helicity
-    grid, from the whole slice's _triangle (w, delta1, weight).
+    grid, from the slice's _triangle (w, delta1, weight) in _row_blocks blocks.
 
     Per kappa row, with j running over the row's (kappa2, w) nodes and
     delta2 = 2 w, the row sum sum_j weight_j cos(m1 delta1_j + m2 delta2_j) is
@@ -465,18 +465,20 @@ def _grid_values(axes: _SliceAxes, triangle, m: int, m1_values, m2_values) -> np
     distinct |m| of each axis. The tables are built one kappa row at a time,
     so they stay at a few (|M|, n^2) arrays whatever the node count.
     """
-    w, delta1, weight = triangle
     m1_values = np.asarray(m1_values)
     m2_values = np.asarray(m2_values)
     first1, count1 = _abs_helicities(int(m1_values[0]), int(m1_values[-1]))
     first2, count2 = _abs_helicities(int(m2_values[0]), int(m2_values[-1]))
-    cc = np.empty((weight.shape[0], count1, count2))
+    n = axes.kt.size
+    cc = np.empty((n, count1, count2))
     ss = np.empty_like(cc)
-    for a in range(weight.shape[0]):
-        c1, s1 = _helicity_phases(delta1[a].ravel(), first1, count1)
-        c2, s2 = _helicity_phases(2.0 * w[a].ravel(), first2, count2, weight[a].ravel())
-        np.matmul(c1, c2.T, out=cc[a])
-        np.matmul(s1, s2.T, out=ss[a])
+    for block in _row_blocks(n):
+        w, delta1, weight = _triangle(axes, block)
+        for a, k in enumerate(range(n)[block]):
+            c1, s1 = _helicity_phases(delta1[a].ravel(), first1, count1)
+            c2, s2 = _helicity_phases(2.0 * w[a].ravel(), first2, count2, weight[a].ravel())
+            np.matmul(c1, c2.T, out=cc[k])
+            np.matmul(s1, s2.T, out=ss[k])
     rows = (np.abs(m1_values) - first1)[:, None]
     cols = (np.abs(m2_values) - first2)[None, :]
     signs = np.sign(m1_values)[:, None] * np.sign(m2_values)[None, :]
@@ -502,7 +504,7 @@ def _map_pass(profiles, theta, m, m1_values, m2_values, n, q_nodes) -> np.ndarra
         axes = _slice_axes(profiles, theta, float(qv), n)
         if axes is None:
             continue
-        amp = _grid_values(axes, _triangle(axes, slice(None)), m, m1_values, m2_values)
+        amp = _grid_values(axes, m, m1_values, m2_values)
         out += qw * amp * amp
     return out
 

@@ -22,6 +22,23 @@ def _geom(theta=0.2, q=0.0, kappa=1.0, kappa1=0.9, kappa2=0.7, m=0):
     return CollisionGeometry(theta, q, TwistedState.massless(kappa, m, 40.0), kappa1, kappa2)
 
 
+@pytest.mark.parametrize(
+    "build, message",
+    [
+        (lambda: fourier_weight(0.0, 1, 0.3), "kappa must be positive"),
+        (lambda: single_twisted_solutions(1.0, 0.9, 0.0, 0.3), "all moduli must be positive"),
+        (lambda: single_twisted_solutions(-1.0, 0.9, 0.7, 0.3), "all moduli must be positive"),
+        (
+            lambda: single_twisted_amplitude(TwistedState.massless(1.0, 2, 40.0), -1e-9, 0.3),
+            "k12_mod must be non-negative",
+        ),
+    ],
+)
+def test_out_of_domain_inputs_rejected(build, message):
+    with pytest.raises(ValueError, match=message):
+        build()
+
+
 class TestUnitImagPower:
     def test_exact_cycle(self):
         assert unit_imag_power(0) == 1

@@ -250,6 +250,8 @@ _BIG = 10**400
         ),
         ("map", dict(q_nodes=10**9), "q_nodes must not exceed MAX_Q_NODES = 1024"),
         ("map", dict(node_count=100000), "node_count must not exceed MAX_NODE_COUNT = 128"),
+        ("map", dict(map_cell_rtol=0.0, **_ONE_CELL), "map_cell_rtol must be positive"),
+        ("field", dict(r_max=0.0, grid_n=2), "r_max must be positive"),
     ],
 )
 def test_out_of_range_config_rejected(tmp_path, capsys, command, overrides, message):

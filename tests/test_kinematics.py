@@ -88,6 +88,11 @@ class TestTwistedState:
             TwistedState(kappa=-1.0, m=0, k_z=1.0, omega=2.0)
         with pytest.raises(ValueError):
             TwistedState(kappa=1.0, m=0, k_z=5.0, omega=1.0)  # negative mass^2
+        # a fractional m used to construct and fail only in field_amplitude
+        for m in (2.5, 2.0):
+            with pytest.raises(ValueError, match="m must be an integer"):
+                TwistedState.massless(1.0, m, 50.0)
+        assert TwistedState.massless(1.0, np.int64(2), 50.0).m == 2
 
     def test_monochromatic_longitudinal_momentum(self):
         assert monochromatic_k_z(5.0, 3.0) == 4.0
@@ -113,6 +118,24 @@ class TestTwistedState:
 )
 def test_non_finite_inputs_rejected(build):
     with pytest.raises(ValueError):
+        build()
+
+
+@pytest.mark.parametrize(
+    "build, message",
+    [
+        (lambda: TwistedState(kappa=1.0, m=0, k_z=1.0, omega=-2.0), "omega must be positive"),
+        (lambda: _geom(theta=0.0), "theta must lie in"),
+        (lambda: _geom(theta=0.5 * math.pi), "theta must lie in"),
+        (lambda: _geom(kappa1=0.0), "final transverse moduli must be positive"),
+        (lambda: _geom(kappa2=-0.7), "final transverse moduli must be positive"),
+        (lambda: stripe_contains(0.0, 0.9, 0.7), "all moduli must be positive"),
+        (lambda: triangle_geometry(1.0, 0.0, 0.9, -0.7), "all moduli must be positive"),
+        (lambda: field_amplitude(_state(), -1e-9, 0.0), "r must be non-negative"),
+    ],
+)
+def test_out_of_domain_inputs_rejected(build, message):
+    with pytest.raises(ValueError, match=message):
         build()
 
 

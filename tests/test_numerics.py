@@ -275,9 +275,19 @@ class TestQuadrature:
             QuadratureSpec(node_count=1)
         with pytest.raises(ValueError):
             QuadratureSpec(rel_tol=0.0)
+        with pytest.raises(ValueError, match="max_refinements must be >= 1"):
+            QuadratureSpec(max_refinements=0)
         for bad in (math.nan, math.inf):
             with pytest.raises(ValueError, match="rel_tol must be finite"):
                 QuadratureSpec(rel_tol=bad)
+        # these used to fail only at the first estimate, in numpy's leggauss or range()
+        for name, bad in (("node_count", 24.5), ("node_count", 24.0), ("max_refinements", 1.5)):
+            with pytest.raises(ValueError, match=f"{name} must be an integer"):
+                QuadratureSpec(**{name: bad})
+        # bools are integers: True is 1
+        with pytest.raises(ValueError, match="node_count must be >= 2"):
+            QuadratureSpec(node_count=True)
+        assert QuadratureSpec(max_refinements=True).max_refinements == 1
 
     def test_nonconvergence_raises_with_estimates(self):
         spec = QuadratureSpec(node_count=2, rel_tol=1e-16, max_refinements=1)

@@ -31,7 +31,6 @@ from vortexscatter.wavepackets import (
     _SliceAxes,
     _smeared_estimate,
     _stripe_ends,
-    _triangle,
     intensity_map,
     smeared_amplitude,
 )
@@ -555,7 +554,7 @@ def test_grid_values_match_cell_values(m1_range, m2_range):
     axes = _slice_axes(_profiles(), 0.2, 0.03, 16)
     m1_values = np.arange(m1_range[0], m1_range[1] + 1)
     m2_values = np.arange(m2_range[0], m2_range[1] + 1)
-    grid = _grid_values(axes, _triangle(axes, slice(None)), 5, m1_values, m2_values)
+    grid = _grid_values(axes, 5, m1_values, m2_values)
     cells = _cell_grid(_build_q_slice(axes), 5, m1_values, m2_values)
     np.testing.assert_allclose(grid, cells, rtol=0.0, atol=1e-13 * np.abs(cells).max())
     kernel_cells = np.array(
@@ -606,7 +605,7 @@ def test_grid_tables_hold_one_row_per_distinct_abs_helicity(monkeypatch):
 
     monkeypatch.setattr(wavepackets_module, "_helicity_phases", recording)
     axes = _slice_axes(_profiles(), 0.2, 0.03, 4)
-    _grid_values(axes, _triangle(axes, slice(None)), 5, np.arange(-5, 16), np.arange(-10, 11))
+    _grid_values(axes, 5, np.arange(-5, 16), np.arange(-10, 11))
     assert counts == [(0, 16), (0, 11)] * 4
 
 
@@ -674,3 +673,29 @@ class TestIntensityMap:
         quad = QuadratureSpec(node_count=8, rel_tol=1e-6)
         with pytest.raises(ValueError):
             intensity_map(_profiles(), _template(), 5, (3, 1), (-2, 2), quad)
+
+    @pytest.mark.skipif(sys.platform == "win32", reason="no resource module")
+    def test_map_memory_stays_below_one_slice_of_the_fine_pass(self):
+        # the fine pass runs 192 nodes per axis: one whole slice's four
+        # triangle arrays would take 4 * 192^3 float64, 226 MB; its row
+        # blocks and per-row tables take a few MB
+        script = textwrap.dedent(
+            """
+            import resource, sys
+            from vortexscatter.kinematics import CollisionGeometry, TwistedState
+            from vortexscatter.numerics import QuadratureSpec
+            from vortexscatter.wavepackets import WavePacketProfile, intensity_map
+
+            profiles = tuple(WavePacketProfile(k, 0.2 * k) for k in (1.0, 1.0, 0.5))
+            template = CollisionGeometry(
+                0.2, 0.0, TwistedState.massless(1.0, 5, 50.0), 1.0, 0.5
+            )
+            quad = QuadratureSpec(node_count=96)
+            before = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss
+            intensity_map(profiles, template, 5, (4, 6), (-1, 1), quad, q_nodes=2)
+            grown = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss - before
+            # ru_maxrss counts bytes on macOS and KiB elsewhere
+            print(grown / 2**20 if sys.platform == "darwin" else grown / 2**10)
+            """
+        )
+        assert float(_run_python(script)) < 64.0
