@@ -400,15 +400,15 @@ def cmd_map(cfg: RunConfig, out_path: str) -> int:
         print(f"degenerate support: {exc}", file=sys.stderr)
         return EXIT_DEGENERATE_SUPPORT
     csv_text = _map_csv(result.rows())
+    non_finite = int(np.sum(~np.isfinite(result.weights)))
     # fails closed: a NaN delta counts as above the tolerance
-    if not result.metadata["max_cell_rel_delta"] <= cfg.map_cell_rtol:
+    if non_finite or not result.metadata["max_cell_rel_delta"] <= cfg.map_cell_rtol:
         _write_text(out_path + ".partial", csv_text)
         bad = int(np.sum(~(result.metadata["cell_rel_delta"] <= cfg.map_cell_rtol)))
-        print(
-            f"quadrature failure: {bad} cell(s) above map_cell_rtol = {cfg.map_cell_rtol}; "
-            f"partial results in {out_path}.partial",
-            file=sys.stderr,
-        )
+        problem = f"quadrature failure: {bad} cell(s) above map_cell_rtol = {cfg.map_cell_rtol}"
+        if non_finite:
+            problem = f"non-finite map: {non_finite} weight(s) are NaN or inf"
+        print(f"{problem}; partial results in {out_path}.partial", file=sys.stderr)
         return EXIT_QUADRATURE
     _write_text(out_path, csv_text)
     if cfg.plot_script:

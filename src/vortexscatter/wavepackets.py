@@ -199,7 +199,13 @@ def _slice_axes(profiles, theta: float, q: float, n: int) -> _SliceAxes | None:
     sin_xi = q / kappa
     cos_xi = np.sqrt(1.0 - sin_xi**2)
     kt = kappa * cos_xi
-    root = np.sqrt((sin_t - sin_xi) * (sin_t + sin_xi))
+    # where kappa rounds to |q| / sin theta, sin^2 theta - sin^2 xi cancels to 0;
+    # there it is gap (kappa sin theta + |q|) / kappa^2, with gap = kappa sin theta - |q|
+    # formed as (k_left sin theta - |q|) + (hi0 - k_left) s^2 sin theta, which does not cancel
+    edge = max(lo0 * sin_t - abs(q), 0.0) if k_left == lo0 else 0.0
+    gap = (hi0 - k_left) * s**2 * sin_t + edge
+    root_sq = (sin_t - sin_xi) * (sin_t + sin_xi)
+    root = np.sqrt(np.where(root_sq > 0.0, root_sq, gap * (kappa * sin_t + abs(q)) / kappa**2))
     phi_star = np.arccos(np.clip(sin_xi / sin_t, -1.0, 1.0))
     phi_tilde = np.arccos(np.clip(sin_xi / (cos_xi * math.tan(theta)), -1.0, 1.0))
     wa = dk * f0.value(kappa) / (root * np.sqrt(kappa))

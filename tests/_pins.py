@@ -1,24 +1,27 @@
-"""Pinned outputs: md5s of CLI outputs and float.hex values of smeared
-amplitudes, recorded in pinned_outputs.json, and the environments every pin
-must hold in.
+"""Pinned outputs, all in pinned_outputs.json: md5s of CLI outputs, float.hex
+values of smeared amplitudes, and the float.hex bits of oracle solves and
+drop-path Newton solves; the environments every pin must hold in; and
+run_python, the one way the suite starts a subprocess.
 
-A deliberate change to an output shows up here as a pin change. Every test
-that reads a pin carries the registered `pin` marker, and the `pin_runs`
-fixture of conftest.py runs `pytest -m pin` once in each of ENVIRONMENTS
-besides the suite's own run. test_pins.py checks each whole run; a few tests
-in the other files check their own file's pin cases in one run with
-assert_pins_held.
+A deliberate change to an output shows up here as a pin change. A pin is read
+only through assert_md5, assert_hex and assert_bits, and only by a test that
+carries the registered `pin` marker: conftest.py records the marker as each
+test starts, and a read from an unmarked test fails, naming the pin. The
+`pin_runs` fixture of conftest.py runs `pytest -m pin` once in each of
+ENVIRONMENTS besides the suite's own run, so a marked test must not ask for
+it. test_pins.py checks each whole run; a few tests in the other files check
+their own file's pin cases in one run with assert_pins_held.
 
-Most pins hold in every environment. Three kinds follow numpy's SIMD `tan`,
-`arccos` and `exp` or the map's GEMM kernel, which round differently on
-another dispatch target or OpenBLAS core: the README reference map's
-weights, the packet `field` runs whose weights take their last bits from
-`np.exp`, and the smeared pool. pinned_outputs.json keeps each of those as a
-map from environment key (environment_key(): the highest SIMD target numpy
-runs and the core OpenBLAS runs) to value. A pin read under a key that it
-has no value for fails with the key, the value got and the recorded keys.
-To record a new key, run `pytest -m pin` there and copy the values that the
-failures print.
+Most pins hold in every environment, and every bits pin does. Three kinds of
+md5 and hex pins follow numpy's SIMD `tan`, `arccos` and `exp` or the map's
+GEMM kernel, which round differently on another dispatch target or OpenBLAS
+core: the README reference map's weights, the packet `field` runs whose
+weights take their last bits from `np.exp`, and the smeared pool.
+pinned_outputs.json keeps each of those as a map from environment key
+(environment_key(): the highest SIMD target numpy runs and the core OpenBLAS
+runs) to value. A pin read under a key that it has no value for fails with
+the key, the value got and the recorded keys. To record a new key, run
+`pytest -m pin` there and copy the values that the failures print.
 """
 
 import ctypes
@@ -34,7 +37,17 @@ import sys
 import numpy as np
 import pytest
 
+ROOT = pathlib.Path(__file__).resolve().parents[1]
 _PINS = json.loads(pathlib.Path(__file__).with_name("pinned_outputs.json").read_text())
+
+# Whether the running test carries the `pin` marker; conftest.py sets it as
+# each test starts.
+marked = False
+
+# Seconds before run_python kills a subprocess and raises. A pin run and the
+# longest CLI run each take about 7 s on a 2-core x86-64 machine, so a hung one
+# fails its test long before the CI job's 20-minute timeout.
+TIMEOUT_S = 300
 
 # The config of each "criterion 8 <command>" pin.
 CRITERION_8_CONFIGS = {
@@ -96,10 +109,16 @@ def _machine() -> str:
     return f"numpy {np.__version__}, OpenBLAS core {_openblas_core()}, CPU features {flags}"
 
 
-def _expect(kind: str, name: str, got):
-    pinned = _PINS[kind][name]
+def _expect(kind: str, name, got):
+    """got equals the pin `name` of `kind`: a key of its section, or for bits
+    the tuple of keys from the section down to the pin."""
+    if not marked:
+        pytest.fail(f"the test that reads {kind} pin {name!r} must carry the pin marker")
+    pinned = _PINS[kind]
+    for part in name if isinstance(name, tuple) else [name]:
+        pinned = pinned[part]
     key = environment_key()
-    if isinstance(pinned, dict):  # kept per environment
+    if isinstance(pinned, dict) and kind != "bits":  # kept per environment
         assert key in pinned, (
             f"{kind} pin {name!r} has no value for environment {key!r}: "
             f"got {json.dumps(got)}; recorded for {sorted(pinned)}"
@@ -119,6 +138,12 @@ def assert_md5(name: str, data: bytes) -> None:
 def assert_hex(name: str, values) -> None:
     """Each complex value's real and imaginary float.hex equal their pins."""
     _expect("hex", name, [[complex(v).real.hex(), complex(v).imag.hex()] for v in values])
+
+
+def assert_bits(name: tuple, got) -> None:
+    """got, a JSON value of float.hex strings and counts, equals the bits pin
+    at the keys `name`, as ("solve_system", "two_cycle")."""
+    _expect("bits", name, got)
 
 
 # numpy's AVX2 paths, as on a CPU without AVX-512; numpy refuses to import
@@ -167,30 +192,31 @@ def unusable(variables: dict[str, str]) -> str | None:
     return None
 
 
-def run_python(args: list[str], variables: dict[str, str]) -> subprocess.CompletedProcess:
-    """Run Python on this checkout's sources and tests in a subprocess whose
-    environment has every variable named in ENVIRONMENTS removed and then
-    `variables` set; its own subprocesses inherit them."""
-    root = pathlib.Path(__file__).resolve().parents[1]
-    named = {name for env in ENVIRONMENTS.values() for name in env}
-    env = {name: value for name, value in os.environ.items() if name not in named}
-    env.update(variables)
-    path = [str(root / "src"), str(root / "tests"), env.get("PYTHONPATH")]
+def run_python(args: list[str], env: dict[str, str] | None = None, **kwargs):
+    """Run Python with `args` in a subprocess on this checkout's sources and
+    tests, from the repository root, in `env` (this process's environment if
+    None), and return its subprocess.CompletedProcess with text output; kwargs
+    go to subprocess.run. subprocess.TimeoutExpired after TIMEOUT_S."""
+    env = dict(os.environ if env is None else env)
+    path = [str(ROOT / "src"), str(ROOT / "tests"), env.get("PYTHONPATH")]
     env["PYTHONPATH"] = os.pathsep.join(filter(None, path))
     return subprocess.run(
-        [sys.executable, *args], capture_output=True, text=True, cwd=root, env=env
+        [sys.executable, *args], capture_output=True, text=True, cwd=ROOT, env=env,
+        timeout=TIMEOUT_S, **kwargs,
     )
 
 
 def run_pins(variables: dict[str, str]) -> subprocess.CompletedProcess:
-    """Run every test marked `pin` in a subprocess environment as run_python
-    makes it. No pin test uses a third-party pytest plugin, and loading them
-    makes pytest rewrite the asserts of hypothesis's modules on each start
-    where bytecode is not written: about 0.8 of 2 s before the first test."""
-    return run_python(
-        ["-m", "pytest", "-v", "-p", "no:cacheprovider", "-m", "pin"],
-        {**variables, "PYTEST_DISABLE_PLUGIN_AUTOLOAD": "1"},
-    )
+    """Run every test marked `pin` with run_python, in this process's
+    environment with every variable named in ENVIRONMENTS removed and then
+    `variables` set; its own subprocesses inherit them. No pin test uses a
+    third-party pytest plugin, and loading them makes pytest rewrite the
+    asserts of hypothesis's modules on each start where bytecode is not
+    written: about 0.8 of 2 s before the first test."""
+    named = {name for env in ENVIRONMENTS.values() for name in env}
+    env = {name: value for name, value in os.environ.items() if name not in named}
+    env.update(variables, PYTEST_DISABLE_PLUGIN_AUTOLOAD="1")
+    return run_python(["-m", "pytest", "-v", "-p", "no:cacheprovider", "-m", "pin"], env)
 
 
 # a line of `pytest -v`: a node id and its outcome
@@ -204,8 +230,7 @@ def assert_pins_held(runs: dict, name: str, path: str) -> None:
     if reason:
         pytest.skip(reason)
     done = runs[name].result()
-    root = pathlib.Path(__file__).resolve().parents[1]
-    prefix = pathlib.Path(path).resolve().relative_to(root).as_posix() + "::"
+    prefix = pathlib.Path(path).resolve().relative_to(ROOT).as_posix() + "::"
     outcomes = {
         node: outcome for node, outcome in _OUTCOME.findall(done.stdout) if node.startswith(prefix)
     }

@@ -3,10 +3,7 @@ its measured figure (run with ``pytest -s`` to see the lines on success)."""
 
 import json
 import math
-import os
 import pathlib
-import subprocess
-import sys
 import time
 
 import numpy as np
@@ -35,7 +32,7 @@ from _oracles import (
     circle_intersection_azimuths,
     plane_wave_limit_check,
 )
-from _pins import CRITERION_8_CONFIGS, assert_md5
+from _pins import CRITERION_8_CONFIGS, assert_md5, run_python
 
 README = pathlib.Path(__file__).resolve().parents[1] / "README.md"
 
@@ -321,20 +318,14 @@ def test_criterion_7_numerics():
 
 @pytest.mark.pin
 def test_criterion_8_cli_determinism(tmp_path):
-    env = dict(os.environ)
-    src = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
-    env["PYTHONPATH"] = src + os.pathsep + env.get("PYTHONPATH", "")
-
     for command, cfg in CRITERION_8_CONFIGS.items():
         cfg_path = tmp_path / f"{command}.json"
         cfg_path.write_text(json.dumps(cfg))
         blobs = []
         for attempt in ("a", "b"):
             out = tmp_path / f"{command}.{attempt}.out"
-            proc = subprocess.run(
-                [sys.executable, "-m", "vortexscatter", command,
-                 "--config", str(cfg_path), "--out", str(out)],
-                capture_output=True, env=env,
+            proc = run_python(
+                ["-m", "vortexscatter", command, "--config", str(cfg_path), "--out", str(out)]
             )
             assert proc.returncode == 0, (command, proc.stderr)
             blobs.append(out.read_bytes())

@@ -1,8 +1,6 @@
 import json
 import math
 import os
-import subprocess
-import sys
 import tempfile
 import typing
 import warnings
@@ -34,27 +32,13 @@ from vortexscatter.numerics import gauss_legendre_on
 from vortexscatter.oracle import OracleResult
 from vortexscatter.wavepackets import IntensityMap, WavePacketProfile
 
-from _pins import CRITERION_8_CONFIGS, assert_md5, assert_pins_held
+from _pins import CRITERION_8_CONFIGS, assert_md5, assert_pins_held, run_python
 
 
 def _write_config(tmp_path, name="config.json", **overrides):
     path = tmp_path / name
     path.write_text(json.dumps(overrides))
     return path
-
-
-def _run_python(args, **kwargs):
-    """python <args> in a fresh interpreter on this checkout's sources; kwargs
-    go to subprocess.run."""
-    env = dict(os.environ)
-    src = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
-    env["PYTHONPATH"] = src + os.pathsep + env.get("PYTHONPATH", "")
-    return subprocess.run([sys.executable, *args], capture_output=True, text=True, env=env, **kwargs)
-
-
-def _run_module(args, **kwargs):
-    """python -m vortexscatter <args>, as _run_python."""
-    return _run_python(["-m", "vortexscatter", *args], **kwargs)
 
 
 def _eval_config(**overrides):
@@ -183,7 +167,7 @@ def test_non_finite_config_rejected(tmp_path, capsys, command, overrides):
 def test_mistyped_config_value_rejected(tmp_path, command, overrides, messages):
     cfg = _write_config(tmp_path, **overrides)
     out = tmp_path / "out"
-    proc = _run_module([command, "--config", str(cfg), "--out", str(out)])
+    proc = run_python(["-m", "vortexscatter", command, "--config", str(cfg), "--out", str(out)])
     assert proc.returncode == EXIT_CONFIG
     assert "Traceback" not in proc.stderr
     for message in messages:
@@ -412,9 +396,8 @@ def test_oversized_map_exits_config_under_an_address_space_limit(tmp_path):
     def limit_address_space():
         resource.setrlimit(resource.RLIMIT_AS, (2 << 30, 2 << 30))
 
-    proc = _run_module(
-        ["map", "--config", str(cfg), "--out", str(out)], preexec_fn=limit_address_space
-    )
+    args = ["-m", "vortexscatter", "map", "--config", str(cfg), "--out", str(out)]
+    proc = run_python(args, preexec_fn=limit_address_space)
     assert proc.returncode == EXIT_CONFIG, proc.stderr
     assert proc.stderr.startswith("config too large: out of memory (")
     assert proc.stderr.count("\n") == 1 and "Traceback" not in proc.stderr
@@ -556,18 +539,20 @@ class TestMap:
         assert_pins_held(pin_runs, "avx2", __file__)
 
     def test_nan_cell_delta_fails_closed(self, tmp_path, monkeypatch, capsys):
-        def nan_map(*args, **kwargs):
-            delta = np.array([[math.nan]])
-            metadata = {"cell_rel_delta": delta, "max_cell_rel_delta": math.nan}
-            return IntensityMap((5, 5), (0, 0), np.ones((1, 1)), metadata)
-
-        monkeypatch.setattr("vortexscatter.cli.intensity_map", nan_map)
+        # a NaN delta, and a NaN weight, which makes its delta NaN too
         cfg = _write_config(tmp_path, **_ONE_CELL)
-        out = tmp_path / "map.csv"
-        assert main(["map", "--config", str(cfg), "--out", str(out)]) == EXIT_QUADRATURE
-        assert "1 cell(s) above map_cell_rtol" in capsys.readouterr().err
-        assert not out.exists()
-        assert (tmp_path / "map.csv.partial").exists()
+        for weight, message in [
+            (1.0, "quadrature failure: 1 cell(s) above map_cell_rtol = 0.01"),
+            (math.nan, "non-finite map: 1 weight(s) are NaN or inf"),
+        ]:
+            metadata = {"cell_rel_delta": np.array([[math.nan]]), "max_cell_rel_delta": math.nan}
+            result = IntensityMap((5, 5), (0, 0), np.array([[weight]]), metadata)
+            monkeypatch.setattr("vortexscatter.cli.intensity_map", lambda *args, **kwargs: result)
+            out = tmp_path / f"map {weight}.csv"
+            assert main(["map", "--config", str(cfg), "--out", str(out)]) == EXIT_QUADRATURE
+            assert capsys.readouterr().err == f"{message}; partial results in {out}.partial\n"
+            assert not out.exists()
+            assert (tmp_path / f"map {weight}.csv.partial").exists()
 
 
 # Packet field runs over the benchmark's ranges (kappa0 0.5-2, r_max 4-20,
@@ -659,7 +644,7 @@ class TestField:
             "after = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss\n"
             "print(code, after - before)\n"
         )
-        proc = _run_python(["-c", script, str(cfg), str(out)])
+        proc = run_python(["-c", script, str(cfg), str(out)])
         assert proc.returncode == 0, proc.stderr
         code, growth_kib = (int(v) for v in proc.stdout.split())  # ru_maxrss is in KiB
         assert code == EXIT_OK
@@ -733,7 +718,7 @@ class TestSubprocessDeterminism:
         outputs = []
         for name in ("one.csv", "two.csv"):
             out = tmp_path / name
-            proc = _run_module(["map", "--config", str(cfg), "--out", str(out)])
+            proc = run_python(["-m", "vortexscatter", "map", "--config", str(cfg), "--out", str(out)])
             assert proc.returncode == EXIT_OK, proc.stderr
             outputs.append(out.read_bytes())
         assert outputs[0] == outputs[1]

@@ -1,7 +1,5 @@
-import json
 import math
 import warnings
-from pathlib import Path
 
 import numpy as np
 import pytest
@@ -35,6 +33,7 @@ from _oracles import (
     scalar_bessel_j,
     stripe_substitution,
 )
+from _pins import assert_bits
 
 
 def _lane_argument(m: int):
@@ -666,12 +665,6 @@ class TestNewtonStep:
         assert all(r.jacobian_det == 0.0 for r in degenerate)
 
 
-# Recorded values of the drop-path solves below, as float.hex strings:
-# each root's angles, |det| and residual norm, and the row count of every
-# system call.
-PINNED = json.loads(Path(__file__).with_name("pinned_bits.json").read_text())["solve_system"]
-
-
 def _band(points, lo, hi):
     return (points[..., 0] >= lo) & (points[..., 0] < hi)
 
@@ -738,10 +731,12 @@ class TestDroppedIterates:
             assert any(counts[k] for counts in band_rows[1:])
         # ...and none at the last step: they were dropped
         assert not any(band_rows[-1])
-        pinned = PINNED[name]
-        assert rows == pinned["call_rows"]
-        assert _root_hexes(roots) == pinned["roots"]
-        assert _root_hexes(degenerate) == pinned["degenerate"]
+        # the row count of every system call, and each root's angles, |det|
+        # and residual norm as float.hex strings
+        assert_bits(
+            ("solve_system", name),
+            {"call_rows": rows, "roots": _root_hexes(roots), "degenerate": _root_hexes(degenerate)},
+        )
 
 
 def _witness_systems():

@@ -1,7 +1,5 @@
 import itertools
-import json
 import math
-from pathlib import Path
 
 import numpy as np
 import pytest
@@ -30,7 +28,7 @@ from _oracles import (
     richardson_det,
     single_twisted_oracle,
 )
-from _pins import assert_pins_held
+from _pins import assert_bits, assert_pins_held
 
 TWO_PI = 2.0 * math.pi
 
@@ -113,18 +111,16 @@ class TestConservationResidual:
 
 class TestOracleAmplitude:
     @pytest.mark.pin
-    @pytest.mark.parametrize("draw", range(3), ids=["theta0.1", "theta0.2", "theta0.35"])
-    def test_pinned_bits(self, draw):
+    @pytest.mark.parametrize(
+        "draw, theta, seed", [(0, 0.1, 1), (1, 0.2, 2), (2, 0.35, 3)],
+        ids=["theta0.1", "theta0.2", "theta0.35"],
+    )
+    def test_pinned_bits(self, draw, theta, seed):
         # float.hex values of an earlier commit: 8 samples of
         # draw_support_samples(default_rng(seed), 8, theta), their amplitude
         # and every solution's (phi, phi1, phi2, jacobian_det)
-        pinned = json.loads(Path(__file__).with_name("pinned_bits.json").read_text())
-        pinned = pinned["oracle"][draw]
-        samples = draw_support_samples(
-            np.random.default_rng(pinned["seed"]), 8, theta=pinned["theta"]
-        )
         got = []
-        for geom, m, m1, m2 in samples:
+        for geom, m, m1, m2 in draw_support_samples(np.random.default_rng(seed), 8, theta=theta):
             result = oracle_amplitude(geom, m, m1, m2)
             amplitude = (result.amplitude.real, result.amplitude.imag)
             got.append(
@@ -137,7 +133,7 @@ class TestOracleAmplitude:
                     ],
                 }
             )
-        assert got == pinned["samples"]
+        assert_bits(("oracle", draw), {"theta": theta, "seed": seed, "samples": got})
 
     def test_root_order_keeps_the_amplitude_bits(self, monkeypatch):
         # the roots of a pair share phi, so the last bit of phi orders them;

@@ -1,9 +1,12 @@
 import hashlib
+import os
 import re
+import types
 
 import pytest
 
 import _pins
+import conftest
 from _pins import ENVIRONMENTS, assert_md5, needs_dynamic_openblas, run_python, unusable
 
 
@@ -42,12 +45,30 @@ def test_pin_lookup_by_environment(monkeypatch):
     assert "'C/Core'" in message and md5 in message and "['A/Core', 'B/Core']" in message
 
 
+def test_only_a_marked_test_reads_a_pin(monkeypatch):
+    monkeypatch.setattr(_pins, "marked", False)
+    with pytest.raises(pytest.fail.Exception, match="md5 pin 'field packet' must carry the pin"):
+        assert_md5("field packet", b"")
+
+
+def test_a_marked_test_may_not_ask_for_the_pin_runs(monkeypatch):
+    # each pin run would run it, and start the pin runs again; the hook sets
+    # _pins.marked, which monkeypatch puts back
+    monkeypatch.setattr(_pins, "marked", False)
+    item = types.SimpleNamespace(
+        nodeid="test_x", fixturenames=["pin_runs"], get_closest_marker={"pin": object()}.get
+    )
+    with pytest.raises(pytest.fail.Exception, match="test_x carries the pin marker"):
+        conftest.pytest_runtest_setup(item)
+
+
 @needs_dynamic_openblas
 def test_openblas_core_is_the_one_openblas_runs():
     # OpenBLAS ignores a core name it does not know and picks its own
     script = "import _pins; print(_pins._openblas_core())"
+    env = {name: value for name, value in os.environ.items() if name != "OPENBLAS_CORETYPE"}
     cores = [
-        run_python(["-c", script], variables).stdout.strip()
+        run_python(["-c", script], {**env, **variables}).stdout.strip()
         for variables in ({}, {"OPENBLAS_CORETYPE": "Bogus"})
     ]
     assert cores[0] == cores[1] != "Bogus"

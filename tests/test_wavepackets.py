@@ -2,7 +2,6 @@ import json
 import math
 import os
 import pathlib
-import subprocess
 import sys
 import textwrap
 import threading
@@ -14,6 +13,7 @@ import numpy as np
 import pytest
 
 from vortexscatter.amplitudes import reduced_triple_amplitude, unit_imag_power
+from vortexscatter.cli import _COMMANDS, EXIT_CONFIG, main
 from vortexscatter.errors import ConvergenceError
 from vortexscatter.kinematics import CollisionGeometry, TwistedState
 from vortexscatter.numerics import QuadratureSpec, gauss_legendre_nodes, q_substitution
@@ -36,7 +36,7 @@ from vortexscatter.wavepackets import (
 )
 
 from _oracles import stripe_substitution
-from _pins import assert_hex, assert_pins_held
+from _pins import assert_hex, assert_pins_held, run_python
 
 
 def _template(theta=0.2, m=5, kappa0=1.0, kappa1=1.0, kappa2=0.5):
@@ -84,19 +84,6 @@ class TestProfile:
     def test_validation(self):
         with pytest.raises(ValueError):
             WavePacketProfile(-1.0, 0.1)
-
-
-def _run_python(script: str) -> str:
-    """stdout of a script run in a fresh interpreter on this checkout's
-    sources, which must exit with 0."""
-    env = dict(os.environ)
-    src = os.path.join(os.path.dirname(__file__), os.pardir, "src")
-    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
-    done = subprocess.run(
-        [sys.executable, "-c", script], env=env, capture_output=True, text=True, timeout=120
-    )
-    assert done.returncode == 0, done.stderr
-    return done.stdout
 
 
 class TestSmearedAmplitude:
@@ -188,7 +175,9 @@ class TestSmearedAmplitude:
                 print("ConvergenceError")
             """
         )
-        outcome = _run_python(script).split()[-1]
+        done = run_python(["-c", script])
+        assert done.returncode == 0, done.stderr
+        outcome = done.stdout.split()[-1]
         assert outcome == "ConvergenceError" or math.isfinite(abs(complex(outcome)))
 
     def test_non_finite_q_rejected_before_any_slice(self, monkeypatch):
@@ -270,6 +259,30 @@ def _set_block_rows(monkeypatch, n, rows):
 
 def _set_cores(monkeypatch, cores):
     monkeypatch.setattr(wavepackets_module, "_usable_cores", lambda: cores)
+
+
+def _fail_in_workers(monkeypatch, error_type):
+    """Three threads take one-row smeared blocks; each worker thread's first
+    block raises error_type("row block failed") after the calling thread's
+    first block waits for one to. Returns the list of the raised errors."""
+    raised = []
+    failed = threading.Event()
+    kernel = wavepackets_module._block_row_sums
+
+    def failing_kernel(axes, rows, m1, m2):
+        if threading.current_thread() is threading.main_thread():
+            assert failed.wait(timeout=60)  # hold a block until a worker failed
+        else:
+            raised.append(error_type("row block failed"))
+            failed.set()
+            time.sleep(0.2)  # outlives the calling thread's blocks unless joined
+            raise raised[-1]
+        return kernel(axes, rows, m1, m2)
+
+    monkeypatch.setattr(wavepackets_module, "_block_row_sums", failing_kernel)
+    _set_cores(monkeypatch, 3)
+    monkeypatch.setattr(wavepackets_module, "_BLOCK_ELEMENTS", 1)  # one row per block
+    return raised
 
 
 class TestRowBlocks:
@@ -354,28 +367,28 @@ class TestRowBlocks:
             sys.setswitchinterval(interval)
 
     def test_worker_exception_reaches_caller(self, monkeypatch):
-        raised = []
-        failed = threading.Event()
-        kernel = wavepackets_module._block_row_sums
-
-        def failing_kernel(axes, rows, m1, m2):
-            if threading.current_thread() is threading.main_thread():
-                assert failed.wait(timeout=60)  # hold a block until a worker failed
-            else:
-                raised.append(ArithmeticError("row block failed in a worker"))
-                failed.set()
-                time.sleep(0.2)  # outlives the calling thread's blocks unless joined
-                raise raised[-1]
-            return kernel(axes, rows, m1, m2)
-
-        monkeypatch.setattr(wavepackets_module, "_block_row_sums", failing_kernel)
-        _set_cores(monkeypatch, 3)
-        monkeypatch.setattr(wavepackets_module, "_BLOCK_ELEMENTS", 1)  # one row per block
+        raised = _fail_in_workers(monkeypatch, ArithmeticError)
         before = threading.active_count()
         with pytest.raises(ArithmeticError) as err:
             smeared_amplitude(_profiles(), _template(), 0.0, 5, 5, 0, QuadratureSpec(12))
         assert 1 <= len(raised) <= 2  # each worker fails on its first block and stops
         assert any(err.value is exc for exc in raised)
+        assert threading.active_count() == before
+
+    def test_worker_memory_error_exits_config_from_main(self, monkeypatch, tmp_path, capsys):
+        # a command that runs a smeared amplitude: the MemoryError of a worker
+        # thread's block reaches main as the MemoryError it is
+        _fail_in_workers(monkeypatch, MemoryError)
+
+        def smeared_command(cfg, out_path):
+            smeared_amplitude(_profiles(), _template(), 0.0, 5, 5, 0, QuadratureSpec(12))
+
+        monkeypatch.setitem(_COMMANDS, "field", smeared_command)
+        cfg = tmp_path / "config.json"
+        cfg.write_text("{}")
+        before = threading.active_count()
+        assert main(["field", "--config", str(cfg), "--out", str(tmp_path / "out")]) == EXIT_CONFIG
+        assert capsys.readouterr().err == "config too large: out of memory (row block failed)\n"
         assert threading.active_count() == before
 
     @pytest.mark.skipif(not hasattr(os, "sched_setaffinity"), reason="no CPU affinity control")
@@ -414,7 +427,9 @@ class TestRowBlocks:
             print(cores, workers, len(started), all_cores == one_core, all_cores)
             """
         )
-        cores, workers, single, same = _run_python(script).split()[:4]
+        done = run_python(["-c", script])
+        assert done.returncode == 0, done.stderr
+        cores, workers, single, same = done.stdout.split()[:4]
         assert int(single) == 0
         assert same == "True"
         if int(cores) > 1:
@@ -624,6 +639,18 @@ def test_map_pass_matches_unfolded_q_sum(q_nodes):
     np.testing.assert_allclose(folded, expected, rtol=0.0, atol=1e-13 * expected.max())
 
 
+@pytest.mark.parametrize("rel", [0.1, 0.2])
+@pytest.mark.parametrize("n", [24, 48])
+def test_kappa_measure_finite_at_every_q_node(rel, n):
+    # in the slice nearest q_max, kappa row 0 rounds to q / sin theta, where
+    # sin xi rounded to sin theta; its measure was inf and the map all NaN
+    profiles, theta = _profiles(rel=rel), 0.2
+    q_values, _ = q_substitution(profiles[0].support[1] * math.sin(theta), 1024)
+    for q in q_values[q_values >= 0.0]:
+        axes = _slice_axes(profiles, theta, float(q), n)
+        assert axes is None or np.isfinite(axes.wa).all(), q
+
+
 @pytest.fixture(scope="module")
 def small_map():
     quad = QuadratureSpec(node_count=24, rel_tol=1e-6)
@@ -698,4 +725,6 @@ class TestIntensityMap:
             print(grown / 2**20 if sys.platform == "darwin" else grown / 2**10)
             """
         )
-        assert float(_run_python(script)) < 64.0
+        done = run_python(["-c", script])
+        assert done.returncode == 0, done.stderr
+        assert float(done.stdout) < 64.0
