@@ -13,7 +13,8 @@ The two integrable singular edges are removed by substitution before any
 node is placed:
 
   * kappa edge: 1/sqrt(sin^2 theta - sin^2 xi) ~ (kappa - q/sin theta)^{-1/2};
-    kappa = k_left + (hi - k_left) s^2 makes the measure finite.
+    kappa = k_left + (hi - k_left) s^2 makes the measure finite; every row's root
+    is sqrt(gap (kappa sin theta + |q|)) / kappa, gap = kappa sin theta - |q| uncancelled.
   * stripe edge: 1/Delta diverges like an inverse square root at both ends of
     the kappa1 interval; with kappa1^2 = A + (B - A) sin^2 w (A, B the
     squared stripe ends; _triangle applies this stripe rule, and the tests
@@ -126,14 +127,15 @@ class WavePacketProfile:
         return 1.0 / math.sqrt(area)
 
     def value(self, kappa):
-        """Radial weight f(kappa); exactly 0 outside the truncation support."""
+        """Radial weight f(kappa); exactly 0 outside the truncation support.
+        math.exp per element: numpy's vector exp rounds differently on each
+        SIMD target, the C library's the same on all of them."""
         k = np.asarray(kappa, dtype=float)
         lo, hi = self.support
-        out = self._norm * np.exp(-0.5 * ((k - self.kappa0) / self.sigma) ** 2)
+        exponent = (-0.5 * ((k - self.kappa0) / self.sigma) ** 2).ravel().tolist()
+        out = self._norm * np.fromiter(map(math.exp, exponent), float, k.size).reshape(k.shape)
         out = np.where((k >= lo) & (k <= hi), out, 0.0)
-        if np.ndim(kappa) == 0:
-            return float(out)
-        return out
+        return float(out) if np.ndim(kappa) == 0 else out
 
 
 @dataclass(frozen=True)
@@ -199,13 +201,11 @@ def _slice_axes(profiles, theta: float, q: float, n: int) -> _SliceAxes | None:
     sin_xi = q / kappa
     cos_xi = np.sqrt(1.0 - sin_xi**2)
     kt = kappa * cos_xi
-    # where kappa rounds to |q| / sin theta, sin^2 theta - sin^2 xi cancels to 0;
-    # there it is gap (kappa sin theta + |q|) / kappa^2, with gap = kappa sin theta - |q|
-    # formed as (k_left sin theta - |q|) + (hi0 - k_left) s^2 sin theta, which does not cancel
+    # sqrt(sin^2 theta - sin^2 xi) without cancellation: gap = kappa sin theta - |q|
+    # as (k_left sin theta - |q|) + (hi0 - k_left) s^2 sin theta, never below 0
     edge = max(lo0 * sin_t - abs(q), 0.0) if k_left == lo0 else 0.0
     gap = (hi0 - k_left) * s**2 * sin_t + edge
-    root_sq = (sin_t - sin_xi) * (sin_t + sin_xi)
-    root = np.sqrt(np.where(root_sq > 0.0, root_sq, gap * (kappa * sin_t + abs(q)) / kappa**2))
+    root = np.sqrt(gap * (kappa * sin_t + abs(q))) / kappa
     phi_star = np.arccos(np.clip(sin_xi / sin_t, -1.0, 1.0))
     phi_tilde = np.arccos(np.clip(sin_xi / (cos_xi * math.tan(theta)), -1.0, 1.0))
     wa = dk * f0.value(kappa) / (root * np.sqrt(kappa))

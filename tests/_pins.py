@@ -12,11 +12,11 @@ ENVIRONMENTS besides the suite's own run, so a marked test must not ask for
 it. test_pins.py checks each whole run; a few tests in the other files check
 their own file's pin cases in one run with assert_pins_held.
 
-Most pins hold in every environment, and every bits pin does. Three kinds of
-md5 and hex pins follow numpy's SIMD `tan`, `arccos` and `exp` or the map's
-GEMM kernel, which round differently on another dispatch target or OpenBLAS
-core: the README reference map's weights, the packet `field` runs whose
-weights take their last bits from `np.exp`, and the smeared pool.
+Most pins hold in every environment, and every bits pin does; the packet
+`field` runs do since their weights take math.exp (WavePacketProfile.value).
+Two pins follow numpy's SIMD `tan`, `arccos` and `exp` or the map's GEMM
+kernel, which round differently on another dispatch target or OpenBLAS core:
+the md5 of the README reference map's weights and the smeared pool's hex.
 pinned_outputs.json keeps each of those as a map from environment key
 (environment_key(): the highest SIMD target numpy runs and the core OpenBLAS
 runs) to value. A pin read under a key that it has no value for fails with

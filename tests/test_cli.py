@@ -385,11 +385,11 @@ def test_memory_error_exits_config(tmp_path, capsys, monkeypatch, command, confi
 
 @pytest.mark.skipif(resource is None, reason="no address-space limit on this platform")
 def test_oversized_map_exits_config_under_an_address_space_limit(tmp_path):
-    # within every map cap, 10^4 helicity values at 128 nodes need a 2.4 GiB
-    # phase array per kappa row; a 2 GB address space makes that a
-    # MemoryError, not swap
+    # within every map cap, 10^4 distinct |m1| at 128 nodes need two 1.22 GiB
+    # phase tables in the first kappa row; a 2 GiB address space makes that a
+    # MemoryError before any later row, however the rows reuse their tables
     cfg = _write_config(
-        tmp_path, m1_min=-5000, m1_max=4999, m2_min=0, m2_max=0, node_count=MAX_NODE_COUNT
+        tmp_path, m1_min=0, m1_max=9999, m2_min=0, m2_max=0, node_count=MAX_NODE_COUNT
     )
     out = tmp_path / "map.csv"
 
@@ -672,6 +672,21 @@ class TestField:
         out = tmp_path / "field.csv"
         assert main(["field", "--config", str(cfg), "--out", str(out)]) == EXIT_OK
         assert_md5(_packet_pin_name(m, kappa0, r_max, grid_n), out.read_bytes())
+
+    @pytest.mark.parametrize("m, kappa0, r_max, grid_n", _PINNED_PACKET_RUNS)
+    def test_packet_profile_takes_the_c_library_exp(self, m, kappa0, r_max, grid_n):
+        # numpy's vector exp rounds differently on each SIMD target (9 of
+        # these runs differ in bytes between its AVX-512 and AVX2 paths); the
+        # C library's exp rounds the same on all of them, so with it the
+        # packet weights, and the field pins above, hold on any target
+        profile = WavePacketProfile(kappa0, 0.2 * kappa0)  # the runs' default sigma_rel
+        nodes, _ = gauss_legendre_on(*profile.support, 64)
+        expected = [
+            profile._norm * math.exp(-0.5 * ((k - profile.kappa0) / profile.sigma) ** 2)
+            for k in nodes.tolist()
+        ]
+        got = profile.value(nodes).tolist()
+        assert [v.hex() for v in got] == [v.hex() for v in expected]
 
 
 def _packet_pin_name(m, kappa0, r_max, grid_n):

@@ -651,6 +651,29 @@ def test_kappa_measure_finite_at_every_q_node(rel, n):
         assert axes is None or np.isfinite(axes.wa).all(), q
 
 
+@pytest.mark.parametrize("rel", [0.1, 0.2])
+@pytest.mark.parametrize("n", [24, 48])
+def test_kappa_measure_matches_its_s_cancelled_closed_form(rel, n):
+    # where k_left = |q| / sin theta > lo0, gap = (hi0 - k_left) s^2 sin theta
+    # and dkappa = 2 (hi0 - k_left) s ws, so s cancels from the measure in
+    # closed form; a root taken as (sin theta - sin xi)(sin theta + sin xi)
+    # cancels near k_left and misses it by up to 0.41 at 1024 q nodes
+    profiles, theta = _profiles(rel=rel), 0.2
+    f0, sin_t = profiles[0], math.sin(theta)
+    lo0, hi0 = f0.support
+    for q_nodes in (64, 1024):
+        q_values, _ = q_substitution(hi0 * sin_t, q_nodes)
+        for q in q_values[q_values > lo0 * sin_t].tolist():
+            axes = _slice_axes(profiles, theta, q, n)
+            k_left = q / sin_t
+            kappa = k_left + (hi0 - k_left) * axes.s**2
+            closed = (
+                2.0 * math.sqrt((hi0 - k_left) / sin_t) * axes.ws * f0.value(kappa)
+                * np.sqrt(kappa) / np.sqrt(kappa * sin_t + q)
+            )
+            np.testing.assert_allclose(axes.wa, closed, rtol=2e-15, atol=0.0, err_msg=f"q {q}")
+
+
 @pytest.fixture(scope="module")
 def small_map():
     quad = QuadratureSpec(node_count=24, rel_tol=1e-6)
