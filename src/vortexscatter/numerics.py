@@ -304,24 +304,19 @@ _COFACTOR_FACTORS = np.array([
 ])
 
 
-def _cofactors(jac: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Adjugate and determinant of an (N, 3, 3) batch, by elementwise
-    arithmetic only: row k of det(J) J^-1 is c_{k+1} x c_{k+2} over J's
-    columns, returned as a (row, component, N) array, and det J is
-    (c1 x c2) . c0. Only IEEE +, - and x enter, so the bits do not depend on
-    a BLAS kernel. A zero row or column, or c1 = c2, gives det exactly 0."""
+def _newton_step(jac: np.ndarray, res: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """det J and the Newton step -J^-1 res, as (N,) and (N, 3), of (N, 3, 3)
+    Jacobians and (N, 3) residuals by Cramer's rule on elementwise arithmetic:
+    row k of det(J) J^-1 is c_{k+1} x c_{k+2} over J's columns, a (row,
+    component, N) array, and det J is (c1 x c2) . c0. Only IEEE +, -, x and /
+    enter, so the bits do not depend on a BLAS kernel. A zero row or column,
+    or c1 = c2, gives det exactly 0 and an inf or NaN step (numpy warns unless
+    its errors are ignored)."""
     cols = jac.transpose(2, 1, 0).reshape(9, len(jac))  # (column, component) rows
     f = cols.take(_COFACTOR_FACTORS, axis=0)
     adj = (f[0] * f[1] - f[2] * f[3]).reshape(3, 3, len(jac))
     lead = adj[0] * cols[:3]
-    return adj, lead[0] + lead[1] + lead[2]
-
-
-def _newton_step(jac: np.ndarray, res: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """det J and the Newton step -J^-1 res of (N, 3, 3) Jacobians and (N, 3)
-    residuals by Cramer's rule, the step as (N, 3). A row with det 0 gets an
-    inf or NaN step (numpy warns unless its errors are ignored)."""
-    adj, det = _cofactors(jac)
+    det = lead[0] + lead[1] + lead[2]
     terms = adj * res.T
     return det, ((terms[:, 0] + terms[:, 1] + terms[:, 2]) / -det).T
 

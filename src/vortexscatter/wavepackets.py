@@ -436,12 +436,9 @@ def _helicity_phases(delta: np.ndarray, first: int, count: int, scale=None):
     u t, never t (1 + cos delta), which cancels near delta = pi."""
     cos_table = np.empty((count, delta.size))
     sin_table = np.empty((count, delta.size))
-    if first == 0:
-        power = np.ones(delta.size, dtype=complex) if scale is None else scale.astype(complex)
-    else:
-        power = np.exp(1j * first * delta)
-        if scale is not None:
-            power *= scale
+    power = np.exp(1j * first * delta) if first else np.ones(delta.size, dtype=complex)
+    if scale is not None:
+        power *= scale
     cos_table[0] = power.real
     sin_table[0] = power.imag
     if count > 1:

@@ -24,8 +24,9 @@ def pytest_runtest_setup(item):
 @pytest.fixture(scope="session")
 def pin_runs():
     """The pin run of each environment of ENVIRONMENTS that can be made here,
-    by name, as futures. All start when the first test asks, two at a time,
-    since each is a whole pytest process on one core."""
+    by name, as futures, for test_pins.py::test_every_pin_holds_in to judge
+    once each. All start when its first case asks, two at a time, since each
+    is a whole pytest process on one core."""
     with concurrent.futures.ThreadPoolExecutor(max_workers=2) as pool:
         yield {
             name: pool.submit(run_pins, variables)

@@ -32,7 +32,7 @@ from vortexscatter.numerics import gauss_legendre_on
 from vortexscatter.oracle import OracleResult
 from vortexscatter.wavepackets import IntensityMap, WavePacketProfile
 
-from _pins import CRITERION_8_CONFIGS, assert_md5, assert_pins_held, run_python
+from _pins import CRITERION_8_CONFIGS, assert_md5, run_python
 
 
 def _write_config(tmp_path, name="config.json", **overrides):
@@ -532,12 +532,6 @@ class TestMap:
         assert (tmp_path / "map.csv.partial").exists()
         assert_md5("map under-resolved .partial", (tmp_path / "map.csv.partial").read_bytes())
 
-    def test_map_pins_hold_without_avx512_dispatch(self, pin_runs):
-        # tan, arccos and exp round differently on numpy's AVX2 paths, which
-        # moves the map's weights in their last bits but not the 9 digits
-        # that the CSVs print
-        assert_pins_held(pin_runs, "avx2", __file__)
-
     def test_nan_cell_delta_fails_closed(self, tmp_path, monkeypatch, capsys):
         # a NaN delta, and a NaN weight, which makes its delta NaN too
         cfg = _write_config(tmp_path, **_ONE_CELL)
@@ -719,25 +713,6 @@ def _per_point_field_csv(m, kappa0, sigma_rel, r_max, grid_n, field_packet):
             value = complex(sample(float(r), float(phi)))
             lines.append(f"{float(r):.9g},{float(phi):.9g},{value.real!r},{value.imag!r}")
     return "\n".join(lines) + "\n"
-
-
-class TestSubprocessDeterminism:
-    @pytest.mark.pin
-    def test_repeated_runs_byte_identical(self, tmp_path):
-        cfg = _write_config(
-            tmp_path,
-            m=5, m1_min=4, m1_max=5, m2_min=0, m2_max=1,
-            node_count=10, q_nodes=24,
-            map_cell_rtol=1.0,
-        )
-        outputs = []
-        for name in ("one.csv", "two.csv"):
-            out = tmp_path / name
-            proc = run_python(["-m", "vortexscatter", "map", "--config", str(cfg), "--out", str(out)])
-            assert proc.returncode == EXIT_OK, proc.stderr
-            outputs.append(out.read_bytes())
-        assert outputs[0] == outputs[1]
-        assert_md5("map subprocess", outputs[0])
 
 
 @pytest.mark.pin

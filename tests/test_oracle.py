@@ -28,7 +28,7 @@ from _oracles import (
     richardson_det,
     single_twisted_oracle,
 )
-from _pins import assert_bits, assert_pins_held
+from _pins import assert_bits
 
 TWO_PI = 2.0 * math.pi
 
@@ -386,16 +386,3 @@ class TestSingleTwistedOracle:
             value = single_twisted_oracle(state, k1, k2)
             closed = single_twisted_amplitude(state, kappa, psi)
             assert value == pytest.approx(closed.smooth, rel=1e-12)
-
-
-def test_solver_pins_hold_without_avx512_dispatch(pin_runs):
-    # sin and cos round alike on both dispatch paths, and so does the
-    # elementwise arithmetic
-    assert_pins_held(pin_runs, "avx2", __file__)
-
-
-@pytest.mark.parametrize("core", ["Haswell", "Sandybridge"])
-def test_oracle_pins_hold_on_other_openblas_kernels(core, pin_runs):
-    # the kernel OpenBLAS picks for an AVX2-only or an AVX-only CPU; no
-    # oracle pin may depend on it
-    assert_pins_held(pin_runs, core.lower(), __file__)

@@ -45,6 +45,22 @@ def test_pin_lookup_by_environment(monkeypatch):
     assert "'C/Core'" in message and md5 in message and "['A/Core', 'B/Core']" in message
 
 
+def test_report_names_the_key_and_each_per_environment_pins_state(monkeypatch):
+    # what the CI workflow prints before the suite; bits pins hold everywhere
+    monkeypatch.setattr(_pins, "_PINS", {
+        "md5": {"one": "", "kept": {"A/Core": "", "B/Core": ""}},
+        "hex": {"lost": {"B/Core": []}},
+        "bits": {"solve_system": {"two_cycle": {}}},
+    })
+    monkeypatch.setattr(_pins, "environment_key", lambda: "A/Core")
+    assert _pins.report().splitlines() == [
+        _pins._machine(),
+        "pin environment key A/Core",
+        "md5 pin 'kept': recorded here; keys ['A/Core', 'B/Core']",
+        "hex pin 'lost': NOT RECORDED here; keys ['B/Core']",
+    ]
+
+
 def test_only_a_marked_test_reads_a_pin(monkeypatch):
     monkeypatch.setattr(_pins, "marked", False)
     with pytest.raises(pytest.fail.Exception, match="md5 pin 'field packet' must carry the pin"):
