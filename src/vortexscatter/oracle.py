@@ -142,7 +142,14 @@ def draw_support_samples(
     Samples where either amplitude cosine falls below cos_floor are rejected:
     there the element vanishes and the ratio of the two evaluations
     degenerates to 0/0.
+
+    ValueError unless 0 < theta < pi/2 and 0 <= cos_floor <= 1: above 1 every
+    sample is rejected, so the draw would never end.
     """
+    if not 0.0 < theta < 0.5 * math.pi:
+        raise ValueError(f"theta must satisfy 0 < theta < pi/2, got {theta!r}")
+    if not 0.0 <= cos_floor <= 1.0:
+        raise ValueError(f"cos_floor must lie in [0, 1], got {cos_floor!r}")
     samples = []
     sin_t, tan_t = math.sin(theta), math.tan(theta)
     while len(samples) < count:

@@ -49,21 +49,6 @@ marked = False
 # fails its test long before the CI job's 20-minute timeout.
 TIMEOUT_S = 300
 
-# The config of each "criterion 8 <command>" pin.
-CRITERION_8_CONFIGS = {
-    "eval": dict(
-        m=5, theta=0.2, kappa0=1.0, kappa01=0.9, kappa02=0.7,
-        q=0.05, m1_min=6, m1_max=6, m2_min=1, m2_max=1,
-    ),
-    "oracle-check": dict(sample_count=3, seed=12345),
-    "map": dict(
-        m=5, m1_min=4, m1_max=6, m2_min=-1, m2_max=1,
-        node_count=16, q_nodes=48,
-    ),
-    "field": dict(m=1, kappa0=1.0, grid_n=5, r_max=4.0),
-}
-
-
 def _openblas_core() -> str:
     """The CPU kernel OpenBLAS runs, as numpy's vendored scipy-openblas
     reports it; OPENBLAS_CORETYPE only when no such library answers, since

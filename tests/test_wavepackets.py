@@ -636,12 +636,14 @@ def test_map_pass_matches_unfolded_q_sum(q_nodes):
 @pytest.mark.parametrize("n", [24, 48])
 def test_kappa_measure_finite_at_every_q_node(rel, n):
     # in the slice nearest q_max, kappa row 0 rounds to q / sin theta, where
-    # sin xi rounded to sin theta; its measure was inf and the map all NaN
-    profiles, theta = _profiles(rel=rel), 0.2
-    q_values, _ = q_substitution(profiles[0].support[1] * math.sin(theta), 1024)
-    for q in q_values[q_values >= 0.0]:
-        axes = _slice_axes(profiles, theta, float(q), n)
-        assert axes is None or np.isfinite(axes.wa).all(), q
+    # sin xi rounded to sin theta; its measure was inf and the map all NaN. At
+    # kappa0 sin theta near 1e-162 the root's two factors multiplied to below 1e-324
+    for k0, theta in ((1.0, 0.2), (1e-153, 1e-9)):
+        profiles = _profiles(k0, k0, 0.5 * k0, rel)
+        q_values, _ = q_substitution(profiles[0].support[1] * math.sin(theta), 1024)
+        for q in q_values[q_values >= 0.0]:
+            axes = _slice_axes(profiles, theta, float(q), n)
+            assert axes is None or np.isfinite(axes.wa).all(), (k0, q)
 
 
 @pytest.mark.parametrize("rel", [0.1, 0.2])
