@@ -234,6 +234,9 @@ def _range_problems(cfg: RunConfig, command: str) -> list[str]:
     if not math.isfinite(k_z):
         return [f"{_KZ_FACTOR:g} * kappa0 (the k_z of the beam modes) must be finite"]
     name, kappa_max, reach = "kappa0", cfg.kappa0, 0.0
+    what = "packet supports too wide: (sum of the three upper support ends)"
+    if command == "eval":
+        what, reach = "(kappa0 + kappa01 + kappa02)", cfg.kappa0 + cfg.kappa01 + cfg.kappa02
     try:
         if command == "map":
             reach = sum(p.support[1] for p in _profiles(cfg))
@@ -247,8 +250,8 @@ def _range_problems(cfg: RunConfig, command: str) -> list[str]:
     except ValueError as exc:
         return [f"beam mode at {name} = {kappa_max:g}: {exc}"]
     if not math.isfinite(reach * reach):
-        # bounds every square and product of momenta in a map's q slice
-        return ["packet supports too wide: (sum of the three upper support ends)^2 overflows"]
+        # bounds every square and product of momenta in a map's q slice or eval's triangle
+        return [f"{what}^2 overflows"]
     if command == "field" and cfg.r_max * kappa_max > MAX_BESSEL_ARGUMENT:
         return [
             f"r_max * {name} = {cfg.r_max * kappa_max:g} exceeds "

@@ -217,19 +217,21 @@ def _miller_lanes(m: int, x: np.ndarray) -> np.ndarray:
 
 
 def heron_area(a: float, b: float, c: float) -> float:
-    """Triangle area from three sides, Kahan-ordered for stability.
-
-    Returns exactly 0 for a degenerate (collinear) triple and NaN when the
-    triangle inequality is strictly violated; the caller decides support.
-    """
+    """Triangle area from three sides, Kahan-ordered, on the sides scaled
+    exactly by 2^-e so that the product of the four sums stays in range.
+    Exactly 0 for a degenerate (collinear) triple or below the smallest normal
+    float, NaN when the triangle inequality is strictly violated."""
     for s in (a, b, c):
         if not math.isfinite(s) or s < 0.0:
             raise ValueError("sides must be finite and non-negative")
     x, y, z = sorted((a, b, c), reverse=True)
+    e = (math.frexp(x)[1] + math.frexp(z)[1]) // 2
+    x, y, z = (math.ldexp(s, -e) for s in (x, y, z))
     u = z - (x - y)
     if u < 0.0:
         return math.nan
-    return 0.25 * math.sqrt((x + (y + z)) * u * (z + (x - y)) * (x + (y - z)))
+    area = math.ldexp(0.25 * math.sqrt((x + (y + z)) * u * (z + (x - y)) * (x + (y - z))), 2 * e)
+    return area if area >= 2.0**-1022 else 0.0
 
 
 def gauss_legendre_on(a: float, b: float, n: int) -> tuple[np.ndarray, np.ndarray]:

@@ -129,6 +129,21 @@ class TestEval:
         assert main(["eval", "--config", str(cfg), "--out", str(out)]) == EXIT_DEGENERATE_SUPPORT
         assert not out.exists()
 
+    @pytest.mark.parametrize("j", [-140, -130, -60, 60, 130, 140])
+    def test_value_scales_as_the_momenta_to_the_minus_three_halves(self, tmp_path, j):
+        # every momentum times 4^j is exact in binary, and so is the value's
+        # 8^-j; heron_area's product of four side sums once overflowed at
+        # j = 130 and underflowed to a zero area by j = -140
+        def value(scale):
+            momenta = dict(kappa0=1.0, kappa01=0.9, kappa02=0.7, q=0.05)
+            cfg = _write_config(tmp_path, **_eval_config(**{k: v * scale for k, v in momenta.items()}))
+            out = tmp_path / "out.json"
+            assert main(["eval", "--config", str(cfg), "--out", str(out)]) == EXIT_OK
+            payload = json.loads(out.read_text())
+            return complex(payload["value_re"], payload["value_im"])
+
+        assert value(4.0**j) * 8.0**j == value(1.0) != 0.0
+
 
 @pytest.mark.parametrize(
     "command, overrides",
@@ -183,6 +198,11 @@ _TINY_KAPPAS_EVAL = _eval_config(q=0.0, m1_min=1, m1_max=1, m2_min=0, m2_max=0, 
 # the packet supports reach about 3.75e154, so (kt + k2)^2 in a q slice is inf
 # and inf - inf wrote nan with exit 0; sigma_rel = 1e153 still fits
 _WIDE_PACKETS = dict(sigma_rel=3e153, node_count=4, map_cell_rtol=1.0, **_ONE_CELL)
+# eval's kt^2 + kappa01^2 - kappa02^2 was inf - inf: it wrote NaN and exited 0
+_WIDE_EVAL = _eval_config(kappa01=1e160, kappa02=1e160)
+# heron_area's product of the four side sums overflowed: eval wrote value 0
+# and "area": Infinity, which is not JSON, and exited 0
+_SCALED_EVAL = _eval_config(kappa0=1e100, kappa01=0.9e100, kappa02=0.7e100, q=0.05e100)
 # JSON integers have no size limit: these ended in OverflowError or ValueError
 _BIG = 10**400
 
@@ -236,6 +256,7 @@ _BIG = 10**400
         ("map", dict(node_count=100000), "node_count must not exceed MAX_NODE_COUNT = 128"),
         ("map", dict(map_cell_rtol=0.0, **_ONE_CELL), "map_cell_rtol must be positive"),
         ("field", dict(r_max=0.0, grid_n=2), "r_max must be positive"),
+        ("eval", _WIDE_EVAL, "(kappa0 + kappa01 + kappa02)^2 overflows"),
     ],
 )
 def test_out_of_range_config_rejected(tmp_path, capsys, command, overrides, message):
@@ -790,10 +811,20 @@ def _configs(draw):
 @example(command="map", config={"node_count": 100000})
 @example(command="map", config={"theta": 1e-12, "kappa0": 1e-150, "q_nodes": 2, "node_count": 2,
                                 "m1_min": 0, "m1_max": 0, "m2_min": 0, "m2_max": 0})
+@example(command="eval", config=_WIDE_EVAL)
+@example(command="eval", config=_SCALED_EVAL)
 def test_any_config_ends_in_an_exit_code(command, config):
     with tempfile.TemporaryDirectory() as tmp:
-        path = os.path.join(tmp, "config.json")
+        path, out = os.path.join(tmp, "config.json"), os.path.join(tmp, "out")
         with open(path, "w", encoding="utf-8") as fh:
             json.dump(config, fh)
-        code = main([command, "--config", path, "--out", os.path.join(tmp, "out")])
+        code = main([command, "--config", path, "--out", out])
+        if code == EXIT_OK and command in ("eval", "oracle-check"):
+            # strict JSON (RFC 8259): no NaN, Infinity or -Infinity
+            with open(out, encoding="utf-8") as fh:
+                json.load(fh, parse_constant=_not_json)
     assert code in range(6)
+
+
+def _not_json(constant):
+    raise ValueError(f"{constant} is not JSON")

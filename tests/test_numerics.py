@@ -180,6 +180,19 @@ class TestHeron:
         other = heron_area(*shuffled)
         assert (math.isnan(base) and math.isnan(other)) or base == other
 
+    @pytest.mark.parametrize("j", [-250, -200, 130, 250])
+    def test_power_of_four_scale_moves_no_bit(self, j):
+        # the product of the four side sums would overflow or underflow at
+        # these scales without the rescale by a power of two
+        assert heron_area(3.0 * 4.0**j, 4.0 * 4.0**j, 5.0 * 4.0**j) == 6.0 * 16.0**j
+
+    def test_needle_and_subnormal_areas(self):
+        # the rescale centres the exponents of the longest and the shortest
+        # side; by the longest alone the short side of the needle would
+        # flush to 0. An area below the smallest normal float is 0.
+        assert heron_area(1e-150, 1e150, 1e150) == 0.5
+        assert heron_area(1e-160, 1e-160, 1e-160) == 0.0
+
     def test_invalid_inputs(self):
         with pytest.raises(ValueError):
             heron_area(-1.0, 2.0, 2.0)
