@@ -17,7 +17,6 @@ from .errors import (
     ConvergenceError,
     DegenerateJacobianError,
     DegenerateSupportError,
-    DomainError,
     SupportRegionError,
 )
 from .kinematics import (
@@ -39,7 +38,6 @@ __all__ = [
     "ConvergenceError",
     "DegenerateJacobianError",
     "DegenerateSupportError",
-    "DomainError",
     "QuadratureSpec",
     "SupportRegionError",
     "TwistedState",

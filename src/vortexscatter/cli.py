@@ -228,33 +228,40 @@ def validate(cfg: RunConfig, command: str) -> list[str]:
 
 
 def _range_problems(cfg: RunConfig, command: str) -> list[str]:
-    """The beam modes and packet profiles the command builds must exist, and
-    the field's Bessel arguments kappa * r stay in the range of bessel_j."""
-    k_z = _KZ_FACTOR * cfg.kappa0
-    if not math.isfinite(k_z):
-        return [f"{_KZ_FACTOR:g} * kappa0 (the k_z of the beam modes) must be finite"]
-    name, kappa_max, reach = "kappa0", cfg.kappa0, 0.0
-    what = "packet supports too wide: (sum of the three upper support ends)"
-    if command == "eval":
-        what, reach = "(kappa0 + kappa01 + kappa02)", cfg.kappa0 + cfg.kappa01 + cfg.kappa02
-    try:
-        if command == "map":
+    """eval's and map's beam mode and geometry, and map's packet profiles, must
+    exist, and the momenta that eval's triangle or a map's q slice adds up must
+    have a finite square, which bounds every square and product of momenta
+    there. The field's checks are in _field_problems."""
+    if command == "field":
+        return _field_problems(cfg)
+    what, reach = "(kappa0 + kappa01 + kappa02)", cfg.kappa0 + cfg.kappa01 + cfg.kappa02
+    if command == "map":
+        what = "packet supports too wide: (sum of the three upper support ends)"
+        try:
             reach = sum(p.support[1] for p in _profiles(cfg))
-        if command == "field" and cfg.field_packet:
-            name = "the packet's largest kappa"
-            kappa_max = WavePacketProfile(cfg.kappa0, cfg.sigma_rel * cfg.kappa0).support[1]
-    except ValueError as exc:
-        return [f"packet profile: {exc}"]
+        except ValueError as exc:
+            return [f"packet profile: {exc}"]
     try:
-        TwistedState.massless(kappa_max, cfg.m, k_z)
+        _geometry(cfg)
     except ValueError as exc:
-        return [f"beam mode at {name} = {kappa_max:g}: {exc}"]
+        return [f"collision geometry (beam mode k_z = {_KZ_FACTOR:g} kappa0): {exc}"]
     if not math.isfinite(reach * reach):
-        # bounds every square and product of momenta in a map's q slice or eval's triangle
         return [f"{what}^2 overflows"]
-    if command == "field" and cfg.r_max * kappa_max > MAX_BESSEL_ARGUMENT:
+    return []
+
+
+def _field_problems(cfg: RunConfig) -> list[str]:
+    """The packet profile, if any, must exist, and kappa * r stay in bessel_j's range."""
+    name, kappa = "kappa0", cfg.kappa0
+    if cfg.field_packet:
+        try:
+            profile = WavePacketProfile(cfg.kappa0, cfg.sigma_rel * cfg.kappa0)
+        except ValueError as exc:
+            return [f"packet profile: {exc}"]
+        name, kappa = "the packet's largest kappa", profile.support[1]
+    if cfg.r_max * kappa > MAX_BESSEL_ARGUMENT:
         return [
-            f"r_max * {name} = {cfg.r_max * kappa_max:g} exceeds "
+            f"r_max * {name} = {cfg.r_max * kappa:g} exceeds "
             f"MAX_BESSEL_ARGUMENT = {MAX_BESSEL_ARGUMENT:g}"
         ]
     return []
@@ -326,6 +333,7 @@ def cmd_eval(cfg: RunConfig, out_path: str) -> int:
 
 
 def cmd_oracle_check(cfg: RunConfig, out_path: str) -> int:
+    _probe_writable(out_path)  # before the solves, which can take an hour
     rng = np.random.default_rng(cfg.seed)
     samples = draw_support_samples(rng, cfg.sample_count, theta=cfg.theta)
     ratios = []
@@ -389,6 +397,11 @@ plot '{csv}' skip 1 using 1:2:(half*sqrt($3)):(half*sqrt($3)) with boxxyerror fs
 
 
 def cmd_map(cfg: RunConfig, out_path: str) -> int:
+    # the CSV, its partial results and plot script, checked before a computation of minutes
+    _probe_writable(out_path)
+    _probe_writable(out_path + ".partial")
+    if cfg.plot_script:
+        _probe_writable(out_path + ".gp")
     try:
         result = intensity_map(
             _profiles(cfg),
@@ -481,15 +494,7 @@ def main(argv: list[str] | None = None) -> int:
         for v in violations:
             print(f"config invalid: {v}", file=sys.stderr)
         return EXIT_CONFIG
-    # the output, and a map's partial results and plot script, checked before the computation
-    outputs = [args.out]
-    if args.command == "map":
-        outputs.append(args.out + ".partial")
-        if cfg.plot_script:
-            outputs.append(args.out + ".gp")
     try:
-        for path in outputs:
-            _probe_writable(path)
         return _COMMANDS[args.command](cfg, args.out)
     except OSError as exc:  # only the output writes touch the file system
         print(f"cannot write output: {exc}", file=sys.stderr)

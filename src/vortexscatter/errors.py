@@ -1,11 +1,6 @@
 """Exception types shared across the package."""
 
 
-class DomainError(ValueError):
-    """A requested quantity is mathematically undefined for the inputs
-    (e.g. the tilt angle xi when |q| >= kappa)."""
-
-
 class SupportRegionError(ValueError):
     """The configuration lies outside the kinematically allowed region
     (no momentum-conservation solution exists)."""

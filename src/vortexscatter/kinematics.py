@@ -21,7 +21,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DomainError, SupportRegionError
+from .errors import SupportRegionError
 from .numerics import bessel_j, heron_area
 
 # Triangle areas below this fraction of kappa_tilde^2 count as degenerate:
@@ -80,6 +80,9 @@ class CollisionGeometry:
     def __post_init__(self):
         if not all(math.isfinite(v) for v in (self.theta, self.q, self.kappa1, self.kappa2)):
             raise ValueError("theta, q and the final transverse moduli must be finite")
+        scale = max(abs(self.kappa1), abs(self.kappa2))
+        if not math.isfinite(scale * scale):  # scale ** 2 would raise OverflowError
+            raise ValueError("the squares of the final transverse moduli must be finite")
         if not 0.0 < self.theta < 0.5 * math.pi:
             raise ValueError("theta must lie in (0, pi/2)")
         if self.kappa1 <= 0.0 or self.kappa2 <= 0.0:
@@ -131,15 +134,12 @@ def tilt_frame(theta: float) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
 def angle_set(geom: CollisionGeometry) -> AngleSet:
     """Tilt angle and characteristic azimuths for a collision geometry.
 
-    Raises DomainError when |q| >= kappa (xi undefined) and
-    SupportRegionError when |q / kappa| >= sin(theta) (outside the allowed
-    region; the boundary is excluded).
+    Raises SupportRegionError when |q / kappa| >= sin(theta) (outside the
+    allowed region; the boundary is excluded). That covers |q| >= kappa,
+    where xi is undefined: there |q / kappa| >= 1 >= sin(theta).
     """
-    kappa = geom.initial.kappa
-    if abs(geom.q) >= kappa:
-        raise DomainError(f"xi undefined: |q| = {abs(geom.q)} >= kappa = {kappa}")
     sin_t = math.sin(geom.theta)
-    sin_xi = geom.q / kappa
+    sin_xi = geom.q / geom.initial.kappa
     # decided on the rounded sin(xi) the formulas use: one ulp inside
     # |q| < kappa sin(theta), q / kappa can still round up to sin(theta)
     if abs(sin_xi) >= sin_t:

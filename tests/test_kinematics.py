@@ -6,67 +6,19 @@ import pytest
 from hypothesis import example, given
 from hypothesis import strategies as st
 
-from vortexscatter.errors import DomainError, SupportRegionError
+from vortexscatter.errors import SupportRegionError
 from vortexscatter.kinematics import (
     CollisionGeometry,
     TwistedState,
     angle_set,
     field_amplitude,
     stripe_contains,
-    tilt_frame,
     triangle_geometry,
 )
 from vortexscatter.numerics import heron_area
 from vortexscatter.wavepackets import WavePacketProfile
 
 from _oracles import bessel_series, per_point_field
-
-
-class DegenerateDirectionError(ValueError):
-    """A direction that should define an axis came out as the zero vector."""
-
-
-def monochromatic_k_z(omega: float, kappa: float, mass: float = 0.0) -> float:
-    """Longitudinal momentum of a mode with energy omega and transverse
-    modulus kappa: k_z = sqrt(omega^2 - kappa^2 - mass^2).
-
-    This is the fixed-energy slicing of a packet (k_z varies with kappa so
-    the superposition stays monochromatic). The reduced amplitudes depend on
-    longitudinal data only through q and theta, so the smearing pipeline
-    slices at fixed q; this helper covers the complementary convention.
-    """
-    arg = omega * omega - kappa * kappa - mass * mass
-    if arg < 0.0:
-        raise DomainError(
-            f"no real k_z: omega^2 - kappa^2 - mass^2 = {arg} is negative"
-        )
-    return math.sqrt(arg)
-
-
-def cone_momentum(state: TwistedState, phi: float, axis_theta: float) -> np.ndarray:
-    """Momentum on the state's cone at azimuth phi about an axis tilted by
-    axis_theta in the x-z plane: k = k_z z' + kappa (cos phi x' + sin phi y').
-    """
-    ex, ey, ez = tilt_frame(axis_theta)
-    return state.k_z * ez + state.kappa * (math.cos(phi) * ex + math.sin(phi) * ey)
-
-
-def vortex_axis(mean_initial: np.ndarray, p: np.ndarray, k2: np.ndarray) -> np.ndarray:
-    """Unit vector along <k> + p - k2, the direction of exactly vanishing
-    scattering for the first final particle (its phase-vortex line). The same
-    formula with indices swapped serves the second particle.
-    """
-    n = np.asarray(mean_initial, dtype=float) + np.asarray(p, dtype=float) - np.asarray(k2, dtype=float)
-    norm = float(np.linalg.norm(n))
-    scale = max(
-        float(np.linalg.norm(mean_initial)),
-        float(np.linalg.norm(p)),
-        float(np.linalg.norm(k2)),
-        1.0,
-    )
-    if norm <= 1e-14 * scale:
-        raise DegenerateDirectionError("vortex axis undefined: <k> + p - k2 is the zero vector")
-    return n / norm
 
 
 def _state(kappa=1.0, m=0, k_z=10.0):
@@ -93,14 +45,6 @@ class TestTwistedState:
             with pytest.raises(ValueError, match="m must be an integer"):
                 TwistedState.massless(1.0, m, 50.0)
         assert TwistedState.massless(1.0, np.int64(2), 50.0).m == 2
-
-    def test_monochromatic_longitudinal_momentum(self):
-        assert monochromatic_k_z(5.0, 3.0) == 4.0
-        # round trip with the massless constructor
-        s = TwistedState.massless(1.2, 0, 7.5)
-        assert monochromatic_k_z(s.omega, s.kappa) == pytest.approx(7.5, rel=1e-15)
-        with pytest.raises(DomainError):
-            monochromatic_k_z(1.0, 2.0)
 
 
 @pytest.mark.parametrize(
@@ -132,45 +76,16 @@ def test_non_finite_inputs_rejected(build):
         (lambda: stripe_contains(0.0, 0.9, 0.7), "all moduli must be positive"),
         (lambda: triangle_geometry(1.0, 0.0, 0.9, -0.7), "all moduli must be positive"),
         (lambda: field_amplitude(_state(), -1e-9, 0.0), "r must be non-negative"),
+        # reduced_triple_amplitude raised OverflowError from heron_area here
+        (
+            lambda: _geom(kappa=1e150, kappa1=1e160, kappa2=1e160),
+            "squares of the final transverse moduli must be finite",
+        ),
     ],
 )
 def test_out_of_domain_inputs_rejected(build, message):
     with pytest.raises(ValueError, match=message):
         build()
-
-
-class TestConeMomentum:
-    def test_untilted_axis(self):
-        np.testing.assert_allclose(
-            cone_momentum(_state(), 0.0, 0.0), [1.0, 0.0, 10.0], atol=1e-15
-        )
-        np.testing.assert_allclose(
-            cone_momentum(_state(), 0.5 * math.pi, 0.0), [0.0, 1.0, 10.0], atol=1e-15
-        )
-
-    def test_plane_wave_limit_on_tilted_axis(self):
-        theta = 0.3
-        k = cone_momentum(_state(kappa=1e-12), 1.234, theta)
-        np.testing.assert_allclose(
-            k, [10.0 * math.sin(theta), 0.0, 10.0 * math.cos(theta)], atol=1e-11
-        )
-
-    def test_transverse_and_longitudinal_moduli(self):
-        rng = np.random.default_rng(5)
-        for _ in range(200):
-            kappa = float(rng.uniform(0.1, 3.0))
-            kz = float(rng.uniform(-20.0, 20.0)) or 1.0
-            phi = float(rng.uniform(0.0, 2.0 * math.pi))
-            theta = float(rng.uniform(0.0, 1.5))
-            state = TwistedState.massless(kappa, 0, kz)
-            k = cone_momentum(state, phi, theta)
-            ez = np.array([math.sin(theta), 0.0, math.cos(theta)])
-            longitudinal = float(k @ ez)
-            transverse = float(np.linalg.norm(k - longitudinal * ez))
-            # roundoff scales with the full momentum magnitude
-            scale = max(1.0, state.omega)
-            assert longitudinal == pytest.approx(kz, abs=1e-14 * scale)
-            assert transverse == pytest.approx(kappa, abs=1e-13 * scale)
 
 
 class TestAngleSet:
@@ -188,7 +103,8 @@ class TestAngleSet:
             angle_set(_geom(theta=0.6424507411017956, q=3.4748134637392347, kappa=5.7994810873570755))
 
     def test_xi_undefined(self):
-        with pytest.raises(DomainError):
+        # |q| >= kappa: then |q / kappa| >= 1 >= sin(theta)
+        with pytest.raises(SupportRegionError):
             angle_set(_geom(q=1.5))
 
     def test_half_boundary_values(self):
@@ -265,20 +181,6 @@ class TestStripe:
             area = heron_area(kt, k1, k2)
             finite_positive = math.isfinite(area) and area > 0.0
             assert stripe_contains(kt, k1, k2) == finite_positive
-
-
-class TestVortexAxis:
-    def test_cms_antiparallel_to_k2(self):
-        n = vortex_axis([0.0, 0.0, 0.0], [0.0, 0.0, 0.0], [0.0, 0.0, -5.0])
-        np.testing.assert_allclose(n, [0.0, 0.0, 1.0], atol=1e-15)
-
-    def test_degenerate(self):
-        with pytest.raises(DegenerateDirectionError):
-            vortex_axis([0.0, 0.0, 2.0], [0.0, 0.0, 0.0], [0.0, 0.0, 2.0])
-
-    def test_generic_direction(self):
-        n = vortex_axis([0.0, 0.0, 2.0], [0.0, 0.0, 0.0], [1.0, 0.0, 0.0])
-        np.testing.assert_allclose(n, np.array([-1.0, 0.0, 2.0]) / math.sqrt(5.0), atol=1e-15)
 
 
 class TestFieldAmplitude:
