@@ -122,6 +122,8 @@ def test_criterion_1_oracle_equivalence():
     )
     assert len(arr) == 1000
     assert dispersion < 1e-8
+    # the conventions fix the constant at (2 pi)^{3/2}
+    assert mean == pytest.approx((2.0 * math.pi) ** 1.5, rel=1e-9)
     assert elapsed < 60.0
     # systematics report: spreads are at the finite-difference noise level
     assert theta_spread < 1e-7
@@ -305,6 +307,12 @@ def test_criterion_7_numerics():
         xs = (0.5, 1.0, 5.0, 12.0, 20.0, 40.0, 70.0, 100.0)
         for x, value in zip(xs, bessel_j(m, np.array(xs)).tolist()):
             worst_integral = max(worst_integral, abs(value - bessel_integral(m, x)))
+    # order-dominated region, where the terms of the series decrease from the start
+    worst_order = 0.0
+    for m in (30, 50):
+        xs = (0.5 * m, 0.3 * m)
+        for x, value in zip(xs, bessel_j(m, np.array(xs)).tolist()):
+            worst_order = max(worst_order, abs(value / bessel_series(m, x) - 1.0))
     rng = np.random.default_rng(33)
     draws = [(int(rng.integers(1, 50)), float(rng.uniform(0.5, 100.0))) for _ in range(500)]
     xs = np.array([x for _, x in draws])
@@ -320,10 +328,14 @@ def test_criterion_7_numerics():
         and heron_area(5.0, 12.0, 13.0) == 30.0
         and heron_area(1.0, 2.0, 3.0) == 0.0
     )
-    ok = worst_series < 1e-10 and worst_integral < 1e-10 and worst_rec < 1e-10 and heron_ok
+    ok = (
+        worst_series < 1e-12 and worst_integral < 1e-12 and worst_order < 1e-10 and worst_rec < 1e-10
+        and heron_ok
+    )
     _report(
-        f"criterion 7 {'PASS' if ok else 'FAIL'}: series oracle {worst_series:.2e}, "
-        f"integral oracle {worst_integral:.2e}, recurrence {worst_rec:.2e} (all < 1e-10), "
+        f"criterion 7 {'PASS' if ok else 'FAIL'}: series oracle {worst_series:.2e} and integral "
+        f"oracle {worst_integral:.2e} (< 1e-12), order-dominated series relative "
+        f"{worst_order:.2e} and recurrence {worst_rec:.2e} (< 1e-10), "
         f"Pythagorean and degenerate areas exact: {heron_ok}"
     )
     assert ok

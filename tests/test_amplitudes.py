@@ -25,12 +25,19 @@ def _geom(theta=0.2, q=0.0, kappa=1.0, kappa1=0.9, kappa2=0.7, m=0):
 @pytest.mark.parametrize(
     "build, message",
     [
-        (lambda: fourier_weight(0.0, 1, 0.3), "kappa must be positive"),
-        (lambda: single_twisted_solutions(1.0, 0.9, 0.0, 0.3), "all moduli must be positive"),
-        (lambda: single_twisted_solutions(-1.0, 0.9, 0.7, 0.3), "all moduli must be positive"),
-        (
+        pytest.param(lambda: fourier_weight(0.0, 1, 0.3), "kappa must be positive", id="fourier-kappa-zero"),
+        pytest.param(
+            lambda: single_twisted_solutions(1.0, 0.9, 0.0, 0.3), "all moduli must be positive",
+            id="solutions-k2-zero",
+        ),
+        pytest.param(
+            lambda: single_twisted_solutions(-1.0, 0.9, 0.7, 0.3), "all moduli must be positive",
+            id="solutions-kappa-negative",
+        ),
+        pytest.param(
             lambda: single_twisted_amplitude(TwistedState.massless(1.0, 2, 40.0), -1e-9, 0.3),
             "k12_mod must be non-negative",
+            id="amplitude-k12-negative",
         ),
     ],
 )

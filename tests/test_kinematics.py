@@ -47,39 +47,67 @@ class TestTwistedState:
         assert TwistedState.massless(1.0, np.int64(2), 50.0).m == 2
 
 
+_NON_FINITE_STATE = "kappa, k_z and omega must be finite"
+_NON_FINITE_GEOMETRY = "theta, q and the final transverse moduli must be finite"
+
+
 @pytest.mark.parametrize(
-    "build",
+    "build, message",
     [
-        lambda: TwistedState(kappa=math.nan, m=0, k_z=1.0, omega=2.0),
-        lambda: TwistedState(kappa=1.0, m=0, k_z=math.inf, omega=math.inf),
-        lambda: _state(k_z=math.nan),
-        lambda: _geom(q=math.nan),
-        lambda: _geom(kappa1=math.nan),
-        lambda: _geom(kappa2=math.inf),
-        lambda: WavePacketProfile(math.nan, 0.1),
-        lambda: WavePacketProfile(1.0, math.inf),
+        pytest.param(lambda: TwistedState(math.nan, 0, 1.0, 2.0), _NON_FINITE_STATE, id="state-kappa-nan"),
+        pytest.param(
+            lambda: TwistedState(1.0, 0, math.inf, math.inf), _NON_FINITE_STATE, id="state-k_z-omega-inf"
+        ),
+        pytest.param(lambda: _state(k_z=math.nan), _NON_FINITE_STATE, id="massless-k_z-nan"),
+        pytest.param(lambda: _geom(q=math.nan), _NON_FINITE_GEOMETRY, id="geometry-q-nan"),
+        pytest.param(lambda: _geom(kappa1=math.nan), _NON_FINITE_GEOMETRY, id="geometry-kappa1-nan"),
+        pytest.param(lambda: _geom(kappa2=math.inf), _NON_FINITE_GEOMETRY, id="geometry-kappa2-inf"),
+        pytest.param(
+            lambda: WavePacketProfile(math.nan, 0.1), "kappa0 must be finite and positive",
+            id="profile-kappa0-nan",
+        ),
+        pytest.param(
+            lambda: WavePacketProfile(1.0, math.inf), "sigma must be finite and positive",
+            id="profile-sigma-inf",
+        ),
     ],
 )
-def test_non_finite_inputs_rejected(build):
-    with pytest.raises(ValueError):
+def test_non_finite_inputs_rejected(build, message):
+    with pytest.raises(ValueError, match=message):
         build()
 
 
 @pytest.mark.parametrize(
     "build, message",
     [
-        (lambda: TwistedState(kappa=1.0, m=0, k_z=1.0, omega=-2.0), "omega must be positive"),
-        (lambda: _geom(theta=0.0), "theta must lie in"),
-        (lambda: _geom(theta=0.5 * math.pi), "theta must lie in"),
-        (lambda: _geom(kappa1=0.0), "final transverse moduli must be positive"),
-        (lambda: _geom(kappa2=-0.7), "final transverse moduli must be positive"),
-        (lambda: stripe_contains(0.0, 0.9, 0.7), "all moduli must be positive"),
-        (lambda: triangle_geometry(1.0, 0.0, 0.9, -0.7), "all moduli must be positive"),
-        (lambda: field_amplitude(_state(), -1e-9, 0.0), "r must be non-negative"),
+        pytest.param(
+            lambda: TwistedState(1.0, 0, 1.0, -2.0), "omega must be positive", id="state-omega-negative"
+        ),
+        pytest.param(lambda: _geom(theta=0.0), r"theta must lie in \(0, pi/2\)", id="geometry-theta-zero"),
+        pytest.param(
+            lambda: _geom(theta=0.5 * math.pi), r"theta must lie in \(0, pi/2\)", id="geometry-theta-pi/2"
+        ),
+        pytest.param(
+            lambda: _geom(kappa1=0.0), "final transverse moduli must be positive", id="geometry-kappa1-zero"
+        ),
+        pytest.param(
+            lambda: _geom(kappa2=-0.7), "final transverse moduli must be positive", id="geometry-kappa2-minus"
+        ),
+        pytest.param(
+            lambda: stripe_contains(0.0, 0.9, 0.7), "all moduli must be positive", id="stripe-kappa-zero"
+        ),
+        pytest.param(
+            lambda: triangle_geometry(1.0, 0.0, 0.9, -0.7), "all moduli must be positive",
+            id="triangle-kappa2-minus",
+        ),
+        pytest.param(
+            lambda: field_amplitude(_state(), -1e-9, 0.0), "r must be non-negative", id="field-r-minus"
+        ),
         # reduced_triple_amplitude raised OverflowError from heron_area here
-        (
+        pytest.param(
             lambda: _geom(kappa=1e150, kappa1=1e160, kappa2=1e160),
             "squares of the final transverse moduli must be finite",
+            id="geometry-final-moduli-1e160",
         ),
     ],
 )

@@ -77,24 +77,6 @@ class TestBessel:
         assert expected == pytest.approx(0.4400505857449335, abs=1e-15)
         assert bessel_j(1, 1.0) == pytest.approx(expected, abs=1e-13)
 
-    def test_series_oracle_where_float64_valid(self):
-        # one array call per order; every lane is its one-argument value
-        for m in (0, 1, 2, 5, 10, 25, 50):
-            xs = (0.1, 0.5, 1.0, 3.0, 7.0, 10.0)
-            for x, value in zip(xs, bessel_j(m, np.array(xs))):
-                assert value == pytest.approx(bessel_series(m, x), abs=1e-12)
-        # order-dominated region: terms decrease from the start
-        for m in (30, 50):
-            xs = (0.5 * m, 0.3 * m)
-            for x, value in zip(xs, bessel_j(m, np.array(xs))):
-                assert value == pytest.approx(bessel_series(m, x), rel=1e-10, abs=1e-300)
-
-    def test_integral_representation_full_range(self):
-        for m in (0, 1, 2, 5, 10, 20, 35, 50):
-            xs = (0.5, 1.0, 5.0, 12.0, 20.0, 40.0, 70.0, 100.0)
-            for x, value in zip(xs, bessel_j(m, np.array(xs))):
-                assert value == pytest.approx(bessel_integral(m, x), abs=1e-12)
-
     def test_range_errors(self):
         for order in (-1, 201, 2.5):
             for argument in (1.0, np.array([1.0, 2.0])):

@@ -4,7 +4,7 @@ import math
 import numpy as np
 import pytest
 
-from vortexscatter.amplitudes import fourier_weight, reduced_triple_amplitude
+from vortexscatter.amplitudes import fourier_weight
 from vortexscatter.kinematics import (
     CollisionGeometry,
     TwistedState,
@@ -201,20 +201,6 @@ class TestOracleAmplitude:
                 for trip in expected
             )
             assert best < 1e-9
-
-    def test_ratio_to_closed_form(self):
-        rng = np.random.default_rng(101)
-        ratios = []
-        for geom, m, m1, m2 in draw_support_samples(rng, 60, theta=0.2):
-            closed = reduced_triple_amplitude(geom, m, m1, m2)
-            result = oracle_amplitude(geom, m, m1, m2)
-            ratios.append(result.amplitude / closed.value)
-        arr = np.array(ratios)
-        mean = arr.mean()
-        dispersion = float(np.sqrt(np.mean(np.abs(arr - mean) ** 2)) / abs(mean))
-        assert dispersion < 1e-8
-        # the conventions fix the constant at (2 pi)^{3/2}
-        assert mean == pytest.approx((2.0 * math.pi) ** 1.5, rel=1e-9)
 
     def test_invariant_under_start_grid_doubling(self, monkeypatch):
         geom = _geom()
