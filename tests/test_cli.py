@@ -133,15 +133,30 @@ def _rejected(command, name, config, *messages):
     return pytest.param(command, config, messages, id=f"{command}-{name}")
 
 
-# Every config that a command rejects, with the id <command>-<name>: its config
-# (a dict written as JSON, or the raw bytes of the file) and the messages that
-# stderr must contain.
+def _case(number, command, config, *messages):
+    """A row with the id <command>-overrides<number>-<first message>, the id
+    that this case has carried since pytest numbered the cases by position."""
+    return pytest.param(command, config, messages, id=f"{command}-overrides{number}-{messages[0]}")
+
+
+def _assert_rejected(tmp_path, capsys, command, content, messages):
+    """command on a config file of these bytes exits 2, with every message on
+    stderr, no traceback, and no output file, partial or plot script."""
+    cfg = tmp_path / "config.json"
+    cfg.write_bytes(content)
+    assert main([command, "--config", str(cfg), "--out", str(tmp_path / "out")]) == EXIT_CONFIG
+    err = capsys.readouterr().err
+    assert "Traceback" not in err
+    for message in messages:
+        assert message in err
+    assert list(tmp_path.iterdir()) == [cfg]
+
+
+# Every config that a command rejects, with the id <command>-<name>, except
+# the file-level cases of test_unreadable_config_rejected and the values past
+# a command's reach in _OUT_OF_RANGE: its config and the messages that stderr
+# must contain.
 _REJECTED = [
-    # the file: not UTF-8, an integer beyond Python's digit limit, no object, malformed
-    _rejected("eval", "not-utf8", b"\xff\xfe{", "cannot read config"),
-    _rejected("eval", "beyond-int-digit-limit", b'{"m": ' + b"1" * 5000 + b"}", "cannot read config"),
-    _rejected("eval", "not-an-object", b"[1, 2]", "config must be a JSON object"),
-    _rejected("eval", "malformed", b"{", "cannot read config"),
     # keys; the former nested objects: the map's node count is now the
     # top-level node_count, and the oracle's Newton controls are not settable
     _rejected("eval", "unknown-key", dict(kappa_0=1.0), "unknown config key: 'kappa_0'"),
@@ -160,20 +175,11 @@ _REJECTED = [
         "map", "bool-and-int-mixed", {"q_nodes": True, "plot_script": 1, "node_count": 24.0},
         "q_nodes must be an integer", "plot_script must be true or false", "node_count must be an integer",
     ),
-    _rejected("eval", "m-big", _eval_config(m=_BIG), f"m {_INT64}"),
     _rejected("eval", "bare-m-big", {"m": _BIG}, f"m {_INT64}"),
-    _rejected(
-        "eval", "m1-big", _eval_config(m1_min=_BIG, m1_max=_BIG), f"m1_min {_INT64}", f"m1_max {_INT64}"
-    ),
     _rejected("map", "m-big", dict(_ONE_CELL, m=_BIG), f"m {_INT64}"),
-    _rejected("map", "m-minus-big", dict(_ONE_CELL, m=-_BIG), f"m {_INT64}"),
     _rejected(
         "map", "m1-big", dict(m1_min=_BIG, m1_max=_BIG, q_nodes=4), f"m1_min {_INT64}", f"m1_max {_INT64}"
     ),
-    _rejected("map", "q_nodes-big", dict(_ONE_CELL, q_nodes=_BIG), f"q_nodes {_INT64}"),
-    _rejected("field", "grid_n-big", dict(grid_n=_BIG), f"grid_n {_INT64}"),
-    _rejected("field", "grid_n-2**63", dict(grid_n=2**63), f"grid_n {_INT64}"),
-    _rejected("eval", "theta-big", _eval_config(theta=_BIG), "theta must be finite"),
     _rejected("eval", "q-minus-big", {"q": -_BIG}, "q must be finite"),
     # non-finite values, which json.load accepts as NaN, Infinity and -Infinity
     _rejected("map", "sigma_rel-nan", dict(_ONE_CELL, sigma_rel=math.nan), "sigma_rel must be finite"),
@@ -191,12 +197,7 @@ _REJECTED = [
         "theta must satisfy 0 < theta < pi/2", "kappa0 must be positive", "eval requires m1_min == m1_max",
     ),
     _rejected("eval", "kappa0-zero", {"kappa0": 0.0}, "kappa0 must be positive"),
-    _rejected("oracle-check", "seed-negative", dict(seed=-1, sample_count=1), "seed must be non-negative"),
-    _rejected(
-        "map", "map_cell_rtol-zero", dict(_ONE_CELL, map_cell_rtol=0.0), "map_cell_rtol must be positive"
-    ),
     _rejected("field", "grid_n-1", dict(grid_n=1), "grid_n must be >= 2"),
-    _rejected("field", "r_max-zero", dict(r_max=0.0, grid_n=2), "r_max must be positive"),
     _rejected("eval", "q-beyond-sin-theta", _eval_config(q=0.9), _Q_REGION),
     # |q| is one ulp below kappa0 sin(theta), but q / kappa0 rounds to sin(theta)
     # or above: formerly a math domain error in angle_set and a division by a
@@ -213,86 +214,101 @@ _REJECTED = [
         ),
         _Q_REGION,
     ),
-    # sizes; numpy's linspace raised ValueError at grid_n 2**62 (array is too
-    # big), oracle-check drew samples for as long as it ran, and the map ran
-    # out of memory, or swapped without an address-space limit
-    _rejected("field", "m-300", dict(m=300, grid_n=2), "MAX_BESSEL_ORDER = 200"),
-    _rejected("field", "m-minus-201", dict(m=-201, grid_n=2), "MAX_BESSEL_ORDER = 200"),
-    _rejected("field", "grid_n-2**62", dict(grid_n=2**62), "grid_n must not exceed MAX_GRID_N = 1024"),
-    _rejected("field", "grid_n-200000", dict(grid_n=200000), "grid_n must not exceed MAX_GRID_N = 1024"),
-    _rejected(
-        "oracle-check", "sample_count-1e12", dict(sample_count=10**12),
-        "sample_count must not exceed MAX_SAMPLE_COUNT = 1000000",
-    ),
-    _rejected(
-        "map", "helicity-cells-4.2e9", dict(m1_min=-10**8, m1_max=10**8, q_nodes=4, node_count=4),
-        "= 4200000021 must not exceed MAX_HELICITY_CELLS = 10000",
-    ),
-    _rejected("map", "q_nodes-1e9", dict(q_nodes=10**9), "q_nodes must not exceed MAX_Q_NODES = 1024"),
-    _rejected(
-        "map", "node_count-1e5", dict(node_count=10**5), "node_count must not exceed MAX_NODE_COUNT = 128"
-    ),
-    # reach: the closed form divides by sqrt(sin^2 theta - sin^2 xi)
     _rejected(
         "eval", "bare-theta-1e-300", {"theta": 1e-300},
         "sin(theta)^2 underflows", "eval requires m1_min == m1_max",
-    ),
-    _rejected("eval", "theta-1e-300", _eval_config(theta=1e-300), "sin(theta)^2 underflows"),
-    _rejected("oracle-check", "theta-1e-300", dict(theta=1e-300, sample_count=1), "sin(theta)^2 underflows"),
-    _rejected("map", "theta-1e-300", dict(_ONE_CELL, theta=1e-300), "sin(theta)^2 underflows"),
-    # reach of the Bessel argument; the packet reaches kappa0 (1 + 5 sigma_rel)
-    # = 2, and 2 * 6000 > 1e4
-    _rejected(
-        "field", "kappa0-1e308", dict(kappa0=1e308, grid_n=2),
-        "r_max * kappa0 = inf exceeds MAX_BESSEL_ARGUMENT",
-    ),
-    _rejected(
-        "field", "r_max-1e300", dict(r_max=1e300, grid_n=2),
-        "r_max * kappa0 = 1e+300 exceeds MAX_BESSEL_ARGUMENT",
-    ),
-    _rejected(
-        "field", "packet-r_max-6000", dict(r_max=6000.0, field_packet=True, grid_n=2),
-        "r_max * the packet's largest kappa = 12000 exceeds MAX_BESSEL_ARGUMENT",
-    ),
-    # reach of the momenta
-    _rejected("eval", "kappa0-1e200", _eval_config(kappa0=1e200), "omega^2 must be finite"),
-    _rejected("map", "kappa0-1e200", dict(_ONE_CELL, kappa0=1e200), "omega^2 must be finite"),
-    _rejected(
-        "map", "support-underflow", dict(_ONE_CELL, kappa02=1e-150, sigma_rel=1e-200),
-        "packet profile: support",
-    ),
-    _rejected(
-        "eval", "kappas-1e-160", _eval_config(q=0.0, m1_min=1, m1_max=1, m2_min=0, m2_max=0, **_TINY_KAPPAS),
-        "kappa0 too small: kappa0^2 underflows",
-    ),
-    _rejected(
-        "map", "kappas-1e-160", dict(_ONE_CELL, **_TINY_KAPPAS), "kappa02 too small: kappa02^2 underflows"
-    ),
-    # the packet supports reach about 3.75e154, so (kt + k2)^2 in a q slice is
-    # inf and inf - inf wrote nan with exit 0; sigma_rel = 1e153 still fits
-    _rejected(
-        "map", "sigma_rel-3e153", dict(_ONE_CELL, sigma_rel=3e153, node_count=4, map_cell_rtol=1.0),
-        "(sum of the three upper support ends)^2 overflows",
-    ),
-    # eval's kt^2 + kappa01^2 - kappa02^2 was inf - inf: it wrote NaN and
-    # exited 0; the geometry refuses it now, since kappa01^2 is inf
-    _rejected(
-        "eval", "final-moduli-1e160", _eval_config(kappa01=1e160, kappa02=1e160),
-        "squares of the final transverse moduli must be finite",
     ),
 ]
 
 
 @pytest.mark.parametrize("command, config, messages", _REJECTED)
 def test_rejected_config_exits_config(tmp_path, capsys, command, config, messages):
-    cfg = tmp_path / "config.json"
-    cfg.write_bytes(config if isinstance(config, bytes) else json.dumps(config).encode())
-    assert main([command, "--config", str(cfg), "--out", str(tmp_path / "out")]) == EXIT_CONFIG
-    err = capsys.readouterr().err
-    assert "Traceback" not in err
-    for message in messages:
-        assert message in err
-    assert list(tmp_path.iterdir()) == [cfg]  # no output, partial or plot script
+    _assert_rejected(tmp_path, capsys, command, json.dumps(config).encode(), messages)
+
+
+# The values past what a command can compute, each with the id of _case.
+_OUT_OF_RANGE = [
+    _case(0, "oracle-check", dict(seed=-1, sample_count=1), "seed must be non-negative"),
+    # reach: the closed form divides by sqrt(sin^2 theta - sin^2 xi)
+    _case(1, "eval", _eval_config(theta=1e-300), "sin(theta)^2 underflows"),
+    _case(2, "oracle-check", dict(theta=1e-300, sample_count=1), "sin(theta)^2 underflows"),
+    _case(3, "map", dict(_ONE_CELL, theta=1e-300), "sin(theta)^2 underflows"),
+    # reach of the Bessel order and argument; the packet reaches kappa0 (1 + 5
+    # sigma_rel) = 2, and 2 * 6000 > 1e4
+    _case(4, "field", dict(m=300, grid_n=2), "MAX_BESSEL_ORDER = 200"),
+    _case(5, "field", dict(m=-201, grid_n=2), "MAX_BESSEL_ORDER = 200"),
+    _case(6, "field", dict(kappa0=1e308, grid_n=2), "r_max * kappa0 = inf exceeds MAX_BESSEL_ARGUMENT"),
+    _case(7, "field", dict(r_max=1e300, grid_n=2), "r_max * kappa0 = 1e+300 exceeds MAX_BESSEL_ARGUMENT"),
+    _case(
+        8, "field", dict(r_max=6000.0, field_packet=True, grid_n=2),
+        "r_max * the packet's largest kappa = 12000 exceeds MAX_BESSEL_ARGUMENT",
+    ),
+    # reach of the momenta
+    _case(9, "eval", _eval_config(kappa0=1e200), "omega^2 must be finite"),
+    _case(10, "map", dict(_ONE_CELL, kappa0=1e200), "omega^2 must be finite"),
+    _case(11, "map", dict(_ONE_CELL, kappa02=1e-150, sigma_rel=1e-200), "packet profile: support"),
+    _case(
+        12, "eval", _eval_config(q=0.0, m1_min=1, m1_max=1, m2_min=0, m2_max=0, **_TINY_KAPPAS),
+        "kappa0 too small: kappa0^2 underflows",
+    ),
+    _case(13, "map", dict(_ONE_CELL, **_TINY_KAPPAS), "kappa02 too small: kappa02^2 underflows"),
+    # the packet supports reach about 3.75e154, so (kt + k2)^2 in a q slice is
+    # inf and inf - inf wrote nan with exit 0; sigma_rel = 1e153 still fits
+    _case(
+        14, "map", dict(_ONE_CELL, sigma_rel=3e153, node_count=4, map_cell_rtol=1.0),
+        "(sum of the three upper support ends)^2 overflows",
+    ),
+    # integers beyond 64 bits
+    _case(15, "eval", _eval_config(m=_BIG), f"m {_INT64}"),
+    _case(16, "eval", _eval_config(m1_min=_BIG, m1_max=_BIG), f"m1_max {_INT64}", f"m1_min {_INT64}"),
+    _case(17, "map", dict(_ONE_CELL, m=-_BIG), f"m {_INT64}"),
+    _case(18, "map", dict(_ONE_CELL, q_nodes=_BIG), f"q_nodes {_INT64}"),
+    _case(19, "field", dict(grid_n=_BIG), f"grid_n {_INT64}"),
+    _case(20, "field", dict(grid_n=2**63), f"grid_n {_INT64}"),
+    _case(21, "eval", _eval_config(theta=_BIG), "theta must be finite"),
+    # sizes; numpy's linspace raised ValueError at grid_n 2**62 (array is too
+    # big), oracle-check drew samples for as long as it ran, and the map ran
+    # out of memory, or swapped without an address-space limit
+    _case(22, "field", dict(grid_n=2**62), "grid_n must not exceed MAX_GRID_N = 1024"),
+    _case(23, "field", dict(grid_n=200000), "grid_n must not exceed MAX_GRID_N = 1024"),
+    _case(
+        24, "oracle-check", dict(sample_count=10**12),
+        "sample_count must not exceed MAX_SAMPLE_COUNT = 1000000",
+    ),
+    _case(
+        25, "map", dict(m1_min=-10**8, m1_max=10**8, q_nodes=4, node_count=4),
+        "= 4200000021 must not exceed MAX_HELICITY_CELLS = 10000",
+    ),
+    _case(26, "map", dict(q_nodes=10**9), "q_nodes must not exceed MAX_Q_NODES = 1024"),
+    _case(27, "map", dict(node_count=10**5), "node_count must not exceed MAX_NODE_COUNT = 128"),
+    _case(28, "map", dict(_ONE_CELL, map_cell_rtol=0.0), "map_cell_rtol must be positive"),
+    _case(29, "field", dict(r_max=0.0, grid_n=2), "r_max must be positive"),
+    # eval's kt^2 + kappa01^2 - kappa02^2 was inf - inf: it wrote NaN and
+    # exited 0; the geometry refuses it now, since kappa01^2 is inf
+    _case(
+        30, "eval", _eval_config(kappa01=1e160, kappa02=1e160),
+        "squares of the final transverse moduli must be finite",
+    ),
+]
+
+
+@pytest.mark.parametrize("command, config, messages", _OUT_OF_RANGE)
+def test_out_of_range_config_rejected(tmp_path, capsys, command, config, messages):
+    _assert_rejected(tmp_path, capsys, command, json.dumps(config).encode(), messages)
+
+
+# the file: not UTF-8, an integer beyond Python's digit limit, no object, malformed
+@pytest.mark.parametrize(
+    "content, message",
+    [
+        pytest.param(b"\xff\xfe{", "cannot read config", id="not-utf8"),
+        pytest.param(b'{"m": ' + b"1" * 5000 + b"}", "cannot read config", id="beyond-int-digit-limit"),
+        pytest.param(b"[1, 2]", "config must be a JSON object", id="not-an-object"),
+        pytest.param(b"{", "cannot read config", id="malformed"),
+    ],
+)
+def test_unreadable_config_rejected(tmp_path, capsys, content, message):
+    _assert_rejected(tmp_path, capsys, "eval", content, [message])
 
 
 def test_seed_beyond_64_bits_still_runs(tmp_path):
