@@ -154,7 +154,8 @@ def load_config(path: str) -> tuple[RunConfig | None, list[str]]:
 
 def validate(cfg: RunConfig, command: str) -> list[str]:
     """The violated preconditions of the target command, as messages; the build
-    and range checks of _range_problems (eval, map, field) run once all others pass."""
+    and range checks of _range_problems (eval, map) or _field_problems (field)
+    run once all others pass."""
     out = []
     for f in fields(cfg):
         value = getattr(cfg, f.name)
@@ -223,18 +224,16 @@ def validate(cfg: RunConfig, command: str) -> list[str]:
             out.append("r_max must be positive")
         if abs(cfg.m) > MAX_BESSEL_ORDER:
             out.append(f"|m| must not exceed MAX_BESSEL_ORDER = {MAX_BESSEL_ORDER}")
-    if command != "oracle-check" and not out:
-        out.extend(_range_problems(cfg, command))
-    return out
+    if out or command == "oracle-check":
+        return out
+    return _field_problems(cfg) if command == "field" else _range_problems(cfg, command)
 
 
 def _range_problems(cfg: RunConfig, command: str) -> list[str]:
     """eval's and map's beam mode and geometry, and map's packet profiles, must
     exist, and the momenta that eval's triangle or a map's q slice adds up must
     have a finite square, which bounds every square and product of momenta
-    there. The field's checks are in _field_problems."""
-    if command == "field":
-        return _field_problems(cfg)
+    there."""
     what, reach = "(kappa0 + kappa01 + kappa02)", cfg.kappa0 + cfg.kappa01 + cfg.kappa02
     if command == "map":
         what = "packet supports too wide: (sum of the three upper support ends)"
@@ -256,7 +255,7 @@ def _field_problems(cfg: RunConfig) -> list[str]:
     name, kappa = "kappa0", cfg.kappa0
     if cfg.field_packet:
         try:
-            profile = WavePacketProfile(cfg.kappa0, cfg.sigma_rel * cfg.kappa0)
+            profile = _profile(cfg, cfg.kappa0)
         except ValueError as exc:
             return [f"packet profile: {exc}"]
         name, kappa = "the packet's largest kappa", profile.support[1]
@@ -278,12 +277,13 @@ def _geometry(cfg: RunConfig) -> CollisionGeometry:
     )
 
 
+def _profile(cfg: RunConfig, kappa: float) -> WavePacketProfile:
+    """The packet profile centred on kappa, of width sigma_rel * kappa."""
+    return WavePacketProfile(kappa, cfg.sigma_rel * kappa)
+
+
 def _profiles(cfg: RunConfig):
-    return (
-        WavePacketProfile(cfg.kappa0, cfg.sigma_rel * cfg.kappa0),
-        WavePacketProfile(cfg.kappa01, cfg.sigma_rel * cfg.kappa01),
-        WavePacketProfile(cfg.kappa02, cfg.sigma_rel * cfg.kappa02),
-    )
+    return tuple(_profile(cfg, k) for k in (cfg.kappa0, cfg.kappa01, cfg.kappa02))
 
 
 def _write_text(path: str, *texts: str) -> None:
@@ -306,11 +306,7 @@ def _json_document(payload: dict) -> str:
 def cmd_eval(cfg: RunConfig, out_path: str) -> int:
     geom = _geometry(cfg)
     m1, m2 = cfg.m1_min, cfg.m2_min
-    try:
-        amp = reduced_triple_amplitude(geom, cfg.m, m1, m2)
-    except DegenerateSupportError as exc:
-        print(f"degenerate support: {exc}", file=sys.stderr)
-        return EXIT_DEGENERATE_SUPPORT
+    amp = reduced_triple_amplitude(geom, cfg.m, m1, m2)
     angles = angle_set(geom)
     tri = triangle_geometry(cfg.kappa0, angles.xi, cfg.kappa01, cfg.kappa02)
 
@@ -403,19 +399,15 @@ def cmd_map(cfg: RunConfig, out_path: str) -> int:
     _probe_writable(out_path + ".partial")
     if cfg.plot_script:
         _probe_writable(out_path + ".gp")
-    try:
-        result = intensity_map(
-            _profiles(cfg),
-            _geometry(cfg),
-            cfg.m,
-            (cfg.m1_min, cfg.m1_max),
-            (cfg.m2_min, cfg.m2_max),
-            QuadratureSpec(node_count=cfg.node_count),
-            q_nodes=cfg.q_nodes,
-        )
-    except SupportRegionError as exc:
-        print(f"degenerate support: {exc}", file=sys.stderr)
-        return EXIT_DEGENERATE_SUPPORT
+    result = intensity_map(
+        _profiles(cfg),
+        _geometry(cfg),
+        cfg.m,
+        (cfg.m1_min, cfg.m1_max),
+        (cfg.m2_min, cfg.m2_max),
+        QuadratureSpec(node_count=cfg.node_count),
+        q_nodes=cfg.q_nodes,
+    )
     csv_text = _map_csv(result.rows())
     non_finite = int(np.sum(~np.isfinite(result.weights)))
     # fails closed: a NaN delta counts as above the tolerance
@@ -443,7 +435,7 @@ def cmd_field(cfg: RunConfig, out_path: str) -> int:
     radii = np.linspace(0.0, cfg.r_max, cfg.grid_n).tolist()
     azimuths = np.linspace(0.0, 2.0 * math.pi, cfg.grid_n, endpoint=False).tolist()
     if cfg.field_packet:
-        profile = WavePacketProfile(cfg.kappa0, cfg.sigma_rel * cfg.kappa0)
+        profile = _profile(cfg, cfg.kappa0)
         nodes, weights = gauss_legendre_on(*profile.support, 64)
         weights = (weights * profile.value(nodes))[:, None]
         kappas = nodes.tolist()
@@ -497,6 +489,9 @@ def main(argv: list[str] | None = None) -> int:
         return EXIT_CONFIG
     try:
         return _COMMANDS[args.command](cfg, args.out)
+    except (DegenerateSupportError, SupportRegionError) as exc:
+        print(f"degenerate support: {exc}", file=sys.stderr)
+        return EXIT_DEGENERATE_SUPPORT
     except OSError as exc:  # only the output writes touch the file system
         print(f"cannot write output: {exc}", file=sys.stderr)
         return EXIT_CONFIG

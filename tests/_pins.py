@@ -103,13 +103,15 @@ WITHOUT_AVX512 = "AVX512_SPR AVX512_ICL X86_V4"
 # the 9 digits that the map CSVs print, while sin, cos and the elementwise
 # arithmetic of the solver and oracle bits round alike; the OpenBLAS kernels of
 # an AVX2-only and of an AVX-only CPU, on which no oracle, solver or smeared
-# pin may depend (the smeared amplitude makes no BLAS call); and both AVX2
-# settings together, as on an AVX2-only runner.
+# pin may depend (the smeared amplitude makes no BLAS call); both AVX2
+# settings together, as on an AVX2-only runner; and one BLAS thread, the
+# setting README gives for map jobs on a shared host.
 ENVIRONMENTS = {
     "avx2": {"NPY_DISABLE_CPU_FEATURES": WITHOUT_AVX512},
     "haswell": {"OPENBLAS_CORETYPE": "Haswell"},
     "sandybridge": {"OPENBLAS_CORETYPE": "Sandybridge"},
     "avx2-haswell": {"NPY_DISABLE_CPU_FEATURES": WITHOUT_AVX512, "OPENBLAS_CORETYPE": "Haswell"},
+    "one-blas-thread": {"OPENBLAS_NUM_THREADS": "1"},
 }
 
 

@@ -807,6 +807,21 @@ def _configs(draw):
     return config
 
 
+def _run(command, config):
+    """main's exit code on config, and the bytes of every file it wrote."""
+    with tempfile.TemporaryDirectory() as tmp:
+        path = os.path.join(tmp, "config.json")
+        with open(path, "w", encoding="utf-8") as fh:
+            json.dump(config, fh)
+        code = main([command, "--config", path, "--out", os.path.join(tmp, "out")])
+        written = {}
+        for name in sorted(os.listdir(tmp)):
+            with open(os.path.join(tmp, name), "rb") as fh:
+                written[name] = fh.read()
+    del written["config.json"]
+    return code, written
+
+
 @settings(suppress_health_check=[HealthCheck.too_slow])
 @given(command=st.sampled_from(["eval", "oracle-check", "map", "field"]), config=_configs())
 @example(command="field", config={"r_max": 5e-324, "grid_n": 3})
@@ -818,17 +833,64 @@ def _configs(draw):
                                 "m1_min": 0, "m1_max": 0, "m2_min": 0, "m2_max": 0})
 @example(command="eval", config=_SCALED_EVAL)
 def test_any_config_ends_in_an_exit_code(command, config):
-    with tempfile.TemporaryDirectory() as tmp:
-        path, out = os.path.join(tmp, "config.json"), os.path.join(tmp, "out")
-        with open(path, "w", encoding="utf-8") as fh:
-            json.dump(config, fh)
-        code = main([command, "--config", path, "--out", out])
-        if code == EXIT_OK and command in ("eval", "oracle-check"):
-            # strict JSON (RFC 8259): no NaN, Infinity or -Infinity
-            with open(out, encoding="utf-8") as fh:
-                json.load(fh, parse_constant=_not_json)
+    code, written = _run(command, config)
+    if code == EXIT_OK and command in ("eval", "oracle-check"):
+        # strict JSON (RFC 8259): no NaN, Infinity or -Infinity
+        json.loads(written["out"], parse_constant=_not_json)
     assert code in range(6)
 
 
 def _not_json(constant):
     raise ValueError(f"{constant} is not JSON")
+
+
+def _scaled(config, scale):
+    """config with every momentum times scale."""
+    return {k: v * scale if k in ("kappa0", "kappa01", "kappa02", "q") else v for k, v in config.items()}
+
+
+def _eval_value(written):
+    payload = json.loads(written["out"])
+    return complex(payload["value_re"], payload["value_im"])
+
+
+@st.composite
+def _physics(draw):
+    """A beam mode, geometry, packet width and helicities, every momentum a
+    normal float; q runs a little past eval's q region, kappa0 sin theta."""
+    theta = draw(st.floats(0.02, 1.5))
+    config = dict(
+        m=draw(st.integers(-6, 6)),
+        theta=theta,
+        kappa0=draw(st.floats(0.2, 3.0)),
+        kappa01=draw(st.floats(0.05, 3.0)),
+        kappa02=draw(st.floats(0.05, 3.0)),
+        sigma_rel=draw(st.floats(0.01, 0.5)),
+        m1_min=draw(st.integers(-8, 8)),
+        m2_min=draw(st.integers(-8, 8)),
+    )
+    config["q"] = config["kappa0"] * math.sin(theta) * draw(st.integers(-80, 80)) / 64
+    return config
+
+
+# 60 examples run 240 commands in about 2 s
+@settings(max_examples=60)
+@given(base=_physics(), j=st.one_of(st.integers(-120, -30), st.integers(30, 120)))
+# at about 1e100 and 1e-100 (4^166 = 2^332) heron_area's product of the
+# four side sums once gave eval a zero value with an infinite area, and exit 3
+@example(base=_eval_config(kappa01=1.0, kappa02=0.5, m1_min=3, m2_min=1), j=166)
+@example(base=_eval_config(kappa01=1.0, kappa02=0.5, m1_min=3, m2_min=1), j=-166)
+def test_every_momentum_times_four_to_the_j_keeps_each_output(base, j):
+    """Every momentum times 4^j is exact in binary. eval's value times 8^j
+    then equals its value at scale 1 bit for bit, and a 7x7 map, which is
+    normalized, writes the same bytes; a config that one scale rejects or
+    stops, the other ends with the same exit code."""
+    m1, m2 = base["m1_min"], base["m2_min"]
+    single = dict(base, m1_max=m1, m2_max=m2)
+    code, out = _run("eval", single)
+    code_j, out_j = _run("eval", _scaled(single, 4.0**j))
+    assert code_j == code
+    if code == EXIT_OK:
+        assert _eval_value(out_j) * 8.0**j == _eval_value(out)
+    grid = dict(base, m1_max=m1 + 6, m2_max=m2 + 6, node_count=12, q_nodes=8)
+    assert _run("map", _scaled(grid, 4.0**j)) == _run("map", grid)

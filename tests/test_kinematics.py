@@ -36,10 +36,6 @@ class TestTwistedState:
         assert s.mass_squared == pytest.approx(0.0, abs=1e-12)
 
     def test_validation(self):
-        with pytest.raises(ValueError):
-            TwistedState(kappa=-1.0, m=0, k_z=1.0, omega=2.0)
-        with pytest.raises(ValueError):
-            TwistedState(kappa=1.0, m=0, k_z=5.0, omega=1.0)  # negative mass^2
         # a fractional m used to construct and fail only in field_amplitude
         for m in (2.5, 2.0):
             with pytest.raises(ValueError, match="m must be an integer"):
@@ -81,7 +77,14 @@ def test_non_finite_inputs_rejected(build, message):
     "build, message",
     [
         pytest.param(
+            lambda: TwistedState(-1.0, 0, 1.0, 2.0), "kappa must be positive", id="state-kappa-negative"
+        ),
+        pytest.param(
             lambda: TwistedState(1.0, 0, 1.0, -2.0), "omega must be positive", id="state-omega-negative"
+        ),
+        pytest.param(
+            lambda: TwistedState(1.0, 0, 5.0, 1.0), r"omega\^2 must be >= kappa\^2 \+ k_z\^2",
+            id="state-mass-squared-negative",
         ),
         pytest.param(lambda: _geom(theta=0.0), r"theta must lie in \(0, pi/2\)", id="geometry-theta-zero"),
         pytest.param(

@@ -62,6 +62,56 @@ def _order_and_lanes(draw):
     return m, draw(st.permutations(xs))
 
 
+_ABOVE_MAX_ARGUMENT = math.nextafter(MAX_BESSEL_ARGUMENT, math.inf)
+_BAD_ORDER = rf"order must be an integer in \[0, {MAX_BESSEL_ORDER}\]"
+# one lane out of range rejects the whole call, with the scalar message
+_BAD_ARGUMENT = r"argument must be finite in \[0, 10000"
+_BAD_SIDES = "sides must be finite and non-negative"
+
+
+@pytest.mark.parametrize(
+    "build, message",
+    [
+        pytest.param(lambda: bessel_j(-1, 1.0), _BAD_ORDER, id="bessel-order-minus"),
+        pytest.param(lambda: bessel_j(201, 1.0), _BAD_ORDER, id="bessel-order-above-max"),
+        pytest.param(lambda: bessel_j(2.5, 1.0), _BAD_ORDER, id="bessel-order-fraction"),
+        pytest.param(lambda: bessel_j(-1, np.array([1.0, 2.0])), _BAD_ORDER, id="bessel-lanes-order-minus"),
+        pytest.param(
+            lambda: bessel_j(201, np.array([1.0, 2.0])), _BAD_ORDER, id="bessel-lanes-order-above-max"
+        ),
+        pytest.param(
+            lambda: bessel_j(2.5, np.array([1.0, 2.0])), _BAD_ORDER, id="bessel-lanes-order-fraction"
+        ),
+        pytest.param(lambda: bessel_j(0, -0.5), _BAD_ARGUMENT, id="bessel-argument-minus"),
+        pytest.param(lambda: bessel_j(0, math.inf), _BAD_ARGUMENT, id="bessel-argument-inf"),
+        pytest.param(lambda: bessel_j(0, math.nan), _BAD_ARGUMENT, id="bessel-argument-nan"),
+        pytest.param(
+            lambda: bessel_j(0, _ABOVE_MAX_ARGUMENT), _BAD_ARGUMENT, id="bessel-argument-above-max"
+        ),
+        pytest.param(lambda: bessel_j(0, [1.0, -0.5]), _BAD_ARGUMENT, id="bessel-lanes-list-minus"),
+        pytest.param(
+            lambda: bessel_j(0, [[1.0, 2.0], [math.nan, 3.0]]), _BAD_ARGUMENT, id="bessel-lanes-2d-nan"
+        ),
+        pytest.param(
+            lambda: bessel_j(0, np.array([0.0, 5.0, math.inf])), _BAD_ARGUMENT, id="bessel-lanes-inf"
+        ),
+        pytest.param(
+            lambda: bessel_j(0, np.array([2.0, _ABOVE_MAX_ARGUMENT])), _BAD_ARGUMENT,
+            id="bessel-lanes-above-max",
+        ),
+        pytest.param(lambda: heron_area(-1.0, 2.0, 2.0), _BAD_SIDES, id="heron-side-minus"),
+        pytest.param(lambda: heron_area(math.nan, 2.0, 2.0), _BAD_SIDES, id="heron-side-nan"),
+        pytest.param(
+            lambda: QuadratureSpec(node_count=1), "node_count must be >= 2", id="spec-node_count-1"
+        ),
+        pytest.param(lambda: QuadratureSpec(rel_tol=0.0), "rel_tol must be positive", id="spec-rel_tol-zero"),
+    ],
+)
+def test_out_of_domain_inputs_rejected(build, message):
+    with pytest.raises(ValueError, match=message):
+        build()
+
+
 class TestBessel:
     def test_zero_argument(self):
         assert bessel_j(0, 0.0) == 1.0
@@ -76,20 +126,6 @@ class TestBessel:
         expected = bessel_series(1, 1.0)
         assert expected == pytest.approx(0.4400505857449335, abs=1e-15)
         assert bessel_j(1, 1.0) == pytest.approx(expected, abs=1e-13)
-
-    def test_range_errors(self):
-        for order in (-1, 201, 2.5):
-            for argument in (1.0, np.array([1.0, 2.0])):
-                with pytest.raises(ValueError, match="order must be an integer"):
-                    bessel_j(order, argument)
-        # one lane out of range rejects the whole call, with the scalar message
-        for argument in (
-            -0.5, math.inf, math.nan, math.nextafter(MAX_BESSEL_ARGUMENT, math.inf),
-            [1.0, -0.5], [[1.0, 2.0], [math.nan, 3.0]], np.array([0.0, 5.0, math.inf]),
-            np.array([2.0, math.nextafter(MAX_BESSEL_ARGUMENT, math.inf)]),
-        ):
-            with pytest.raises(ValueError, match=r"argument must be finite in \[0, 10000"):
-                bessel_j(0, argument)
 
     @given(_order_and_lanes())
     @example((0, [0.5 * k for k in range(300)]))
@@ -175,12 +211,6 @@ class TestHeron:
         assert heron_area(1e-150, 1e150, 1e150) == 0.5
         assert heron_area(1e-160, 1e-160, 1e-160) == 0.0
 
-    def test_invalid_inputs(self):
-        with pytest.raises(ValueError):
-            heron_area(-1.0, 2.0, 2.0)
-        with pytest.raises(ValueError):
-            heron_area(math.nan, 2.0, 2.0)
-
 
 def integrate_q_substituted(g_of_xi, theta, spec, kappa):
     """Integral of g(xi) dq over |q| < kappa sin(theta), q = kappa sin(xi),
@@ -248,10 +278,6 @@ class TestQuadrature:
         assert full == pytest.approx(2.0 * half, rel=1e-9)
 
     def test_spec_validation(self):
-        with pytest.raises(ValueError):
-            QuadratureSpec(node_count=1)
-        with pytest.raises(ValueError):
-            QuadratureSpec(rel_tol=0.0)
         with pytest.raises(ValueError, match="max_refinements must be >= 1"):
             QuadratureSpec(max_refinements=0)
         for bad in (math.nan, math.inf):

@@ -58,6 +58,27 @@ def _l2_norm(p):
     return float(np.sum(0.5 * (hi - lo) * w * p.value(k) ** 2))
 
 
+@pytest.mark.parametrize(
+    "build, message",
+    [
+        pytest.param(
+            lambda: WavePacketProfile(-1.0, 0.1), "kappa0 must be finite and positive",
+            id="profile-kappa0-minus",
+        ),
+        pytest.param(
+            lambda: intensity_map(
+                _profiles(), _template(), 5, (3, 1), (-2, 2), QuadratureSpec(node_count=8, rel_tol=1e-6)
+            ),
+            "helicity ranges must be non-empty",
+            id="map-m1-range-empty",
+        ),
+    ],
+)
+def test_out_of_domain_inputs_rejected(build, message):
+    with pytest.raises(ValueError, match=message):
+        build()
+
+
 class TestProfile:
     def test_outside_support_zero(self):
         p = WavePacketProfile(1.0, 0.1)
@@ -80,10 +101,6 @@ class TestProfile:
         grid = np.linspace(*p.support, 20001)
         values = p.value(grid)
         assert grid[int(np.argmax(values))] == pytest.approx(1.0, abs=2e-4)
-
-    def test_validation(self):
-        with pytest.raises(ValueError):
-            WavePacketProfile(-1.0, 0.1)
 
 
 class TestSmearedAmplitude:
@@ -713,11 +730,6 @@ class TestIntensityMap:
         a = intensity_map(_profiles(), _template(), 5, (4, 6), (-1, 1), quad, q_nodes=64)
         b = intensity_map(_profiles(), _template(), 5, (4, 6), (-1, 1), quad, q_nodes=96)
         np.testing.assert_allclose(a.weights, b.weights, rtol=0.0, atol=1e-6)
-
-    def test_empty_range_rejected(self):
-        quad = QuadratureSpec(node_count=8, rel_tol=1e-6)
-        with pytest.raises(ValueError):
-            intensity_map(_profiles(), _template(), 5, (3, 1), (-2, 2), quad)
 
     @pytest.mark.skipif(sys.platform == "win32", reason="no resource module")
     def test_map_memory_stays_below_one_slice_of_the_fine_pass(self):
