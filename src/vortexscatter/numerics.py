@@ -53,7 +53,7 @@ _MAX_NEWTON_STEP = 0.7  # rad; keeps multi-start iterates on their own basins
 _TWO_PI = 2.0 * math.pi
 
 # Controls of the multi-start Newton search on the torus (solve_system).
-_START_GRID_DENSITY = 6  # start points per angle
+_START_GRID_DENSITY = 4  # start points per angle
 _MAX_ITERATIONS = 60
 _RESIDUAL_TOL = 1e-12
 _DEDUPE_TOL = 1e-6  # merge radius of converged iterates, modulo 2 pi
@@ -356,8 +356,8 @@ def solve_system(
     _DEDUPE_TOL, so a wider merge radius drops no iterate that would still
     converge). Converged iterates are deduplicated modulo 2 pi within
     _DEDUPE_TOL, in order of increasing residual. Returns (roots,
-    degenerate), each sorted by angles; a root with |det| below
-    _RESIDUAL_TOL is degenerate and must not enter amplitude sums.
+    degenerate), each sorted by angles rounded to 1e-9 rad; a root with
+    |det| below _RESIDUAL_TOL is degenerate and must not enter amplitude sums.
     """
     d = _START_GRID_DENSITY
     # Irrational offset keeps the regular grid off exact Jacobian singularities.
@@ -405,7 +405,9 @@ def solve_system(
     picked = order[_dedupe(points[order], _DEDUPE_TOL)]
     found = sorted(
         map(TorusRoot, points[picked], np.abs(dets[picked]).tolist(), norms[picked].tolist()),
-        key=lambda r: tuple(r.angles),
+        # paired roots share phi up to rounding: at 1e-9 rad, far inside
+        # _DEDUPE_TOL, phi ties and phi1 decides, not phi's last bit
+        key=lambda r: [round(a, 9) for a in r.angles.tolist()],
     )
     degenerate = [r for r in found if r.jacobian_det < _RESIDUAL_TOL]
     return [r for r in found if not r.jacobian_det < _RESIDUAL_TOL], degenerate

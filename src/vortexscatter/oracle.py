@@ -121,8 +121,8 @@ def oracle_amplitude(
         det_raw = root.jacobian_det * kappa**3  # undo the residual normalization
         terms.append(w0 * w1 * w2 * (kappa * kappa1 * kappa2) / det_raw)
         solutions.append(ConstraintSolution(phi, phi1, phi2, det_raw))
-    # exactly rounded sums, so the root order, which the last bit of a paired
-    # root's angles can flip, does not reach the amplitude's bits
+    # exactly rounded sums, so the root order does not reach the amplitude's
+    # bits
     amplitude = complex(math.fsum(t.real for t in terms), math.fsum(t.imag for t in terms))
     return OracleResult(solutions=tuple(solutions), amplitude=amplitude)
 

@@ -31,6 +31,10 @@ kernels on purpose:
   * single_twisted_oracle, the single-twisted element by the delta reduction
     in two dimensions, takes the decomposition weight from fourier_weight
     and makes its own on-cone test.
+
+wide_support_samples draws in-support geometries far past the oracle's own
+sampler (needle triangles, xi near theta), on which a denser start grid
+checks that the oracle's default one loses no root.
 """
 
 import functools
@@ -370,6 +374,44 @@ def _krawczyk_holds(residual, jacobian, amplitudes, c, h, margin):
     spread = np.abs(np.eye(3) - y @ jac) + np.abs(y) @ (h * amplitudes)
     radius = np.abs(y @ residual(c)) + h * spread.sum(axis=1)
     return bool(np.all(radius + margin < h))
+
+
+def wide_support_samples(
+    rng: np.random.Generator, count: int
+) -> list[tuple[CollisionGeometry, int, int, int]]:
+    """In-support configurations well past draw_support_samples' region, for
+    checking that the oracle's start grid finds every root.
+
+    theta is uniform on [0.02, 1.5] and xi on [-0.995, 0.995] theta. Each
+    inner angle of the (kappa_tilde, kappa1, kappa2) triangle is at least
+    0.01 rad; two of them are drawn log-uniformly on [0.01, pi], so needle
+    triangles are common, and kappa1 and kappa2 lie within (1e-2, 1e2)
+    kappa_tilde. kappa, k_z, the helicities and the rejection of amplitude
+    cosines below 0.1 are those of draw_support_samples.
+    """
+    samples = []
+    while len(samples) < count:
+        theta = rng.uniform(0.02, 1.5)
+        kappa = rng.uniform(0.6, 1.8)
+        xi = 0.995 * theta * rng.uniform(-1.0, 1.0)
+        kt = kappa * math.cos(xi)
+        d1, d2 = np.exp(rng.uniform(math.log(0.01), math.log(math.pi), 2))
+        if math.pi - d1 - d2 < 0.01:
+            continue
+        s12 = math.sin(d1 + d2)
+        m, m1, m2 = (int(v) for v in rng.integers(-6, 7, 3))
+        phi_star = math.acos(math.sin(xi) / math.sin(theta))
+        phi_tilde = math.acos(math.tan(xi) / math.tan(theta))
+        if abs(math.cos(m * phi_star - (m1 - m2) * phi_tilde)) < 0.1:
+            continue
+        if abs(math.cos(m1 * d1 + m2 * d2)) < 0.1:
+            continue
+        initial = TwistedState.massless(kappa, m, 40.0 * kappa)
+        geom = CollisionGeometry(
+            theta, kappa * math.sin(xi), initial, kt * math.sin(d2) / s12, kt * math.sin(d1) / s12
+        )
+        samples.append((geom, m, m1, m2))
+    return samples
 
 
 def stripe_substitution(a, b, w):

@@ -27,6 +27,7 @@ from _oracles import (
     per_vector_system,
     richardson_det,
     single_twisted_oracle,
+    wide_support_samples,
 )
 from _pins import assert_bits
 
@@ -146,7 +147,6 @@ class TestOracleAmplitude:
         assert_bits(("oracle", draw), {"theta": theta, "seed": seed, "samples": got})
 
     def test_root_order_keeps_the_amplitude_bits(self, monkeypatch):
-        # the roots of a pair share phi, so the last bit of phi orders them;
         # every order of the roots gives the same bits, where a running sum
         # of the terms in that order would not
         import vortexscatter.oracle as oracle_module
@@ -203,13 +203,17 @@ class TestOracleAmplitude:
             assert best < 1e-9
 
     def test_invariant_under_start_grid_doubling(self, monkeypatch):
-        geom = _geom()
-        monkeypatch.setattr(numerics_module, "_START_GRID_DENSITY", 4)
-        a = oracle_amplitude(geom, 4, 3, -2)
+        # the default start grid finds every root that an 8^3 grid finds, at
+        # three theta and on needle triangles with xi near theta
+        rng = np.random.default_rng(42)
+        cases = [c for t in (0.05, 0.2, 1.0) for c in draw_support_samples(rng, 10, theta=t)]
+        cases += wide_support_samples(rng, 10)
+        default = [oracle_amplitude(*case) for case in cases]
         monkeypatch.setattr(numerics_module, "_START_GRID_DENSITY", 8)
-        b = oracle_amplitude(geom, 4, 3, -2)
-        assert len(b.solutions) >= len(a.solutions)
-        assert abs(b.amplitude - a.amplitude) <= 1e-10 * abs(a.amplitude)
+        for case, a in zip(cases, default):
+            b = oracle_amplitude(*case)
+            assert len(a.solutions) == len(b.solutions) == 4
+            assert abs(b.amplitude - a.amplitude) <= 1e-10 * abs(a.amplitude)
 
     def test_swap_symmetry_with_helicity_negation(self):
         # exchanging the final particles flips the tilt axis: q -> -q,
@@ -281,7 +285,8 @@ class TestAnalyticJacobian:
                     return system(points)
 
                 numerics_module.solve_system(recorded)
-                assert batches[0].shape == (216, 3)  # the start grid, then every iterate
+                # the start grid, then every iterate
+                assert batches[0].shape == (numerics_module._START_GRID_DENSITY**3, 3)
                 batches += [
                     rng.uniform(0.0, TWO_PI, (1, 3)),
                     rng.uniform(0.0, TWO_PI, (60, 3)),
