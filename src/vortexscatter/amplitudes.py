@@ -98,35 +98,26 @@ def single_twisted_solutions(
 
     With the second final transverse momentum fixed at modulus k2 and azimuth
     phi2, and the first constrained to modulus k1, the cone condition
-    |k1 + k2| = kappa admits two mirror branches:
+    |k1 + k2| = kappa closes the triangle (kappa, k1, k2) of
+    triangle_geometry, the one the triple-twisted element reads. Its inner
+    angles delta1, delta2 at the kappa side give two mirror branches
 
-        phi1  = phi2 +/- arccos((kappa^2 - k1^2 - k2^2) / (2 k1 k2))
-        phi12 = phi2 +/- arccos((kappa^2 + k2^2 - k1^2) / (2 kappa k2))
+        phi1 = phi2 +/- (delta1 + delta2),   phi12 = phi2 +/- delta2
 
-    with correlated signs. Tangency collapses the branches into one, flagged
-    degenerate; when the circles do not intersect a SupportRegionError is
-    raised.
+    with correlated signs. Exactly on the stripe boundary
+    kappa = k1 + k2 or |k1 - k2| there is one branch, flagged degenerate;
+    outside it the circles do not intersect and SupportRegionError is raised.
     """
-    if kappa <= 0.0 or k1_mod <= 0.0 or k2_mod <= 0.0:
-        raise ValueError("all moduli must be positive")
-    c_phi1 = (kappa**2 - k1_mod**2 - k2_mod**2) / (2.0 * k1_mod * k2_mod)
-    c_phi12 = (kappa**2 + k2_mod**2 - k1_mod**2) / (2.0 * kappa * k2_mod)
-    edge = 1.0 + 1e-12
-    if abs(c_phi1) > edge or abs(c_phi12) > edge:
+    tri = triangle_geometry(kappa, 0.0, k1_mod, k2_mod)
+    if math.isnan(tri.area):
         raise SupportRegionError(
             "no transverse-momentum solution: "
             f"kappa = {kappa} outside [{abs(k1_mod - k2_mod)}, {k1_mod + k2_mod}]"
         )
-    tangent = abs(c_phi1) >= 1.0 - 1e-12
-    alpha = math.acos(min(1.0, max(-1.0, c_phi1)))
-    beta = math.acos(min(1.0, max(-1.0, c_phi12)))
-    signs = (1,) if tangent else (1, -1)
-    branches = []
-    for s in signs:
-        phi1 = phi2 + s * alpha
-        phi12 = phi2 + s * beta
-        branches.append(TwoBodyBranch(sign=s, phi1=phi1, phi12=phi12, degenerate=tangent))
-    return branches
+    degenerate = not tri.in_stripe  # exactly on the boundary
+    turn = tri.delta1 + tri.delta2
+    signs = (1,) if degenerate else (1, -1)
+    return [TwoBodyBranch(s, phi2 + s * turn, phi2 + s * tri.delta2, degenerate) for s in signs]
 
 
 def single_twisted_amplitude(
@@ -136,13 +127,14 @@ def single_twisted_amplitude(
 ) -> SingleTwistedValue:
     """Single-twisted element: smooth part of the radial delta at k12 = kappa.
 
-    Off the radial support the value is exactly 0; in particular back-to-back
-    final transverse momenta (k12 = 0) never scatter, for any helicity. That
-    zero is the phase vortex of the outgoing wave.
+    Off the radial support, a band of 1e-9 kappa about k12 = kappa, the value
+    is exactly 0; in particular back-to-back final transverse momenta
+    (k12 = 0) never scatter, for any helicity and kappa. That zero is the
+    phase vortex of the outgoing wave.
     """
     if k12_mod < 0.0:
         raise ValueError("k12_mod must be non-negative")
-    on = abs(k12_mod - state.kappa) <= _RADIAL_SUPPORT_RTOL * max(state.kappa, 1.0)
+    on = abs(k12_mod - state.kappa) <= _RADIAL_SUPPORT_RTOL * state.kappa
     if not on:
         return SingleTwistedValue(0j, False)
     m = state.m

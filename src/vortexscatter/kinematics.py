@@ -111,7 +111,8 @@ class TriangleGeometry:
     delta1 and delta2 are the inner angles adjacent to the kappa_tilde side:
     cos(delta_i) = (kappa_tilde^2 + kappa_i^2 - kappa_j^2) / (2 kappa_tilde kappa_i).
     Outside the stripe the area and angles are NaN and in_stripe is False;
-    exactly on the boundary the area is 0 and degenerate is True.
+    exactly on the boundary in_stripe is False and the area 0. degenerate is
+    True wherever the area is 0, also inside the stripe once it underflows.
     """
 
     kappa_tilde: float
@@ -166,16 +167,20 @@ def stripe_contains(kappa_tilde: float, kappa1: float, kappa2: float) -> bool:
 def triangle_geometry(
     kappa: float, xi: float, kappa1: float, kappa2: float
 ) -> TriangleGeometry:
-    """Triangle data for sides (kappa cos(xi), kappa1, kappa2)."""
-    if kappa <= 0.0 or kappa1 <= 0.0 or kappa2 <= 0.0:
-        raise ValueError("all moduli must be positive")
+    """Triangle data for sides (kappa cos(xi), kappa1, kappa2).
+
+    The cosine law runs on the sides scaled exactly by 2^-e, e the exponent of
+    the longest side, so its squares stay in range wherever heron_area's do.
+    """
     kt = kappa * math.cos(xi)
-    area = heron_area(kt, kappa1, kappa2)
     inside = stripe_contains(kt, kappa1, kappa2)
+    area = heron_area(kt, kappa1, kappa2)
     if math.isnan(area):
         return TriangleGeometry(kt, kappa1, kappa2, math.nan, math.nan, math.nan, False, False)
-    c1 = (kt * kt + kappa1 * kappa1 - kappa2 * kappa2) / (2.0 * kt * kappa1)
-    c2 = (kt * kt + kappa2 * kappa2 - kappa1 * kappa1) / (2.0 * kt * kappa2)
+    e = math.frexp(max(kt, kappa1, kappa2))[1]
+    a, b, c = (math.ldexp(s, -e) for s in (kt, kappa1, kappa2))
+    c1 = (a * a + b * b - c * c) / (2.0 * a * b)
+    c2 = (a * a + c * c - b * b) / (2.0 * a * c)
     delta1 = math.acos(min(1.0, max(-1.0, c1)))
     delta2 = math.acos(min(1.0, max(-1.0, c2)))
     return TriangleGeometry(

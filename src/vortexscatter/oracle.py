@@ -32,6 +32,9 @@ from .errors import DegenerateJacobianError
 from .kinematics import CollisionGeometry, TwistedState, tilt_frame
 from .numerics import solve_system
 
+# draw_support_samples rejects a sample whose amplitude cosines fall below this
+_COS_FLOOR = 0.1
+
 
 @dataclass(frozen=True)
 class ConstraintSolution:
@@ -131,7 +134,6 @@ def draw_support_samples(
     rng: np.random.Generator,
     count: int,
     theta: float = 0.2,
-    cos_floor: float = 0.1,
 ) -> list[tuple[CollisionGeometry, int, int, int]]:
     """Seeded in-support configurations for oracle/closed-form comparisons.
 
@@ -139,17 +141,14 @@ def draw_support_samples(
     are uniform on -6..6. Triangles are built from their inner angles (law of
     sines), so samples are in-stripe by construction, with |xi| < 0.9 theta,
     area > 0.05 kappa_tilde^2 and kappa1, kappa2 in (0.05, 5) kappa_tilde.
-    Samples where either amplitude cosine falls below cos_floor are rejected:
-    there the element vanishes and the ratio of the two evaluations
+    Samples where either amplitude cosine falls below _COS_FLOOR are
+    rejected: there the element vanishes and the ratio of the two evaluations
     degenerates to 0/0.
 
-    ValueError unless 0 < theta < pi/2 and 0 <= cos_floor <= 1: above 1 every
-    sample is rejected, so the draw would never end.
+    ValueError unless 0 < theta < pi/2.
     """
     if not 0.0 < theta < 0.5 * math.pi:
         raise ValueError(f"theta must satisfy 0 < theta < pi/2, got {theta!r}")
-    if not 0.0 <= cos_floor <= 1.0:
-        raise ValueError(f"cos_floor must lie in [0, 1], got {cos_floor!r}")
     samples = []
     sin_t, tan_t = math.sin(theta), math.tan(theta)
     while len(samples) < count:
@@ -173,9 +172,9 @@ def draw_support_samples(
         m, m1, m2 = (int(v) for v in rng.integers(-6, 7, 3))
         phi_star = math.acos(math.sin(xi) / sin_t)
         phi_tilde = math.acos(math.tan(xi) / tan_t)
-        if abs(math.cos(m * phi_star - (m1 - m2) * phi_tilde)) < cos_floor:
+        if abs(math.cos(m * phi_star - (m1 - m2) * phi_tilde)) < _COS_FLOOR:
             continue
-        if abs(math.cos(m1 * d1 + m2 * d2)) < cos_floor:
+        if abs(math.cos(m1 * d1 + m2 * d2)) < _COS_FLOOR:
             continue
         initial = TwistedState.massless(kappa, m, 40.0 * kappa)
         geom = CollisionGeometry(theta=theta, q=q, initial=initial, kappa1=kappa1, kappa2=kappa2)

@@ -527,6 +527,6 @@ def single_twisted_oracle(
     k12 = np.asarray(k1, dtype=float) + np.asarray(k2, dtype=float)
     mod = float(np.hypot(k12[0], k12[1]))
     azimuth = float(np.arctan2(k12[1], k12[0]))
-    if not abs(mod - state.kappa) <= 1e-9 * max(state.kappa, 1.0):  # off the cone
+    if not abs(mod - state.kappa) <= 1e-9 * state.kappa:  # off the cone
         return 0j
     return fourier_weight(state.kappa, state.m, azimuth) / (2.0 * math.pi) ** 2

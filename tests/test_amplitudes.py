@@ -11,9 +11,9 @@ from vortexscatter.amplitudes import (
     unit_imag_power,
 )
 from vortexscatter.errors import DegenerateSupportError, SupportRegionError
-from vortexscatter.kinematics import CollisionGeometry, TwistedState, angle_set
+from vortexscatter.kinematics import CollisionGeometry, TwistedState, angle_set, stripe_contains
 
-from _oracles import circle_intersection_azimuths, plane_wave_limit_check
+from _oracles import circle_intersection_azimuths, plane_wave_limit_check, single_twisted_oracle
 
 SQRT_2PI = math.sqrt(2.0 * math.pi)
 
@@ -78,15 +78,42 @@ class TestSingleTwistedSolutions:
         assert branches[0].phi12 == pytest.approx(math.acos(0.6), abs=1e-14)
         assert branches[1].phi12 == pytest.approx(-math.acos(0.6), abs=1e-14)
 
-    def test_tangency(self):
-        branches = single_twisted_solutions(2.0, 1.0, 1.0, 0.0)
-        assert len(branches) == 1
-        assert branches[0].degenerate
-        assert branches[0].phi1 == pytest.approx(0.0, abs=1e-7)
-
     def test_empty_support(self):
         with pytest.raises(SupportRegionError):
             single_twisted_solutions(1.0, 5.0, 1.0, 0.0)
+
+    @pytest.mark.parametrize("k1, k2", [(1.0, 1.0), (0.75, 0.5), (0.7, 0.5)])
+    @pytest.mark.parametrize(
+        "toward, branches",
+        [
+            pytest.param(None, 1, id="on-edge"),
+            pytest.param(0.0, 2, id="one-ulp-inside"),
+            pytest.param(math.inf, 0, id="one-ulp-outside"),
+        ],
+    )
+    def test_one_ulp_about_the_outer_edge_follows_stripe_contains(self, k1, k2, toward, branches):
+        # the branches read the shared triangle, so one ulp inside kappa = k1 + k2
+        # there are two of them, one ulp outside none, and exactly on it one
+        kappa = k1 + k2 if toward is None else math.nextafter(k1 + k2, toward)
+        assert stripe_contains(kappa, k1, k2) == (branches == 2)
+        if branches == 0:
+            with pytest.raises(SupportRegionError):
+                single_twisted_solutions(kappa, k1, k2, 0.3)
+            return
+        solved = single_twisted_solutions(kappa, k1, k2, 0.3)
+        assert len(solved) == branches
+        assert all(b.degenerate == (branches == 1) for b in solved)
+        if branches == 1:  # k1 and k2 parallel to k12
+            assert solved[0].phi1 == solved[0].phi12 == pytest.approx(0.3, abs=1e-7)
+
+    @pytest.mark.parametrize("j", [-270, -100, 100, 255, 256])
+    def test_power_of_four_scale_moves_no_bit(self, j):
+        # a cosine law on unscaled sides would overflow 2 k1 k2 at j = 256 and
+        # underflow it to 0 at j = -270
+        def solve(scale):
+            return single_twisted_solutions(0.75 * scale, 0.75 * scale, 0.75 * scale, 0.3)
+
+        assert solve(4.0**j) == solve(1.0)
 
     def test_sign_correlation_reconstruction(self):
         rng = np.random.default_rng(23)
@@ -117,6 +144,18 @@ class TestSingleTwistedSolutions:
 
 
 class TestSingleTwistedAmplitude:
+    @pytest.mark.parametrize("j", [-20, 0, 20])
+    def test_radial_band_is_relative_to_kappa(self, j):
+        # a band absolute below kappa = 1 would put k12 = 0 on the support at
+        # kappa = 4^-20; the oracle keeps the same band
+        state = TwistedState.massless(4.0**j, 3, 40.0 * 4.0**j)
+        k1 = state.kappa * np.array([0.4, -0.3])
+        assert single_twisted_amplitude(state, 0.0, 0.7) == (0j, False)
+        assert single_twisted_oracle(state, k1, -k1) == 0j
+        for stretch in (1.0 - 5e-10, 1.0 + 5e-10):
+            assert single_twisted_amplitude(state, state.kappa * stretch, 0.7).on_support
+            assert single_twisted_oracle(state, k1, np.array([stretch * state.kappa, 0.0]) - k1) != 0j
+
     def test_on_support_zero_helicity(self):
         state = TwistedState.massless(1.0, 0, 40.0)
         value = single_twisted_amplitude(state, 1.0, 0.0)
@@ -171,6 +210,19 @@ class TestReducedTripleAmplitude:
         geom = _geom(kappa=1e-160, kappa1=1e-160, kappa2=1e-160)
         with pytest.raises(DegenerateSupportError):
             reduced_triple_amplitude(geom, 5, 1, 0)
+
+    @pytest.mark.parametrize("j", [-250, 100, 255, 256])
+    def test_power_of_four_scale_moves_no_bit(self, j):
+        # the value scales as the momenta^-3/2; a cosine law on unscaled sides
+        # would overflow kappa_tilde^2 + kappa1^2 at j = 256
+        def value(scale):
+            kappa = 0.75 * scale
+            geom = CollisionGeometry(
+                0.2, 0.04 * scale, TwistedState.massless(kappa, 3, 0.1 * kappa), 0.7 * scale, 0.5 * scale
+            )
+            return reduced_triple_amplitude(geom, 3, 4, 1).value
+
+        assert value(4.0**j) * 8.0**j == value(1.0) != 0.0
 
     def test_explicit_value(self):
         theta = 0.2

@@ -73,12 +73,9 @@ def _residual(geom):
 
 def test_sampler_rejects_a_draw_that_cannot_end():
     # count 0: without the checks the sampler returns [] here rather than hang
-    for kwargs in (
-        dict(theta=0.0), dict(theta=0.5 * math.pi), dict(theta=math.nan),
-        dict(cos_floor=1.5), dict(cos_floor=-0.1), dict(cos_floor=math.nan),
-    ):
-        with pytest.raises(ValueError, match=f"{next(iter(kwargs))} must"):
-            draw_support_samples(np.random.default_rng(0), 0, **kwargs)
+    for theta in (0.0, 0.5 * math.pi, math.nan):
+        with pytest.raises(ValueError, match="theta must"):
+            draw_support_samples(np.random.default_rng(0), 0, theta=theta)
 
 
 class TestConservationResidual:
