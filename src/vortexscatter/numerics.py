@@ -285,53 +285,47 @@ def q_substitution(q_max: float, n: int) -> tuple[np.ndarray, np.ndarray]:
     return q_max * np.sin(u), wu * q_max * np.cos(u)
 
 
-def _row_max(values: np.ndarray) -> np.ndarray:
-    """Largest entry of each row of an (N, 3) array, from its three columns:
-    one loop over the N rows per call, not N loops of three."""
-    return np.maximum(np.maximum(values[:, 0], values[:, 1]), values[:, 2])
-
-
 def _torus_distance(points: np.ndarray, ref: np.ndarray) -> np.ndarray:
-    """Largest per-angle separation modulo 2 pi of each row from ref."""
+    """Largest per-angle separation modulo 2 pi of each column from ref."""
     d = np.abs(points - ref) % _TWO_PI
-    return _row_max(np.minimum(d, _TWO_PI - d))
+    return np.minimum(d, _TWO_PI - d).max(axis=0)
 
 
-# Flat (column, component) indices into a 3x3 matrix's columns c0, c1, c2 of
-# the four factors of row k, component i of det(J) J^-1 = c_{k+1} x c_{k+2}:
+# (column, component) indices into a 3x3 matrix's columns c0, c1, c2 of the
+# four factors of entry (k, i) of det(J) J^-1, whose row k is c_{k+1} x c_{k+2}:
 # c_{k+1}[i+1] c_{k+2}[i+2] - c_{k+1}[i+2] c_{k+2}[i+1], indices modulo 3.
-_COFACTOR_FACTORS = np.array([
-    [3 * ((k + a) % 3) + (i + b) % 3 for k in range(3) for i in range(3)]
-    for a, b in ((1, 1), (2, 2), (1, 2), (2, 1))
-])
+_COFACTOR_FACTORS = (
+    np.array([[[(k + a) % 3] for k in range(3)] for a in (1, 2, 1, 2)]),  # columns, (4, 3, 1)
+    np.array([[[(i + b) % 3 for i in range(3)]] for b in (1, 2, 2, 1)]),  # components, (4, 1, 3)
+)
 
 
 def _newton_step(jac: np.ndarray, res: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """det J and the Newton step -J^-1 res, as (N,) and (N, 3), of (N, 3, 3)
-    Jacobians and (N, 3) residuals by Cramer's rule on elementwise arithmetic:
-    row k of det(J) J^-1 is c_{k+1} x c_{k+2} over J's columns, a (row,
-    component, N) array, and det J is (c1 x c2) . c0. Only IEEE +, -, x and /
-    enter, so the bits do not depend on a BLAS kernel. A zero row or column,
-    or c1 = c2, gives det exactly 0 and an inf or NaN step (numpy warns unless
-    its errors are ignored)."""
-    cols = jac.transpose(2, 1, 0).reshape(9, len(jac))  # (column, component) rows
-    f = cols.take(_COFACTOR_FACTORS, axis=0)
-    adj = (f[0] * f[1] - f[2] * f[3]).reshape(3, 3, len(jac))
-    lead = adj[0] * cols[:3]
+    """det J and the Newton step -J^-1 res, as (N,) and (3, N), of (3, N)
+    residuals and their Jacobians' columns c_j = jac[j], a (column,
+    component, N) array, by Cramer's rule on elementwise arithmetic: row k of
+    det(J) J^-1 is c_{k+1} x c_{k+2}, and det J is (c1 x c2) . c0. Only IEEE
+    +, -, x and / enter, so the bits do not depend on a BLAS kernel. A zero
+    row or column, or c1 = c2, gives det exactly 0 and an inf or NaN step
+    (numpy warns unless its errors are ignored)."""
+    f = jac[_COFACTOR_FACTORS]
+    adj = f[0] * f[1] - f[2] * f[3]
+    lead = adj[0] * jac[0]
     det = lead[0] + lead[1] + lead[2]
-    terms = adj * res.T
-    return det, ((terms[:, 0] + terms[:, 1] + terms[:, 2]) / -det).T
+    terms = adj * res
+    return det, (terms[:, 0] + terms[:, 1] + terms[:, 2]) / -det
 
 
 def _dedupe(points: np.ndarray, tol: float) -> list[int]:
-    """Indices of greedy representatives, in order: a point is picked when no
-    earlier pick lies within tol of it on the torus."""
-    uncovered = np.ones(len(points), dtype=bool)
+    """Indices of greedy representatives among the columns of a (3, N)
+    array, in order: a point is picked when no earlier pick lies within tol
+    of it on the torus."""
+    uncovered = np.ones(points.shape[1], dtype=bool)
     picked = []
     while uncovered.any():
         i = int(np.argmax(uncovered))
         picked.append(i)
-        uncovered &= _torus_distance(points, points[i]) > tol
+        uncovered &= _torus_distance(points, points[:, i, None]) > tol
     return picked
 
 
@@ -340,55 +334,59 @@ def solve_system(
 ) -> tuple[list[TorusRoot], list[TorusRoot]]:
     """Find all roots of a smooth residual R^3 -> R^3 on the 3-torus.
 
-    system maps an (N, 3) batch of angle triples to the (N, 3) residuals and
-    their (N, 3, 3) Jacobians d residual_i / d angle_j; it is called once per
+    system maps a (3, N) batch of points, whose rows are the three angles,
+    to the (3, N) residuals and the (3, 3, N) columns of their Jacobians,
+    J[j, i, n] = d residual_i / d angle_j at point n; it is called once per
     Newton step on the active iterates. The arrays may have any memory
     layout. Inside the Newton loop numpy's floating-point warnings are
-    ignored, the system's included: a row that turns non-finite is dropped.
+    ignored, the system's included: a point that turns non-finite is dropped.
 
     Newton iterations start from a uniform grid of _START_GRID_DENSITY^3
-    points. Each step's determinant and -J^-1 residual come from the cofactors
-    of the Jacobian (_newton_step); a root keeps the |det| and residual norm of
-    the step at which its iterate settled. An iterate is dropped when its
-    residual, step or Jacobian determinant is not finite or |det| <= 1e-300,
-    and when it is back within _RESIDUAL_TOL of where it stood two steps
-    earlier with no smaller residual (a 2-cycle; the test does not use
-    _DEDUPE_TOL, so a wider merge radius drops no iterate that would still
-    converge). Converged iterates are deduplicated modulo 2 pi within
-    _DEDUPE_TOL, in order of increasing residual. Returns (roots,
-    degenerate), each sorted by angles rounded to 1e-9 rad; a root with
-    |det| below _RESIDUAL_TOL is degenerate and must not enter amplitude sums.
+    points, for at most _MAX_ITERATIONS steps. Each step's determinant and
+    -J^-1 residual come from the cofactors of the Jacobian (_newton_step); a
+    root keeps the |det| and residual norm of the step at which its iterate
+    settled. An iterate is dropped when its residual, step or Jacobian
+    determinant is not finite or |det| <= 1e-300, and when it is back within
+    _RESIDUAL_TOL of where it stood two steps earlier with no smaller
+    residual (a 2-cycle; the test does not use _DEDUPE_TOL, so a wider merge
+    radius drops no iterate that would still converge). Converged iterates
+    are deduplicated modulo 2 pi within _DEDUPE_TOL, in order of increasing
+    residual. Returns (roots, degenerate), each sorted by angles rounded to
+    1e-9 rad; a root with |det| below _RESIDUAL_TOL is degenerate and must
+    not enter amplitude sums.
     """
     d = _START_GRID_DENSITY
     # Irrational offset keeps the regular grid off exact Jacobian singularities.
     axis = (np.arange(d) + 0.5 + 0.1180339887) * _TWO_PI / d
-    active = np.stack(np.meshgrid(axis, axis, axis, indexing="ij"), axis=-1).reshape(-1, 3)
+    active = np.array(np.meshgrid(axis, axis, axis, indexing="ij")).reshape(3, -1)
     # positions and residual norms one and two steps back; a NaN norm (no
     # history yet) never compares >=, so its position is never read
     back1 = back2 = active
-    norms1 = norms2 = np.full(len(active), np.nan)
+    norms1 = norms2 = np.full(active.shape[1], np.nan)
 
-    settled = []  # (points, residual norms, dets) of each step's settled rows
-    with np.errstate(all="ignore"):  # non-finite rows are dropped, not reported
+    settled = []  # (points, residual norms, dets) of each step's settled columns
+    with np.errstate(all="ignore"):  # non-finite points are dropped, not reported
         for _ in range(_MAX_ITERATIONS):
-            if len(active) == 0:
+            if active.shape[1] == 0:
                 break
             res, jac = system(active)
-            norms = _row_max(np.abs(res))
+            norms = np.abs(res).max(axis=0)
             dets, steps = _newton_step(jac, res)
             done = norms <= _RESIDUAL_TOL
             if done.any():
-                settled.append((active[done], norms[done], dets[done]))
+                settled.append((active[:, done], norms[done], dets[done]))
             # only an iterate whose residual did not fall can be in a 2-cycle
             cycling = norms >= norms2
             if cycling.any():
-                cycling[cycling] = _torus_distance(active[cycling], back2[cycling]) <= _RESIDUAL_TOL
+                cycling[cycling] = (
+                    _torus_distance(active[:, cycling], back2[:, cycling]) <= _RESIDUAL_TOL
+                )
             # a max of |res| is finite only where every component is
             solvable = np.isfinite(dets) & (np.abs(dets) > 1e-300) & np.isfinite(norms)
-            keep = solvable & ~(done | cycling) & np.isfinite(steps).all(axis=1)
+            keep = solvable & ~(done | cycling) & np.isfinite(steps).all(axis=0)
             if not keep.all():
                 active, steps, norms, back1, norms1 = (
-                    a.compress(keep, axis=0) for a in (active, steps, norms, back1, norms1)
+                    a.compress(keep, axis=-1) for a in (active, steps, norms, back1, norms1)
                 )
             back2, norms2 = back1, norms1
             back1, norms1 = active, norms
@@ -399,12 +397,12 @@ def solve_system(
     if not settled:
         return [], []
 
-    points, norms, dets = map(np.concatenate, zip(*settled))
+    points, norms, dets = (np.concatenate(a, axis=-1) for a in zip(*settled))
     points %= _TWO_PI  # the step's modulo can round an angle to 2 pi itself
     order = np.argsort(norms, kind="stable")
-    picked = order[_dedupe(points[order], _DEDUPE_TOL)]
+    picked = order[_dedupe(points[:, order], _DEDUPE_TOL)]
     found = sorted(
-        map(TorusRoot, points[picked], np.abs(dets[picked]).tolist(), norms[picked].tolist()),
+        map(TorusRoot, points[:, picked].T, np.abs(dets[picked]).tolist(), norms[picked].tolist()),
         # paired roots share phi up to rounding: at 1e-9 rad, far inside
         # _DEDUPE_TOL, phi ties and phi1 decides, not phi's last bit
         key=lambda r: [round(a, 9) for a in r.angles.tolist()],

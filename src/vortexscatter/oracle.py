@@ -54,17 +54,18 @@ class OracleResult:
 
 
 def _constraint_system(geom: CollisionGeometry):
-    """solve_system's system for one geometry: (N, 3) batches of
-    (phi, phi1, phi2) triples -> the conservation residual
+    """solve_system's system for one geometry: a (3, N) batch of points,
+    rows phi, phi1 and phi2 -> the conservation residual
     (k(phi) + p - k1(phi1) - k2(phi2)) / kappa with p = (0, 0, -k_z) as
-    (N, 3), and its exact Jacobian d residual_i / d (phi, phi1, phi2)_j as
-    (N, 3, 3), the derivative of the same cos/sin sum over kappa, both from
-    one cos and one sin of the points, once per Newton step of solve_system.
+    (3, N), and its exact Jacobian's columns d residual_i / d angle_j as
+    (3, 3, N) at [j, i], the derivative of the same cos/sin sum over kappa,
+    both from one cos and one sin of the points, once per Newton step of
+    solve_system.
 
     The work runs on (angle, component, point) arrays, one loop over the N
-    points per numpy call, and both results are transposed views. Each value
-    is bit for bit that of the per-vector sums kappa_i (cos phi_i u_i +
-    sin phi_i v_i) over the frames' unit vectors: a - b rounds as a + (-b).
+    points per numpy call. Each value is bit for bit that of the per-vector
+    sums kappa_i (cos phi_i u_i + sin phi_i v_i) over the frames' unit
+    vectors: a - b rounds as a + (-b).
     """
     kappa, kappa1, kappa2 = geom.initial.kappa, geom.kappa1, geom.kappa2
     ex, ey, ez = tilt_frame(geom.theta)
@@ -80,13 +81,10 @@ def _constraint_system(geom: CollisionGeometry):
     offset = (geom.q * ez)[:, None]
 
     def system(points):
-        shape = np.shape(points)
-        angles = np.reshape(points, (-1, 3)).T
-        cos, sin = np.cos(angles)[:, None], np.sin(angles)[:, None]
+        cos, sin = np.cos(points)[:, None], np.sin(points)[:, None]
         momenta = (cos * cos_units + sin * sin_units) * kappas  # k + p: the k_z parts cancel
         residual = (momenta[0] - momenta[1] - momenta[2] - offset) / kappa
-        deriv = (sin * d_sin_units + cos * d_cos_units) * kappas / kappa
-        return residual.T.reshape(shape), deriv.transpose(2, 1, 0).reshape(shape + (3,))
+        return residual, (sin * d_sin_units + cos * d_cos_units) * kappas / kappa
 
     return system
 

@@ -256,16 +256,16 @@ def conservation_jacobian(geom: CollisionGeometry, points) -> np.ndarray:
 
 
 def per_vector_system(geom: CollisionGeometry, points) -> tuple[np.ndarray, np.ndarray]:
-    """The oracle's residual and Jacobian as per-vector sums: each cos or sin
-    column of the points times a unit vector, then times kappa_i, (..., 3)
-    and (..., 3, 3). Every float operation of oracle._constraint_system,
-    which runs them on (angle, component, point) arrays instead."""
+    """The oracle's residual and Jacobian columns as per-vector sums over a
+    (3, N) batch of points: each cos or sin row of the points times a unit
+    vector, then times kappa_i, (3, N) and (3, 3, N). Every float operation
+    of oracle._constraint_system, which runs them on (angle, component,
+    point) arrays instead."""
     kappa, kappa1, kappa2 = geom.initial.kappa, geom.kappa1, geom.kappa2
-    ex, ey, ez = tilt_frame(geom.theta)
-    gx = np.array([1.0, 0.0, 0.0])
-    gy = np.array([0.0, 1.0, 0.0])
-    cos, sin = np.cos(points), np.sin(points)
-    c, s, c1, s1, c2, s2 = (t[..., j : j + 1] for j in range(3) for t in (cos, sin))
+    ex, ey, ez = (u[:, None] for u in tilt_frame(geom.theta))
+    gx = np.array([[1.0], [0.0], [0.0]])
+    gy = np.array([[0.0], [1.0], [0.0]])
+    (c, c1, c2), (s, s1, s2) = np.cos(points), np.sin(points)
     initial = kappa * (c * gx + s * gy)
     final1 = kappa1 * (c1 * ex + s1 * ey)
     final2 = kappa2 * (c2 * ex - s2 * ey)
@@ -273,7 +273,7 @@ def per_vector_system(geom: CollisionGeometry, points) -> tuple[np.ndarray, np.n
     d_phi = kappa * (c * gy - s * gx)
     d_phi1 = kappa1 * (s1 * ex - c1 * ey)
     d_phi2 = kappa2 * (s2 * ex + c2 * ey)
-    return residual, np.stack([d_phi, d_phi1, d_phi2], axis=-1) / kappa
+    return residual, np.stack([d_phi, d_phi1, d_phi2]) / kappa
 
 
 def conservation_amplitudes(geom: CollisionGeometry) -> np.ndarray:

@@ -7,6 +7,7 @@ from hypothesis import example, given
 from hypothesis import strategies as st
 
 from vortexscatter.errors import ConvergenceError
+from vortexscatter.kinematics import CollisionGeometry, TwistedState
 from vortexscatter.numerics import (
     MAX_BESSEL_ARGUMENT,
     MAX_BESSEL_ORDER,
@@ -426,8 +427,15 @@ def _embedded_two_root_residual(points):
 
 
 def _fd(residual):
-    """The system of a residual with its central-difference Jacobian."""
-    return lambda points: (residual(points), fd_jacobian(residual, points, 1e-6))
+    """solve_system's system of a residual on (N, 3) rows of angles, with its
+    central-difference Jacobian: both transposed to the (3, N) and (3, 3, N)
+    column layout."""
+
+    def system(angles):
+        points = angles.T
+        return residual(points).T, fd_jacobian(residual, points, 1e-6).T
+
+    return system
 
 
 def _embedded_two_root_jacobian(points):
@@ -447,8 +455,10 @@ def _embedded_two_root_jacobian(points):
 _EMBEDDED_AMPLITUDES = [[3.0, 4.0, 3.0], [0.0, 4.0, 3.0], [math.sqrt(2.0), 0.0, 0.0]]
 
 
-def _embedded_two_root_system(points):
-    return _embedded_two_root_residual(points), _embedded_two_root_jacobian(points)
+def _embedded_two_root_system(angles):
+    # the residual and Jacobian above take (N, 3) rows, as the witness does
+    points = angles.T
+    return _embedded_two_root_residual(points).T, _embedded_two_root_jacobian(points).T
 
 
 class TestSolveSystem:
@@ -481,17 +491,17 @@ class TestSolveSystem:
         assert len(dense[0]) >= len(base[0])
 
     def test_batched_residual_error_propagates(self, monkeypatch):
-        # an error of the residual is not retried or swallowed
+        # an error of the system is not retried or swallowed
         monkeypatch.setattr(numerics_module, "_START_GRID_DENSITY", 2)
         calls = []
 
-        def failing_residual(points):
+        def failing_system(points):
             calls.append(np.shape(points))
             raise ZeroDivisionError("residual failed")
 
         with pytest.raises(ZeroDivisionError):
-            solve_system(_fd(failing_residual))
-        assert calls == [(8, 3)]
+            solve_system(failing_system)
+        assert calls == [(3, 8)]
 
     def test_exact_jacobian_finds_the_same_roots(self):
         fd_roots, _ = solve_system(_fd(_embedded_two_root_residual))
@@ -528,7 +538,7 @@ class TestSolveSystem:
             spread = rng.choice([1e-7, 1e-6, 3e-6])
             points = centers[rng.integers(0, len(centers), count)]
             points = (points + rng.normal(0.0, spread, points.shape)) % (2.0 * math.pi)
-            assert _dedupe(points, 1e-6) == reference(points, 1e-6)
+            assert _dedupe(points.T, 1e-6) == reference(points, 1e-6)
 
     def test_dense_grid_scan_agreement(self):
         roots, _ = solve_system(_fd(_embedded_two_root_residual))
@@ -582,7 +592,9 @@ def _singular(rng):
 
 class TestNewtonStep:
     """numerics._newton_step, Cramer's rule on elementwise arithmetic,
-    against LAPACK's det and solve."""
+    against LAPACK's det and solve. The (N, 3, 3) matrices and (N, 3)
+    residuals that LAPACK takes enter the step transposed, as the (3, 3, N)
+    columns and (3, N) residuals of solve_system's layout."""
 
     @pytest.mark.parametrize("kind", ["random", "ill_conditioned"])
     def test_matches_lapack_within_cond_eps(self, kind):
@@ -590,7 +602,8 @@ class TestNewtonStep:
         n = 500
         jac = rng.normal(size=(n, 3, 3)) if kind == "random" else _ill_conditioned(rng, n)
         res = rng.normal(size=(n, 3)) * 10.0 ** rng.uniform(-12.0, 0.0, (n, 1))
-        det, step = _newton_step(jac, res)
+        det, step = _newton_step(jac.T, res.T)
+        step = step.T
         ref_det = np.linalg.det(jac)
         ref_step = np.linalg.solve(jac, -res[..., None])[..., 0]
         # worst measured over 2000 rows of each kind: 10.4 (det) and 1.4 (step)
@@ -605,9 +618,9 @@ class TestNewtonStep:
         rng = np.random.default_rng(5)
         jac = _singular(rng)
         with np.errstate(all="ignore"):
-            det, step = _newton_step(jac, rng.normal(size=(len(jac), 3)))
+            det, step = _newton_step(jac.T, rng.normal(size=(3, len(jac))))
         assert np.all(det == 0.0)
-        assert not np.isfinite(step).all(axis=1).any()
+        assert not np.isfinite(step).all(axis=0).any()
 
     def test_rows_are_independent_and_non_finite_rows_stay_non_finite(self):
         rng = np.random.default_rng(9)
@@ -619,30 +632,75 @@ class TestNewtonStep:
         jac[7, 1, 2] = np.nan
         res[10, 1] = np.nan
         with np.errstate(all="ignore"):
-            det, step = _newton_step(jac, res)
+            det, step = _newton_step(jac.T, res.T)
         assert not np.isfinite(det[bad[:3]]).any()
-        assert not np.isfinite(step[bad]).all(axis=1).any()
+        assert not np.isfinite(step[:, bad]).all(axis=0).any()
         good = np.setdiff1d(np.arange(12), bad)
-        alone_det, alone_step = _newton_step(jac[good], res[good])
+        alone_det, alone_step = _newton_step(jac[good].T, res[good].T)
         assert np.array_equal(det[good], alone_det)
-        assert np.array_equal(step[good], alone_step)
+        assert np.array_equal(step[:, good], alone_step)
 
     def test_bits_do_not_depend_on_memory_layout(self):
-        # the oracle's system returns its Jacobians as a transposed view
+        # a system may return its columns as transposed views of point-major
+        # arrays
         rng = np.random.default_rng(4)
-        cols = rng.normal(size=(3, 3, 40))  # (column, component, row)
-        res = rng.normal(size=(3, 40))
-        view_det, view_step = _newton_step(cols.transpose(2, 1, 0), res.T)
-        det, step = _newton_step(np.ascontiguousarray(cols.transpose(2, 1, 0)), res.T.copy())
+        jac = rng.normal(size=(40, 3, 3))  # (point, component, column)
+        res = rng.normal(size=(40, 3))
+        view_det, view_step = _newton_step(jac.T, res.T)
+        det, step = _newton_step(np.ascontiguousarray(jac.T), np.ascontiguousarray(res.T))
         assert np.array_equal(view_det, det) and np.array_equal(view_step, step)
+
+    def test_solver_bits_do_not_depend_on_memory_layout(self):
+        for geom, *_ in draw_support_samples(np.random.default_rng(3), 4, theta=0.2):
+            system = _constraint_system(geom)
+
+            def as_views(points):
+                res, jac = system(points)
+                res, jac = np.ascontiguousarray(res.T).T, np.ascontiguousarray(jac.T).T
+                # a single point is contiguous in any layout
+                assert points.shape[1] == 1 or not (res.flags.c_contiguous or jac.flags.c_contiguous)
+                return res, jac
+
+            def as_copies(points):
+                return tuple(np.ascontiguousarray(a) for a in system(points))
+
+            views, copies = solve_system(as_views), solve_system(as_copies)
+            assert len(views[0]) == 4 and views[1] == copies[1] == []
+            assert _root_hexes(views[0]) == _root_hexes(copies[0])
+
+    def test_iteration_cap_bounds_the_calls_and_the_roots(self, monkeypatch):
+        # uncapped, this geometry takes 14 calls, and 3 of its 4 roots have
+        # settled within the first 6
+        initial = TwistedState.massless(1.0, 0, 40.0)
+        geom = CollisionGeometry(0.2, 0.3 * math.sin(0.2), initial, 0.9, 0.7)
+        system = _constraint_system(geom)
+        assert len(solve_system(system)[0]) == 4
+        monkeypatch.setattr(numerics_module, "_MAX_ITERATIONS", 6)
+        batches = []
+
+        def recorded(points):
+            batches.append(points.copy())
+            return system(points)
+
+        roots, degenerate = solve_system(recorded)
+        assert len(batches) == 6 and batches[-1].shape[1] > 0
+        assert len(roots) == 3 and degenerate == []
+        settled = {}
+        for points in batches:
+            norms = np.abs(system(points)[0]).max(axis=0)
+            for point, norm in zip((points % (2.0 * math.pi)).T, norms):
+                if norm <= 1e-12:
+                    settled[tuple(point.tolist())] = norm
+        for root in roots:
+            assert settled[tuple(root.angles.tolist())] == root.residual_norm
 
     def test_solver_drops_singular_rows_without_a_warning(self):
         calls = []
 
         def singular_everywhere(points):
-            calls.append(len(points))
-            jac = np.zeros((len(points), 3, 3))
-            jac[:, :, 1] = jac[:, :, 2] = np.cos(points)  # equal columns
+            calls.append(points.shape[1])
+            jac = np.zeros((3,) + points.shape)
+            jac[1] = jac[2] = np.cos(points)  # equal columns
             return np.sin(points), jac
 
         with warnings.catch_warnings():
@@ -655,9 +713,9 @@ class TestNewtonStep:
         # residual has converged, so every root is settled with det exactly 0
         def singular_at_roots(points):
             res = np.sin(points)
-            jac = np.cos(points)[:, :, None] * np.eye(3)
-            converged = np.max(np.abs(res), axis=1) <= 1e-12
-            jac[converged, 2] = 0.0
+            jac = np.eye(3)[:, :, None] * np.cos(points)
+            converged = np.max(np.abs(res), axis=0) <= 1e-12
+            jac[:, 2, converged] = 0.0
             return res, jac
 
         with warnings.catch_warnings():
@@ -669,21 +727,26 @@ class TestNewtonStep:
 
 
 def _band(points, lo, hi):
-    return (points[..., 0] >= lo) & (points[..., 0] < hi)
+    return (points[0] >= lo) & (points[0] < hi)
+
+
+# A mask over the points broadcasts along the last axis of the (3, N)
+# residuals and (3, 3, N) Jacobian columns, and a (3, 1) factor scales one
+# component, a row of each Jacobian.
 
 
 def _non_finite_residual_system(points):
     # no start point lies in the NaN band; iterates walk into it
     res, jac = _embedded_two_root_system(points)
-    return np.where(_band(points, 4.95, 5.3)[..., None], np.nan, res), jac
+    return np.where(_band(points, 4.95, 5.3), np.nan, res), jac
 
 
 def _singular_jacobian_system(points):
     # a zero middle row (det exactly 0) in one band, inf entries in another
     res, jac = _embedded_two_root_system(points)
     zero_row = jac * np.array([[1.0], [0.0], [1.0]])
-    jac = np.where(_band(points, 1.8, 2.1)[..., None, None], zero_row, jac)
-    return res, np.where(_band(points, 4.4, 4.75)[..., None, None], np.inf, jac)
+    jac = np.where(_band(points, 1.8, 2.1), zero_row, jac)
+    return res, np.where(_band(points, 4.4, 4.75), np.inf, jac)
 
 
 def _two_cycle_system(points):
@@ -692,16 +755,16 @@ def _two_cycle_system(points):
     # in [3.7, 4.4): every iterate there bounces between two points.
     res, jac = _embedded_two_root_system(points)
     sign = np.where(_band(points, 3.0, 3.7), 1.0, -1.0)
-    bounce = (-1e-6 * res * sign[..., None])[..., None] * np.eye(3)
-    return res, np.where(_band(points, 3.0, 4.4)[..., None, None], bounce, jac)
+    bounce = np.eye(3)[:, :, None] * (-1e-6 * res * sign)
+    return res, np.where(_band(points, 3.0, 4.4), bounce, jac)
 
 
 def _step_overflow_system(points):
     # finite residual and |det| > 1e-300, but a step beyond the float range
     res, jac = _embedded_two_root_system(points)
     inside = _band(points, 1.3, 1.6)
-    res = np.where(inside[..., None], 1e30 * res, res)
-    return res, np.where(inside[..., None, None], jac * np.array([[1e-290], [1.0], [1.0]]), jac)
+    res = np.where(inside, 1e30 * res, res)
+    return res, np.where(inside, jac * np.array([[1e-290], [1.0], [1.0]]), jac)
 
 
 _DROP_SYSTEMS = {
@@ -727,7 +790,7 @@ class TestDroppedIterates:
         rows, band_rows = [], []
 
         def counted(points):
-            rows.append(len(points))
+            rows.append(points.shape[1])
             band_rows.append([int(_band(points, lo, hi).sum()) for lo, hi in bands])
             return system(points)
 
@@ -760,7 +823,7 @@ def test_roots_carry_the_norm_and_det_of_their_point():
         roots, degenerate = solve_system(system)
         assert roots
         for root in roots + degenerate:
-            res, jac = system(root.angles[None])
+            res, jac = system(root.angles[:, None])
             assert float(np.max(np.abs(res))).hex() == root.residual_norm.hex()
             with np.errstate(divide="ignore", invalid="ignore"):  # a degenerate det may be 0
                 det, _ = _newton_step(jac, res)

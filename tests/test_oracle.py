@@ -66,9 +66,10 @@ def _witness(geom):
 
 
 def _residual(geom):
-    """The residual half of the oracle's system."""
+    """The residual half of the oracle's system, on (N, 3) rows of angles as
+    fd_jacobian and richardson_det take them."""
     system = _constraint_system(geom)
-    return lambda points: system(points)[0]
+    return lambda points: system(points.T)[0].T
 
 
 def test_sampler_rejects_a_draw_that_cannot_end():
@@ -89,14 +90,14 @@ class TestConservationResidual:
             1e-12,
             1e-12,
         )
-        res = _residual(geom)(np.array([0.0, 1.0, 2.0]))
+        res = _residual(geom)(np.array([[0.0, 1.0, 2.0]]))
         assert np.linalg.norm(res) <= 2.0
 
     def test_analytic_construction_is_root(self):
         geom = _geom()
         residual = _residual(geom)
         for triple in _analytic_solutions(geom):
-            res = residual(np.array(triple))
+            res = residual(np.array([triple]))
             assert np.max(np.abs(res)) < 1e-10
 
     def test_out_of_stripe_has_no_surviving_box(self):
@@ -250,24 +251,26 @@ class TestAnalyticJacobian:
         rng = np.random.default_rng(11)
         for geom, _, _, _ in draw_support_samples(rng, 5, theta=0.25):
             system = _constraint_system(geom)
-            points = rng.uniform(0.0, TWO_PI, (20, 3))
+            points = rng.uniform(0.0, TWO_PI, (3, 20))
             residual, exact = system(points)
-            assert residual.shape == (20, 3) and exact.shape == (20, 3, 3)
+            assert residual.shape == (3, 20) and exact.shape == (3, 3, 20)
             # the witness's residual and Jacobian, written out by components
+            # on (N, 3) rows; exact.T is J[n, i, j] = d residual_i / d angle_j
+            rows = points.T
             np.testing.assert_allclose(
-                residual, conservation_residual(geom, points), rtol=0, atol=1e-14
+                residual.T, conservation_residual(geom, rows), rtol=0, atol=1e-14
             )
             np.testing.assert_allclose(
-                exact, conservation_jacobian(geom, points), rtol=0, atol=1e-14
+                exact.T, conservation_jacobian(geom, rows), rtol=0, atol=1e-14
             )
-            fd = fd_jacobian(_residual(geom), points, 1e-6)
-            np.testing.assert_allclose(exact, fd, rtol=0, atol=1e-8)
-            # one triple gives the batch's row, bit for bit
-            for row, point in enumerate(points[:3]):
-                one_residual, one_exact = system(point)
-                assert one_residual.shape == (3,) and one_exact.shape == (3, 3)
-                assert np.array_equal(one_residual, residual[row])
-                assert np.array_equal(one_exact, exact[row])
+            fd = fd_jacobian(_residual(geom), rows, 1e-6)
+            np.testing.assert_allclose(exact.T, fd, rtol=0, atol=1e-8)
+            # one point gives the batch's column, bit for bit
+            for n in range(3):
+                one_residual, one_exact = system(points[:, n, None])
+                assert one_residual.shape == (3, 1) and one_exact.shape == (3, 3, 1)
+                assert np.array_equal(one_residual[..., 0], residual[..., n])
+                assert np.array_equal(one_exact[..., 0], exact[..., n])
 
     def test_matches_per_vector_witness_bit_for_bit(self):
         rng = np.random.default_rng(21)
@@ -283,19 +286,18 @@ class TestAnalyticJacobian:
 
                 numerics_module.solve_system(recorded)
                 # the start grid, then every iterate
-                assert batches[0].shape == (numerics_module._START_GRID_DENSITY**3, 3)
+                assert batches[0].shape == (3, numerics_module._START_GRID_DENSITY**3)
                 batches += [
-                    rng.uniform(0.0, TWO_PI, (1, 3)),
-                    rng.uniform(0.0, TWO_PI, (60, 3)),
-                    rng.uniform(0.0, TWO_PI, 3),
-                    np.array([[0.0, 0.0, 0.0], [edge, edge, edge], [0.0, edge, 0.0]]),
-                    np.array([edge, 0.0, edge]),
+                    rng.uniform(0.0, TWO_PI, (3, 1)),
+                    rng.uniform(0.0, TWO_PI, (3, 60)),
+                    np.array([[0.0, edge, 0.0], [0.0, edge, edge], [0.0, edge, 0.0]]),
+                    np.array([[edge], [0.0], [edge]]),
                 ]
                 for points in batches:
                     residual, exact = system(points)
                     witness_residual, witness_exact = per_vector_system(geom, points)
                     assert residual.shape == points.shape
-                    assert exact.shape == points.shape + (3,)
+                    assert exact.shape == (3,) + points.shape
                     assert np.array_equal(residual, witness_residual)
                     assert np.array_equal(exact, witness_exact)
 
@@ -306,7 +308,7 @@ class TestAnalyticJacobian:
         assert len(result.solutions) == 4
         for sol in result.solutions:
             point = np.array([sol.phi, sol.phi1, sol.phi2])
-            exact = abs(np.linalg.det(system(point)[1]))
+            exact = abs(np.linalg.det(system(point[:, None])[1][..., 0].T))
             richardson = abs(richardson_det(_residual(geom), point))
             assert exact == pytest.approx(richardson, rel=1e-10)
             # the solution carries the determinant of the raw residual
@@ -320,7 +322,7 @@ class TestAnalyticJacobian:
 
         def counting_solve(system, *args, **kwargs):
             def counted(points):
-                calls.append(len(points))
+                calls.append(points.shape[1])
                 return system(points)
 
             return solve(counted, *args, **kwargs)
