@@ -169,8 +169,14 @@ def triangle_geometry(
 ) -> TriangleGeometry:
     """Triangle data for sides (kappa cos(xi), kappa1, kappa2).
 
-    The cosine law runs on the sides scaled exactly by 2^-e, e the exponent of
-    the longest side, so its squares stay in range wherever heron_area's do.
+    Each inner angle is the atan2 of 4 area and its cosine-law numerator, as
+    sin delta1 = 2 area / (kt kappa1) and cos delta1 = (kt^2 + kappa1^2 -
+    kappa2^2) / (2 kt kappa1), with kappa1^2 - kappa2^2 taken as
+    (kappa1 - kappa2)(kappa1 + kappa2): angles near 0 and pi keep their
+    digits, of which an acos of the cosine keeps half. Both run on the sides
+    scaled exactly by 2^-e, e the exponent of the longest side, and on the
+    area of those scaled sides, so the squares stay in range and that area
+    does not underflow where the returned one does.
     """
     kt = kappa * math.cos(xi)
     inside = stripe_contains(kt, kappa1, kappa2)
@@ -179,10 +185,9 @@ def triangle_geometry(
         return TriangleGeometry(kt, kappa1, kappa2, math.nan, math.nan, math.nan, False, False)
     e = math.frexp(max(kt, kappa1, kappa2))[1]
     a, b, c = (math.ldexp(s, -e) for s in (kt, kappa1, kappa2))
-    c1 = (a * a + b * b - c * c) / (2.0 * a * b)
-    c2 = (a * a + c * c - b * b) / (2.0 * a * c)
-    delta1 = math.acos(min(1.0, max(-1.0, c1)))
-    delta2 = math.acos(min(1.0, max(-1.0, c2)))
+    four_area = 4.0 * heron_area(a, b, c)
+    delta1 = math.atan2(four_area, a * a + (b - c) * (b + c))
+    delta2 = math.atan2(four_area, a * a + (c - b) * (c + b))
     return TriangleGeometry(
         kappa_tilde=kt,
         kappa1=kappa1,

@@ -82,7 +82,7 @@ class TestSingleTwistedSolutions:
         with pytest.raises(SupportRegionError):
             single_twisted_solutions(1.0, 5.0, 1.0, 0.0)
 
-    @pytest.mark.parametrize("k1, k2", [(1.0, 1.0), (0.75, 0.5), (0.7, 0.5)])
+    @pytest.mark.parametrize("k1, k2", [(1.0, 1.0), (0.75, 0.5), (0.7, 0.5), (1.1, 2.3), (2.3, 1.1)])
     @pytest.mark.parametrize(
         "toward, branches",
         [
@@ -103,8 +103,8 @@ class TestSingleTwistedSolutions:
         solved = single_twisted_solutions(kappa, k1, k2, 0.3)
         assert len(solved) == branches
         assert all(b.degenerate == (branches == 1) for b in solved)
-        if branches == 1:  # k1 and k2 parallel to k12
-            assert solved[0].phi1 == solved[0].phi12 == pytest.approx(0.3, abs=1e-7)
+        if branches == 1:  # k1 and k2 parallel to k12: both inner angles exactly 0
+            assert solved[0].phi1 == solved[0].phi12 == 0.3
 
     @pytest.mark.parametrize("j", [-270, -100, 100, 255, 256])
     def test_power_of_four_scale_moves_no_bit(self, j):

@@ -198,6 +198,25 @@ class TestTriangleGeometry:
             delta3 = math.acos(min(1.0, max(-1.0, c3)))
             assert tri.delta1 + tri.delta2 + delta3 == pytest.approx(math.pi, abs=1e-12)
 
+    def test_needle_angles_keep_their_digits(self):
+        # near either stripe edge one or two inner angles are small, and
+        # asin(2 area / (kt k_i)) takes them to a few ulps; an acos of the
+        # cosine missed by up to 100% here, reading 0 for angles near 1e-8
+        rng = np.random.default_rng(12)
+        compared = 0
+        for _ in range(500):
+            k1, k2 = (float(v) for v in rng.uniform(0.1, 3.0, 2))
+            gap = 10.0 ** rng.uniform(-15.0, -2.0)
+            kt = (k1 + k2) * (1.0 - gap) if rng.integers(2) else abs(k1 - k2) * (1.0 + gap)
+            if not stripe_contains(kt, k1, k2):
+                continue
+            tri = triangle_geometry(kt, 0.0, k1, k2)
+            for delta, k in ((tri.delta1, k1), (tri.delta2, k2)):
+                if delta < 0.1:
+                    assert delta == pytest.approx(math.asin(2.0 * tri.area / (kt * k)), rel=1e-14)
+                    compared += 1
+        assert compared > 500
+
 
 class TestStripe:
     def test_examples(self):
