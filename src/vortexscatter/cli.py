@@ -57,8 +57,8 @@ _KZ_FACTOR = 50.0  # the reduced problem is k_z independent; any paraxial value 
 # Largest field grid: grid_n^2 CSV rows, about 1e6 at the cap. validate rejects
 # a larger grid before numpy allocates (past its maximum it raises ValueError).
 MAX_GRID_N = 1024
-# Largest oracle-check sample count: one oracle solve per sample, about 1.5 ms
-# each on a 2-core x86-64 machine, so about 25 minutes at the cap.
+# Largest oracle-check sample count: about 1.05 ms per sample (its oracle solve,
+# draw and closed form) on a 2-core x86-64 machine, so about 18 minutes at the cap.
 MAX_SAMPLE_COUNT = 10**6
 # Largest map sizes. The fine pass builds each q slice's triangle in blocks of
 # kappa rows at n = 2 node_count nodes per axis, 1 MiB per array at the node
@@ -330,7 +330,7 @@ def cmd_eval(cfg: RunConfig, out_path: str) -> int:
 
 
 def cmd_oracle_check(cfg: RunConfig, out_path: str) -> int:
-    _probe_writable(out_path)  # before the solves, about 25 minutes at the cap
+    _probe_writable(out_path)  # before the solves, about 18 minutes at the cap
     rng = np.random.default_rng(cfg.seed)
     samples = draw_support_samples(rng, cfg.sample_count, theta=cfg.theta)
     ratios = []

@@ -169,14 +169,10 @@ def triangle_geometry(
 ) -> TriangleGeometry:
     """Triangle data for sides (kappa cos(xi), kappa1, kappa2).
 
-    Each inner angle is the atan2 of 4 area and its cosine-law numerator, as
-    sin delta1 = 2 area / (kt kappa1) and cos delta1 = (kt^2 + kappa1^2 -
-    kappa2^2) / (2 kt kappa1), with kappa1^2 - kappa2^2 taken as
-    (kappa1 - kappa2)(kappa1 + kappa2): angles near 0 and pi keep their
-    digits, of which an acos of the cosine keeps half. Both run on the sides
-    scaled exactly by 2^-e, e the exponent of the longest side, and on the
-    area of those scaled sides, so the squares stay in range and that area
-    does not underflow where the returned one does.
+    Inner angles are atan2(4 area, cosine-law numerator), within a few ulps
+    also near 0 and pi, on the sides scaled exactly by 2^-e, e the exponent
+    of the longest side, and on their own area, so the squares stay in range
+    wherever heron_area's do.
     """
     kt = kappa * math.cos(xi)
     inside = stripe_contains(kt, kappa1, kappa2)

@@ -317,9 +317,8 @@ def _newton_step(jac: np.ndarray, res: np.ndarray) -> tuple[np.ndarray, np.ndarr
 
 
 def _dedupe(points: np.ndarray, tol: float) -> list[int]:
-    """Indices of greedy representatives among the columns of a (3, N)
-    array, in order: a point is picked when no earlier pick lies within tol
-    of it on the torus."""
+    """Indices of greedy representatives of (3, N) points, in order: a point
+    is picked when no earlier pick lies within tol of it on the torus."""
     uncovered = np.ones(points.shape[1], dtype=bool)
     picked = []
     while uncovered.any():
@@ -334,26 +333,25 @@ def solve_system(
 ) -> tuple[list[TorusRoot], list[TorusRoot]]:
     """Find all roots of a smooth residual R^3 -> R^3 on the 3-torus.
 
-    system maps a (3, N) batch of points, whose rows are the three angles,
-    to the (3, N) residuals and the (3, 3, N) columns of their Jacobians,
-    J[j, i, n] = d residual_i / d angle_j at point n; it is called once per
-    Newton step on the active iterates. The arrays may have any memory
-    layout. Inside the Newton loop numpy's floating-point warnings are
-    ignored, the system's included: a point that turns non-finite is dropped.
+    system maps a (3, N) batch of points, one angle per row, to the (3, N)
+    residuals and the (3, 3, N) Jacobian columns J[j, i, n] = d residual_i /
+    d angle_j; it is called once per Newton step on the active iterates, at
+    most _MAX_ITERATIONS times. The arrays may have any memory layout.
+    Inside the Newton loop numpy's floating-point warnings are ignored, the
+    system's included: a point that turns non-finite is dropped.
 
     Newton iterations start from a uniform grid of _START_GRID_DENSITY^3
-    points, for at most _MAX_ITERATIONS steps. Each step's determinant and
-    -J^-1 residual come from the cofactors of the Jacobian (_newton_step); a
-    root keeps the |det| and residual norm of the step at which its iterate
-    settled. An iterate is dropped when its residual, step or Jacobian
-    determinant is not finite or |det| <= 1e-300, and when it is back within
-    _RESIDUAL_TOL of where it stood two steps earlier with no smaller
-    residual (a 2-cycle; the test does not use _DEDUPE_TOL, so a wider merge
-    radius drops no iterate that would still converge). Converged iterates
-    are deduplicated modulo 2 pi within _DEDUPE_TOL, in order of increasing
-    residual. Returns (roots, degenerate), each sorted by angles rounded to
-    1e-9 rad; a root with |det| below _RESIDUAL_TOL is degenerate and must
-    not enter amplitude sums.
+    points. Each step's determinant and -J^-1 residual come from the cofactors
+    of the Jacobian (_newton_step); a root keeps the |det| and residual norm of
+    the step at which its iterate settled. An iterate is dropped when its
+    residual, step or Jacobian determinant is not finite or |det| <= 1e-300,
+    and when it is back within _RESIDUAL_TOL of where it stood two steps
+    earlier with no smaller residual (a 2-cycle; the test does not use
+    _DEDUPE_TOL, so a wider merge radius drops no iterate that would still
+    converge). Converged iterates are deduplicated modulo 2 pi within
+    _DEDUPE_TOL, in order of increasing residual. Returns (roots,
+    degenerate), each sorted by angles rounded to 1e-9 rad; a root with
+    |det| below _RESIDUAL_TOL is degenerate and must not enter amplitude sums.
     """
     d = _START_GRID_DENSITY
     # Irrational offset keeps the regular grid off exact Jacobian singularities.
@@ -378,9 +376,8 @@ def solve_system(
             # only an iterate whose residual did not fall can be in a 2-cycle
             cycling = norms >= norms2
             if cycling.any():
-                cycling[cycling] = (
-                    _torus_distance(active[:, cycling], back2[:, cycling]) <= _RESIDUAL_TOL
-                )
+                gaps = _torus_distance(active[:, cycling], back2[:, cycling])
+                cycling[cycling] = gaps <= _RESIDUAL_TOL
             # a max of |res| is finite only where every component is
             solvable = np.isfinite(dets) & (np.abs(dets) > 1e-300) & np.isfinite(norms)
             keep = solvable & ~(done | cycling) & np.isfinite(steps).all(axis=0)
