@@ -655,11 +655,10 @@ class TestNewtonStep:
             system = _constraint_system(geom)
 
             def as_views(points):
-                res, jac = system(points)
-                res, jac = np.ascontiguousarray(res.T).T, np.ascontiguousarray(jac.T).T
+                views = tuple(np.ascontiguousarray(a.T).T for a in system(points))
                 # a single point is contiguous in any layout
-                assert points.shape[1] == 1 or not (res.flags.c_contiguous or jac.flags.c_contiguous)
-                return res, jac
+                assert points.shape[1] == 1 or not any(a.flags.c_contiguous for a in views)
+                return views
 
             def as_copies(points):
                 return tuple(np.ascontiguousarray(a) for a in system(points))
@@ -727,12 +726,9 @@ class TestNewtonStep:
 
 
 def _band(points, lo, hi):
+    """The points with phi in [lo, hi), a mask that broadcasts along the last
+    axis of the (3, N) residuals and (3, 3, N) Jacobian columns."""
     return (points[0] >= lo) & (points[0] < hi)
-
-
-# A mask over the points broadcasts along the last axis of the (3, N)
-# residuals and (3, 3, N) Jacobian columns, and a (3, 1) factor scales one
-# component, a row of each Jacobian.
 
 
 def _non_finite_residual_system(points):
