@@ -160,11 +160,10 @@ def reduced_triple_amplitude(
     """
     phase_power = m1 + m2 - m
     kappa = geom.initial.kappa
-    sin_t = math.sin(geom.theta)
-    sin_xi = geom.q / kappa
-    if abs(sin_xi) >= sin_t:  # the region test of angle_set, on the same rounded sin(xi)
+    try:
+        angles = angle_set(geom)
+    except SupportRegionError:
         return ReducedAmplitude(0j, phase_power, False)
-    angles = angle_set(geom)
     tri = triangle_geometry(kappa, angles.xi, geom.kappa1, geom.kappa2)
     if not tri.in_stripe:
         return ReducedAmplitude(0j, phase_power, False)
@@ -172,13 +171,13 @@ def reduced_triple_amplitude(
         raise DegenerateSupportError(
             f"triangle area {tri.area} below degeneracy floor inside the stripe"
         )
-    root = math.sqrt((sin_t - sin_xi) * (sin_t + sin_xi))
+    # one root per modulus: kappa1 kappa2 / kappa can overflow where the amplitude is finite
     magnitude = (
         (2.0 / tri.area)
-        * math.sqrt(geom.kappa1 * geom.kappa2 / kappa)
+        * (math.sqrt(geom.kappa1) * math.sqrt(geom.kappa2) / math.sqrt(kappa))
         * math.cos(m * angles.phi_star - (m1 - m2) * angles.phi_tilde_star)
         * math.cos(m1 * tri.delta1 + m2 * tri.delta2)
-        / root
+        / angles.root
     )
     # + 0.0 turns the -0.0 component of a purely real or imaginary value into
     # 0.0, so the signed zeros in `eval` output stay as they have always been

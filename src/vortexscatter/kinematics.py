@@ -91,17 +91,19 @@ class CollisionGeometry:
 
 @dataclass(frozen=True)
 class AngleSet:
-    """Tilt angle xi and the two characteristic azimuths
+    """Tilt angle xi and the two characteristic azimuths, in [0, pi] and
+    phi_star <= phi_tilde_star for xi >= 0, with root = sqrt(sin^2 theta - sin^2 xi):
 
-        phi_star       = arccos(sin xi / sin theta)
-        phi_tilde_star = arccos(tan xi / tan theta)
+        phi_star       = arccos(sin xi / sin theta) = atan2(root, sin xi)
+        phi_tilde_star = arccos(tan xi / tan theta) = atan2(root, sin xi cos theta)
 
-    both in [0, pi], with phi_star <= phi_tilde_star for xi >= 0.
+    as sin phi_star = root / sin theta and tan phi_tilde_star = root / (sin xi cos theta).
     """
 
     xi: float
     phi_star: float
     phi_tilde_star: float
+    root: float
 
 
 @dataclass(frozen=True)
@@ -133,7 +135,9 @@ def tilt_frame(theta: float) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
 
 
 def angle_set(geom: CollisionGeometry) -> AngleSet:
-    """Tilt angle and characteristic azimuths for a collision geometry.
+    """AngleSet of a collision geometry: one root, of a difference times a
+    sum, and both azimuths atan2 of it, so they keep their digits near the
+    edge |q| -> kappa sin(theta), where an arccos of the ratio loses half.
 
     Raises SupportRegionError when |q / kappa| >= sin(theta) (outside the
     allowed region; the boundary is excluded). That covers |q| >= kappa,
@@ -147,10 +151,10 @@ def angle_set(geom: CollisionGeometry) -> AngleSet:
         raise SupportRegionError(
             f"outside allowed q region: |q| / kappa = {abs(sin_xi)} >= sin(theta) = {sin_t}"
         )
-    xi = math.asin(sin_xi)
-    phi_star = math.acos(sin_xi / sin_t)
-    phi_tilde_star = math.acos(min(1.0, max(-1.0, math.tan(xi) / math.tan(geom.theta))))
-    return AngleSet(xi=xi, phi_star=phi_star, phi_tilde_star=phi_tilde_star)
+    root = math.sqrt((sin_t - sin_xi) * (sin_t + sin_xi))
+    phi_star = math.atan2(root, sin_xi)
+    phi_tilde_star = math.atan2(root, sin_xi * math.cos(geom.theta))
+    return AngleSet(math.asin(sin_xi), phi_star, phi_tilde_star, root)
 
 
 def stripe_contains(kappa_tilde: float, kappa1: float, kappa2: float) -> bool:

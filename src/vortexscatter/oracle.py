@@ -29,7 +29,7 @@ import numpy as np
 
 from .amplitudes import fourier_weight
 from .errors import DegenerateJacobianError
-from .kinematics import CollisionGeometry, TwistedState, tilt_frame
+from .kinematics import CollisionGeometry, TwistedState, angle_set, tilt_frame
 from .numerics import solve_system
 
 # draw_support_samples rejects a sample whose amplitude cosines fall below this
@@ -148,7 +148,6 @@ def draw_support_samples(
     if not 0.0 < theta < 0.5 * math.pi:
         raise ValueError(f"theta must satisfy 0 < theta < pi/2, got {theta!r}")
     samples = []
-    sin_t, tan_t = math.sin(theta), math.tan(theta)
     while len(samples) < count:
         kappa = rng.uniform(0.6, 1.8)
         xi = 0.9 * theta * rng.uniform(-1.0, 1.0)
@@ -168,13 +167,12 @@ def draw_support_samples(
         if not (0.05 * kt < kappa1 < 5.0 * kt and 0.05 * kt < kappa2 < 5.0 * kt):
             continue
         m, m1, m2 = (int(v) for v in rng.integers(-6, 7, 3))
-        phi_star = math.acos(math.sin(xi) / sin_t)
-        phi_tilde = math.acos(math.tan(xi) / tan_t)
-        if abs(math.cos(m * phi_star - (m1 - m2) * phi_tilde)) < _COS_FLOOR:
+        initial = TwistedState.massless(kappa, m, 40.0 * kappa)
+        geom = CollisionGeometry(theta=theta, q=q, initial=initial, kappa1=kappa1, kappa2=kappa2)
+        angles = angle_set(geom)
+        if abs(math.cos(m * angles.phi_star - (m1 - m2) * angles.phi_tilde_star)) < _COS_FLOOR:
             continue
         if abs(math.cos(m1 * d1 + m2 * d2)) < _COS_FLOOR:
             continue
-        initial = TwistedState.massless(kappa, m, 40.0 * kappa)
-        geom = CollisionGeometry(theta=theta, q=q, initial=initial, kappa1=kappa1, kappa2=kappa2)
         samples.append((geom, m, m1, m2))
     return samples

@@ -199,15 +199,14 @@ def _slice_axes(profiles, theta: float, q: float, n: int) -> _SliceAxes | None:
     kappa = k_left + (hi0 - k_left) * s**2
     dk = 2.0 * (hi0 - k_left) * s * ws
     sin_xi = q / kappa
-    cos_xi = np.sqrt(1.0 - sin_xi**2)
-    kt = kappa * cos_xi
+    kt = kappa * np.sqrt(1.0 - sin_xi**2)
     # sqrt(sin^2 theta - sin^2 xi) without cancellation or underflow: one root per factor,
     # gap = kappa sin theta - |q| as (k_left sin theta - |q|) + (hi0 - k_left) s^2 sin theta >= 0
     edge = max(lo0 * sin_t - abs(q), 0.0) if k_left == lo0 else 0.0
     gap = (hi0 - k_left) * s**2 * sin_t + edge
     root = np.sqrt(gap) * np.sqrt(kappa * sin_t + abs(q)) / kappa
-    phi_star = np.arccos(np.clip(sin_xi / sin_t, -1.0, 1.0))
-    phi_tilde = np.arccos(np.clip(sin_xi / (cos_xi * math.tan(theta)), -1.0, 1.0))
+    phi_star = np.arctan2(root, sin_xi)  # the atan2 forms of kinematics.angle_set
+    phi_tilde = np.arctan2(root, sin_xi * math.cos(theta))
     wa = dk * f0.value(kappa) / (root * np.sqrt(kappa))
 
     k2, wk2 = gauss_legendre_on(*f2.support, n)

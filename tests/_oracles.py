@@ -400,16 +400,15 @@ def wide_support_samples(
             continue
         s12 = math.sin(d1 + d2)
         m, m1, m2 = (int(v) for v in rng.integers(-6, 7, 3))
-        phi_star = math.acos(math.sin(xi) / math.sin(theta))
-        phi_tilde = math.acos(math.tan(xi) / math.tan(theta))
-        if abs(math.cos(m * phi_star - (m1 - m2) * phi_tilde)) < 0.1:
-            continue
-        if abs(math.cos(m1 * d1 + m2 * d2)) < 0.1:
-            continue
         initial = TwistedState.massless(kappa, m, 40.0 * kappa)
         geom = CollisionGeometry(
             theta, kappa * math.sin(xi), initial, kt * math.sin(d2) / s12, kt * math.sin(d1) / s12
         )
+        angles = angle_set(geom)
+        if abs(math.cos(m * angles.phi_star - (m1 - m2) * angles.phi_tilde_star)) < 0.1:
+            continue
+        if abs(math.cos(m1 * d1 + m2 * d2)) < 0.1:
+            continue
         samples.append((geom, m, m1, m2))
     return samples
 
@@ -474,15 +473,12 @@ def plane_wave_limit_check(
     kappa = geom.initial.kappa
     angles = angle_set(geom)
     kt = kappa * math.cos(angles.xi)
-    sin_t = math.sin(geom.theta)
-    sin_xi = geom.q / kappa
-    root = math.sqrt((sin_t - sin_xi) * (sin_t + sin_xi))
     cos_a = math.cos(m * angles.phi_star - m1 * angles.phi_tilde_star)
     phase = unit_imag_power(m1 - m)
 
     limit = phase * (4.0 * math.pi / kt) * math.sqrt(2.0 * math.pi * kt / kappa) * float(
         test_weight(kt)
-    ) * cos_a / root
+    ) * cos_a / angles.root
 
     w_nodes, w_weights = gauss_legendre_on(0.0, 0.5 * math.pi, _PLANE_WAVE_NODES)
 
@@ -501,7 +497,7 @@ def plane_wave_limit_check(
                 * np.cos(m1 * np.arccos(cos_d1))
             )
         )
-        value = phase * math.sqrt(2.0 * math.pi / kappa2) * cos_a * integral / root
+        value = phase * math.sqrt(2.0 * math.pi / kappa2) * cos_a * integral / angles.root
         if limit == 0:
             rel = 0.0 if value == 0 else math.inf
         else:

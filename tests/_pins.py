@@ -14,14 +14,16 @@ case that failed, errored or was skipped.
 
 Most pins hold in every environment, and every bits pin does; the packet
 `field` runs do since their weights take math.exp (WavePacketProfile.value).
-Two pins follow numpy's SIMD `tan`, `arccos` and `exp` or the map's GEMM
-kernel, which round differently on another dispatch target or OpenBLAS core:
+Two pins follow numpy's SIMD `tan`, `arccos`, `arctan2` and `exp` or the map's
+GEMM kernel, which round differently on another dispatch target or OpenBLAS core:
 the md5 of the README reference map's weights and the smeared pool's hex.
 pinned_outputs.json keeps each of those as {"any of": [...]}, the distinct
 values recorded so far, and a read passes when it gets exactly one of them.
 A read that gets none fails with the value got, the number recorded and this
 machine. To record a new machine, run `pytest -m pin` there and append the
-values that the failures print.
+values that the failures print. A change that moves such a pin on purpose
+replaces its list with the values got in the suite's own run and in each of
+ENVIRONMENTS.
 """
 
 import hashlib
@@ -99,8 +101,8 @@ def assert_bits(name: tuple, got) -> None:
 WITHOUT_AVX512 = "AVX512_SPR AVX512_ICL X86_V4"
 
 # The environments that every pin runs in besides the suite's own, by id:
-# numpy's AVX2 paths, where tan, arccos and exp round differently, but not in
-# the 9 digits that the map CSVs print, while sin, cos and the elementwise
+# numpy's AVX2 paths, where tan, arccos, arctan2 and exp round differently, but
+# not in the 9 digits that the map CSVs print, while sin, cos and the elementwise
 # arithmetic of the solver and oracle bits round alike; the OpenBLAS kernels of
 # an AVX2-only and of an AVX-only CPU, on which no oracle, solver or smeared
 # pin may depend (the smeared amplitude makes no BLAS call); both AVX2

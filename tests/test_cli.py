@@ -115,6 +115,22 @@ class TestEval:
 
         assert value(4.0**j) * 8.0**j == value(1.0) != 0.0
 
+    @pytest.mark.parametrize("kappa0, final", [(1e-10, 1e150), (1e-3, 1e153)])
+    def test_finite_value_of_large_final_moduli(self, tmp_path, kappa0, final):
+        # sqrt(kappa1 kappa2 / kappa) overflowed although the amplitude is
+        # finite: eval wrote "value_re": NaN and "value_im": Infinity, not JSON
+        def not_json(constant):
+            raise ValueError(f"{constant} is not JSON")
+
+        cfg = _write_config(
+            tmp_path, kappa0=kappa0, kappa01=final, kappa02=final, m1_min=3, m1_max=3, m2_min=1, m2_max=1
+        )
+        out = tmp_path / "out.json"
+        assert main(["eval", "--config", str(cfg), "--out", str(out)]) == EXIT_OK
+        payload = json.loads(out.read_text(), parse_constant=not_json)
+        assert all(math.isfinite(payload[k]) for k in ("value_re", "value_im", "area"))
+        assert payload["value_im"] != 0.0
+
 
 _ONE_CELL = dict(m1_min=5, m1_max=5, m2_min=0, m2_max=0, q_nodes=4)
 # JSON integers have no size limit: these ended in OverflowError or ValueError

@@ -1,5 +1,6 @@
 import cmath
 import math
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -159,6 +160,33 @@ class TestAngleSet:
             assert plus.phi_tilde_star == pytest.approx(
                 math.pi - minus.phi_tilde_star, abs=1e-14
             )
+
+    def test_edge_angles_keep_their_digits(self):
+        # near the edge q / kappa -> sin(theta) both azimuths are small, and
+        # an acos of their cosine kept about half their digits (errors of a
+        # few percent). The reference is asin of the root of the exact
+        # sin^2 theta - sin^2 xi of the rounded sin(theta) and q / kappa,
+        # over sin theta for phi*, and for phi~* over sin theta cos xi, whose
+        # square sin^2 theta - sin^2 xi + (sin xi cos theta)^2 also takes the
+        # rounded cos(theta): cos xi from the rounded sin(theta) alone would
+        # be off by up to tan^2 theta ulps near theta = pi/2
+        rng = np.random.default_rng(45)
+        compared = 0
+        for _ in range(500):
+            theta, kappa = float(rng.uniform(0.05, 1.5)), float(rng.uniform(0.5, 2.0))
+            sin_t = math.sin(theta)
+            q = kappa * sin_t * (1.0 - 10.0 ** rng.uniform(-15.0, -3.0))
+            sin_xi = q / kappa
+            if sin_xi >= sin_t:
+                continue
+            angles = angle_set(_geom(theta=theta, q=q, kappa=kappa))
+            root_sq = Fraction(sin_t) ** 2 - Fraction(sin_xi) ** 2
+            root = math.sqrt(root_sq)
+            sin_t_cos_xi = math.sqrt(root_sq + (Fraction(sin_xi) * Fraction(math.cos(theta))) ** 2)
+            assert angles.phi_star == pytest.approx(math.asin(root / sin_t), rel=1e-15)
+            assert angles.phi_tilde_star == pytest.approx(math.asin(root / sin_t_cos_xi), rel=1e-15)
+            compared += 1
+        assert compared > 450
 
 
 class TestTriangleGeometry:
