@@ -31,7 +31,9 @@ from typing import NamedTuple
 from .errors import DegenerateSupportError, SupportRegionError
 from .kinematics import (
     STRIPE_DEGENERACY_FLOOR,
+    AngleSet,
     CollisionGeometry,
+    TriangleGeometry,
     TwistedState,
     angle_set,
     triangle_geometry,
@@ -49,7 +51,8 @@ def unit_imag_power(n: int) -> complex:
 
 @dataclass(frozen=True)
 class ReducedAmplitude:
-    """Triple-twisted reduced matrix element.
+    """Triple-twisted reduced matrix element, with the angles and the
+    triangle it was evaluated on (both None outside the q region).
 
     value / i**phase_power is real whenever in_support is True; the value is
     identically 0 when in_support is False.
@@ -57,7 +60,12 @@ class ReducedAmplitude:
 
     value: complex
     phase_power: int
-    in_support: bool
+    angles: AngleSet | None
+    triangle: TriangleGeometry | None
+
+    @property
+    def in_support(self) -> bool:
+        return self.triangle is not None and self.triangle.in_stripe
 
 
 class SingleTwistedValue(NamedTuple):
@@ -69,7 +77,6 @@ class SingleTwistedValue(NamedTuple):
 class TwoBodyBranch:
     """One branch of the two-solution single-twisted geometry."""
 
-    sign: int
     phi1: float
     phi12: float
     degenerate: bool = False
@@ -104,7 +111,7 @@ def single_twisted_solutions(
 
         phi1 = phi2 +/- (delta1 + delta2),   phi12 = phi2 +/- delta2
 
-    with correlated signs. Exactly on the stripe boundary
+    with correlated signs, the + branch first. Exactly on the stripe boundary
     kappa = k1 + k2 or |k1 - k2| there is one branch, flagged degenerate;
     outside it the circles do not intersect and SupportRegionError is raised.
     """
@@ -117,7 +124,7 @@ def single_twisted_solutions(
     degenerate = not tri.in_stripe  # exactly on the boundary
     turn = tri.delta1 + tri.delta2
     signs = (1,) if degenerate else (1, -1)
-    return [TwoBodyBranch(s, phi2 + s * turn, phi2 + s * tri.delta2, degenerate) for s in signs]
+    return [TwoBodyBranch(phi2 + s * turn, phi2 + s * tri.delta2, degenerate) for s in signs]
 
 
 def single_twisted_amplitude(
@@ -132,7 +139,7 @@ def single_twisted_amplitude(
     (k12 = 0) never scatter, for any helicity and kappa. That zero is the
     phase vortex of the outgoing wave.
     """
-    if k12_mod < 0.0:
+    if not k12_mod >= 0.0:
         raise ValueError("k12_mod must be non-negative")
     on = abs(k12_mod - state.kappa) <= _RADIAL_SUPPORT_RTOL * state.kappa
     if not on:
@@ -152,21 +159,22 @@ def reduced_triple_amplitude(
     """Reduced triple-twisted matrix element (module docstring formula).
 
     The helicity is the m argument; of geom.initial only kappa is read.
-    Returns value 0 with in_support False outside |xi| < theta or outside the
-    open stripe. Inside the stripe, a triangle area that is 0 or below
-    STRIPE_DEGENERACY_FLOOR * kappa_tilde^2 raises DegenerateSupportError
-    rather than returning a huge value (or dividing by 0 once kappa_tilde^2
-    underflows).
+    The record carries the angle_set and triangle_geometry it read. Returns
+    value 0 with in_support False outside |xi| < theta, where both are None,
+    or outside the open stripe. Inside the stripe, a triangle area that is 0
+    or below STRIPE_DEGENERACY_FLOOR * kappa_tilde^2 raises
+    DegenerateSupportError rather than returning a huge value (or dividing by
+    0 once kappa_tilde^2 underflows).
     """
     phase_power = m1 + m2 - m
     kappa = geom.initial.kappa
     try:
         angles = angle_set(geom)
     except SupportRegionError:
-        return ReducedAmplitude(0j, phase_power, False)
+        return ReducedAmplitude(0j, phase_power, None, None)
     tri = triangle_geometry(kappa, angles.xi, geom.kappa1, geom.kappa2)
     if not tri.in_stripe:
-        return ReducedAmplitude(0j, phase_power, False)
+        return ReducedAmplitude(0j, phase_power, angles, tri)
     if tri.degenerate or tri.area < STRIPE_DEGENERACY_FLOOR * tri.kappa_tilde**2:
         raise DegenerateSupportError(
             f"triangle area {tri.area} below degeneracy floor inside the stripe"
@@ -182,4 +190,4 @@ def reduced_triple_amplitude(
     # + 0.0 turns the -0.0 component of a purely real or imaginary value into
     # 0.0, so the signed zeros in `eval` output stay as they have always been
     value = unit_imag_power(phase_power) * magnitude + 0.0
-    return ReducedAmplitude(value, phase_power, True)
+    return ReducedAmplitude(value, phase_power, angles, tri)

@@ -30,13 +30,7 @@ import numpy as np
 
 from .amplitudes import reduced_triple_amplitude
 from .errors import DegenerateJacobianError, DegenerateSupportError, SupportRegionError
-from .kinematics import (
-    CollisionGeometry,
-    TwistedState,
-    angle_set,
-    mode_field,
-    triangle_geometry,
-)
+from .kinematics import CollisionGeometry, TwistedState, mode_field
 from .numerics import (
     MAX_BESSEL_ARGUMENT,
     MAX_BESSEL_ORDER,
@@ -304,11 +298,9 @@ def _json_document(payload: dict) -> str:
 
 
 def cmd_eval(cfg: RunConfig, out_path: str) -> int:
-    geom = _geometry(cfg)
-    m1, m2 = cfg.m1_min, cfg.m2_min
-    amp = reduced_triple_amplitude(geom, cfg.m, m1, m2)
-    angles = angle_set(geom)
-    tri = triangle_geometry(cfg.kappa0, angles.xi, cfg.kappa01, cfg.kappa02)
+    # validate rejects |q| >= kappa0 sin(theta), so angles and triangle are set
+    amp = reduced_triple_amplitude(_geometry(cfg), cfg.m, cfg.m1_min, cfg.m2_min)
+    angles, tri = amp.angles, amp.triangle
 
     def opt(x: float):
         return None if math.isnan(x) else x

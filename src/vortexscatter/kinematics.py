@@ -108,7 +108,8 @@ class AngleSet:
 
 @dataclass(frozen=True)
 class TriangleGeometry:
-    """Transverse-momentum triangle with sides (kappa_tilde, kappa1, kappa2).
+    """Transverse-momentum triangle with sides (kappa_tilde, kappa1, kappa2),
+    kappa1 and kappa2 the moduli passed to triangle_geometry.
 
     delta1 and delta2 are the inner angles adjacent to the kappa_tilde side:
     cos(delta_i) = (kappa_tilde^2 + kappa_i^2 - kappa_j^2) / (2 kappa_tilde kappa_i).
@@ -118,8 +119,6 @@ class TriangleGeometry:
     """
 
     kappa_tilde: float
-    kappa1: float
-    kappa2: float
     area: float
     delta1: float
     delta2: float
@@ -182,7 +181,7 @@ def triangle_geometry(
     inside = stripe_contains(kt, kappa1, kappa2)
     area = heron_area(kt, kappa1, kappa2)
     if math.isnan(area):
-        return TriangleGeometry(kt, kappa1, kappa2, math.nan, math.nan, math.nan, False, False)
+        return TriangleGeometry(kt, math.nan, math.nan, math.nan, False, False)
     e = math.frexp(max(kt, kappa1, kappa2))[1]
     a, b, c = (math.ldexp(s, -e) for s in (kt, kappa1, kappa2))
     four_area = 4.0 * heron_area(a, b, c)
@@ -190,8 +189,6 @@ def triangle_geometry(
     delta2 = math.atan2(four_area, a * a + (c - b) * (c + b))
     return TriangleGeometry(
         kappa_tilde=kt,
-        kappa1=kappa1,
-        kappa2=kappa2,
         area=area,
         delta1=delta1,
         delta2=delta2,

@@ -11,7 +11,13 @@ from vortexscatter.amplitudes import (
     unit_imag_power,
 )
 from vortexscatter.errors import DegenerateSupportError, SupportRegionError
-from vortexscatter.kinematics import CollisionGeometry, TwistedState, angle_set, stripe_contains
+from vortexscatter.kinematics import (
+    CollisionGeometry,
+    TwistedState,
+    angle_set,
+    stripe_contains,
+    triangle_geometry,
+)
 
 from _oracles import circle_intersection_azimuths, plane_wave_limit_check, single_twisted_oracle
 
@@ -38,6 +44,11 @@ def _geom(theta=0.2, q=0.0, kappa=1.0, kappa1=0.9, kappa2=0.7, m=0):
             lambda: single_twisted_amplitude(TwistedState.massless(1.0, 2, 40.0), -1e-9, 0.3),
             "k12_mod must be non-negative",
             id="amplitude-k12-negative",
+        ),
+        pytest.param(
+            lambda: single_twisted_amplitude(TwistedState.massless(1.0, 3, 10.0), math.nan, 0.3),
+            "k12_mod must be non-negative",
+            id="amplitude-k12-nan",
         ),
     ],
 )
@@ -171,18 +182,27 @@ class TestSingleTwistedAmplitude:
 class TestReducedTripleAmplitude:
     def test_cusp_zero_at_symmetric_point(self):
         # xi = 0 makes phi* = pi/2; cos(pi/2) kills the (m=1, m1=m2=0) element
-        amp = reduced_triple_amplitude(_geom(q=0.0), 1, 0, 0)
+        geom = _geom(q=0.0)
+        amp = reduced_triple_amplitude(geom, 1, 0, 0)
         assert amp.in_support
         assert abs(amp.value) < 1e-13
+        # the record holds the angles and the triangle the value was built on
+        assert amp.angles == angle_set(geom)
+        assert amp.triangle == triangle_geometry(1.0, amp.angles.xi, 0.9, 0.7)
 
     def test_outside_stripe_zero(self):
-        amp = reduced_triple_amplitude(_geom(kappa1=0.2, kappa2=3.0), 2, 1, 1)
+        geom = _geom(kappa1=0.2, kappa2=3.0)
+        amp = reduced_triple_amplitude(geom, 2, 1, 1)
         assert amp.value == 0j
         assert not amp.in_support
+        assert amp.angles == angle_set(geom)
+        # a record holding NaN never compares equal
+        assert not amp.triangle.in_stripe and math.isnan(amp.triangle.area)
 
     def test_outside_q_region_zero(self):
         amp = reduced_triple_amplitude(_geom(q=0.5), 2, 1, 1)
         assert amp.value == 0j and not amp.in_support
+        assert amp.angles is None and amp.triangle is None
         # one ulp inside |q| < kappa sin(theta), where q / kappa rounds to sin(theta)
         # and sqrt(sin^2 theta - sin^2 xi) would be exactly 0
         edge = _geom(
@@ -194,6 +214,7 @@ class TestReducedTripleAmplitude:
         )
         amp = reduced_triple_amplitude(edge, 1, 1, 0)
         assert amp.value == 0j and not amp.in_support
+        assert amp.angles is None and amp.triangle is None
 
     def test_degenerate_raises(self):
         # a sliver triangle: in-stripe but with area / kappa_tilde^2 ~ 5e-10,

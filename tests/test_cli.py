@@ -1,6 +1,7 @@
 import json
 import math
 import os
+import sys
 import tempfile
 import typing
 import warnings
@@ -15,6 +16,7 @@ import pytest
 from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
+from vortexscatter import kinematics
 from vortexscatter.cli import (
     EXIT_CONFIG,
     EXIT_DEGENERATE_ORACLE,
@@ -74,6 +76,28 @@ class TestEval:
         assert payload["in_support"] is False
         assert payload["value_re"] == 0.0 and payload["value_im"] == 0.0
         assert payload["area"] is None
+
+    @pytest.mark.parametrize(
+        "overrides", [{}, dict(kappa01=0.1, kappa02=3.0)], ids=["in-support", "out-of-stripe"]
+    )
+    def test_one_angle_set_and_one_triangle_per_eval(self, tmp_path, monkeypatch, overrides):
+        # the angles and the triangle written are the ones the amplitude read;
+        # every vortexscatter module's binding is counted, cli's too
+        calls = dict.fromkeys(("angle_set", "triangle_geometry"), 0)
+        for name in calls:
+            original = getattr(kinematics, name)
+
+            def counted(*args, _name=name, _original=original):
+                calls[_name] += 1
+                return _original(*args)
+
+            for module_name, module in list(sys.modules.items()):
+                if module_name.split(".")[0] == "vortexscatter" and getattr(module, name, None) is original:
+                    monkeypatch.setattr(module, name, counted)
+        cfg = _write_config(tmp_path, **_eval_config(**overrides))
+        out = tmp_path / "out.json"
+        assert main(["eval", "--config", str(cfg), "--out", str(out)]) == EXIT_OK
+        assert calls == {"angle_set": 1, "triangle_geometry": 1}
 
     def test_symmetric_zero(self, tmp_path):
         cfg = _write_config(tmp_path, **_eval_config(m=1, q=0.0, m1_min=0, m1_max=0, m2_min=0, m2_max=0))
