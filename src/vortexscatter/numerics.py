@@ -286,18 +286,23 @@ def q_substitution(q_max: float, n: int) -> tuple[np.ndarray, np.ndarray]:
 
 
 def _torus_distance(points: np.ndarray, ref: np.ndarray) -> np.ndarray:
-    """Largest per-angle separation modulo 2 pi of each column from ref."""
-    d = np.abs(points - ref) % _TWO_PI
-    return np.minimum(d, _TWO_PI - d).max(axis=0)
+    """Largest per-angle separation modulo 2 pi of each column from ref, for
+    angles in [0, 2 pi]: there |points - ref| lies in [0, 2 pi], and
+    min(d, 2 pi - d) folds it without a modulo of its own."""
+    d = np.abs(points - ref)
+    return np.maximum.reduce(np.minimum(d, _TWO_PI - d), axis=0)
 
 
-# (column, component) indices into a 3x3 matrix's columns c0, c1, c2 of the
-# four factors of entry (k, i) of det(J) J^-1, whose row k is c_{k+1} x c_{k+2}:
+# Flat indices 3 column + component into the (9, N) rows of a 3x3 matrix's
+# columns c0, c1, c2 of the four factors of entry (k, i) of det(J) J^-1,
+# whose row k is c_{k+1} x c_{k+2}:
 # c_{k+1}[i+1] c_{k+2}[i+2] - c_{k+1}[i+2] c_{k+2}[i+1], indices modulo 3.
-_COFACTOR_FACTORS = (
-    np.array([[[(k + a) % 3] for k in range(3)] for a in (1, 2, 1, 2)]),  # columns, (4, 3, 1)
-    np.array([[[(i + b) % 3 for i in range(3)]] for b in (1, 2, 2, 1)]),  # components, (4, 1, 3)
-)
+_COFACTOR_FACTORS = np.array(
+    [
+        [[3 * ((k + a) % 3) + (i + b) % 3 for i in range(3)] for k in range(3)]
+        for a, b in ((1, 1), (2, 2), (1, 2), (2, 1))
+    ]
+)  # (factor, k, i)
 
 
 def _newton_step(jac: np.ndarray, res: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -308,12 +313,17 @@ def _newton_step(jac: np.ndarray, res: np.ndarray) -> tuple[np.ndarray, np.ndarr
     +, -, x and / enter, so the bits do not depend on a BLAS kernel. A zero
     row or column, or c1 = c2, gives det exactly 0 and an inf or NaN step
     (numpy warns unless its errors are ignored)."""
-    f = jac[_COFACTOR_FACTORS]
-    adj = f[0] * f[1] - f[2] * f[3]
+    f = jac.reshape(9, jac.shape[2]).take(_COFACTOR_FACTORS, axis=0)
+    adj = f[0] * f[1]
+    adj -= f[2] * f[3]
     lead = adj[0] * jac[0]
-    det = lead[0] + lead[1] + lead[2]
-    terms = adj * res
-    return det, (terms[:, 0] + terms[:, 1] + terms[:, 2]) / -det
+    det = lead[0] + lead[1]
+    det += lead[2]
+    adj *= res
+    step = adj[:, 0] + adj[:, 1]
+    step += adj[:, 2]
+    step /= -det
+    return det, step
 
 
 def _dedupe(points: np.ndarray, tol: float) -> list[int]:
@@ -321,8 +331,8 @@ def _dedupe(points: np.ndarray, tol: float) -> list[int]:
     is picked when no earlier pick lies within tol of it on the torus."""
     uncovered = np.ones(points.shape[1], dtype=bool)
     picked = []
-    while uncovered.any():
-        i = int(np.argmax(uncovered))
+    while np.count_nonzero(uncovered):
+        i = int(uncovered.argmax())
         picked.append(i)
         uncovered &= _torus_distance(points, points[:, i, None]) > tol
     return picked
@@ -356,7 +366,7 @@ def solve_system(
     d = _START_GRID_DENSITY
     # Irrational offset keeps the regular grid off exact Jacobian singularities.
     axis = (np.arange(d) + 0.5 + 0.1180339887) * _TWO_PI / d
-    active = np.array(np.meshgrid(axis, axis, axis, indexing="ij")).reshape(3, -1)
+    active = axis[np.indices((d, d, d)).reshape(3, -1)]
     # positions and residual norms one and two steps back; a NaN norm (no
     # history yet) never compares >=, so its position is never read
     back1 = back2 = active
@@ -368,20 +378,20 @@ def solve_system(
             if active.shape[1] == 0:
                 break
             res, jac = system(active)
-            norms = np.abs(res).max(axis=0)
+            norms = np.maximum.reduce(np.abs(res), axis=0)
             dets, steps = _newton_step(jac, res)
             done = norms <= _RESIDUAL_TOL
-            if done.any():
-                settled.append((active[:, done], norms[done], dets[done]))
+            if np.count_nonzero(done):
+                settled.append(tuple(a.compress(done, axis=-1) for a in (active, norms, dets)))
             # only an iterate whose residual did not fall can be in a 2-cycle
             cycling = norms >= norms2
-            if cycling.any():
-                gaps = _torus_distance(active[:, cycling], back2[:, cycling])
-                cycling[cycling] = gaps <= _RESIDUAL_TOL
-            # a max of |res| is finite only where every component is
-            solvable = np.isfinite(dets) & (np.abs(dets) > 1e-300) & np.isfinite(norms)
-            keep = solvable & ~(done | cycling) & np.isfinite(steps).all(axis=0)
-            if not keep.all():
+            if np.count_nonzero(cycling):
+                cycling &= _torus_distance(active, back2) <= _RESIDUAL_TOL
+            # a finite step with a finite, non-zero det needs a finite residual
+            keep = np.isfinite(dets) & (np.abs(dets) > 1e-300)
+            keep &= np.logical_and.reduce(np.isfinite(steps), axis=0)
+            keep &= ~(done | cycling)
+            if np.count_nonzero(keep) < keep.size:
                 active, steps, norms, back1, norms1 = (
                     a.compress(keep, axis=-1) for a in (active, steps, norms, back1, norms1)
                 )
@@ -389,7 +399,8 @@ def solve_system(
             back1, norms1 = active, norms
             np.maximum(steps, -_MAX_NEWTON_STEP, out=steps)
             np.minimum(steps, _MAX_NEWTON_STEP, out=steps)
-            active = (active + steps) % _TWO_PI
+            steps += active
+            active = np.remainder(steps, _TWO_PI, out=steps)
 
     if not settled:
         return [], []

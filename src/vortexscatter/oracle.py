@@ -63,28 +63,38 @@ def _constraint_system(geom: CollisionGeometry):
     solve_system.
 
     The work runs on (angle, component, point) arrays, one loop over the N
-    points per numpy call. Each value is bit for bit that of the per-vector
-    sums kappa_i (cos phi_i u_i + sin phi_i v_i) over the frames' unit
-    vectors: a - b rounds as a + (-b).
+    points per numpy call: one product of the cos rows and one of the sin
+    rows with unit-vector tables give every term of the momenta and of the
+    Jacobian at once, and one add sums them. Each value is bit for bit that
+    of the per-vector sums kappa_i (cos phi_i u_i + sin phi_i v_i) over the
+    frames' unit vectors: a - b rounds as a + (-b), and a + b as b + a.
     """
     kappa, kappa1, kappa2 = geom.initial.kappa, geom.kappa1, geom.kappa2
     ex, ey, ez = tilt_frame(geom.theta)
     gx = np.array([1.0, 0.0, 0.0])  # initial azimuth is measured from global x
     gy = np.array([0.0, 1.0, 0.0])
-    # unit vectors of cos and sin in k, k1 and k2 (own-frame azimuth -phi2),
-    # and in their derivatives; kappa_i stays the last factor of each term
-    cos_units, sin_units, d_sin_units, d_cos_units = np.array(
-        [(gx, ex, ex), (gy, ey, -ey), (-gx, ex, ex), (gy, -ey, ey)]
+    # unit vectors of cos and sin in k, k1 and k2 (own-frame azimuth -phi2)
+    # and in their derivatives, as [momentum or derivative, angle,
+    # component]; kappa_i stays the last factor of each term
+    cos_units, sin_units = np.array(
+        [[(gx, ex, ex), (gy, -ey, ey)], [(gy, ey, -ey), (-gx, ex, ex)]]
     )[..., None]
     kappas = np.array([kappa, kappa1, kappa2])[:, None, None]
     # only q = k_{1z'} + k_{2z'} enters, never the longitudinal scale
     offset = (geom.q * ez)[:, None]
 
     def system(points):
-        cos, sin = np.cos(points)[:, None], np.sin(points)[:, None]
-        momenta = (cos * cos_units + sin * sin_units) * kappas  # k + p: the k_z parts cancel
-        residual = (momenta[0] - momenta[1] - momenta[2] - offset) / kappa
-        return residual, (sin * d_sin_units + cos * d_cos_units) * kappas / kappa
+        sums = np.cos(points)[:, None] * cos_units
+        sums += np.sin(points)[:, None] * sin_units
+        sums *= kappas
+        momenta = sums[0]
+        residual = momenta[0] - momenta[1]  # k + p: the k_z parts cancel
+        residual -= momenta[2]
+        residual -= offset
+        residual /= kappa
+        columns = sums[1]
+        columns /= kappa
+        return residual, columns
 
     return system
 

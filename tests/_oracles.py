@@ -16,6 +16,9 @@ kernels on purpose:
     per-vector sums over tilt_frame's unit vectors, is the bit-for-bit
     witness of oracle._constraint_system, which forms the same float
     operations on long point rows;
+  * explicit_newton_step, Cramer's rule with each cofactor product, sum and
+    quotient written out as one fresh array, is the bit-for-bit witness of
+    numerics._newton_step, which forms the same float operations in place;
   * scalar_bessel_j, the one-argument power series and Miller recurrence
     with the package's dispatch and constants, is the bit-for-bit witness of
     the lane-parallel bessel_j; the per-point field formula takes J_m from
@@ -274,6 +277,27 @@ def per_vector_system(geom: CollisionGeometry, points) -> tuple[np.ndarray, np.n
     d_phi1 = kappa1 * (s1 * ex - c1 * ey)
     d_phi2 = kappa2 * (s2 * ex + c2 * ey)
     return residual, np.stack([d_phi, d_phi1, d_phi2]) / kappa
+
+
+# (column, component) index arrays of the four factors of entry (k, i) of
+# det(J) J^-1: c_{k+1}[i+1] c_{k+2}[i+2] - c_{k+1}[i+2] c_{k+2}[i+1], mod 3
+_COFACTOR_INDEX = (
+    np.array([[[(k + a) % 3] for k in range(3)] for a in (1, 2, 1, 2)]),  # columns, (4, 3, 1)
+    np.array([[[(i + b) % 3 for i in range(3)]] for b in (1, 2, 2, 1)]),  # components, (4, 1, 3)
+)
+
+
+def explicit_newton_step(jac: np.ndarray, res: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """det J and -J^-1 res of (3, 3, N) Jacobian columns and (3, N)
+    residuals, as numerics._newton_step's (N,) and (3, N): row k of
+    det(J) J^-1 is c_{k+1} x c_{k+2}, det J is (c1 x c2) . c0, and each
+    product, sum and quotient is its own expression."""
+    f = jac[_COFACTOR_INDEX]
+    adj = f[0] * f[1] - f[2] * f[3]
+    lead = adj[0] * jac[0]
+    det = lead[0] + lead[1] + lead[2]
+    terms = adj * res
+    return det, (terms[:, 0] + terms[:, 1] + terms[:, 2]) / -det
 
 
 def conservation_amplitudes(geom: CollisionGeometry) -> np.ndarray:

@@ -21,7 +21,7 @@ from vortexscatter.numerics import (
     solve_system,
 )
 import vortexscatter.numerics as numerics_module
-from vortexscatter.numerics import _dedupe, _newton_step
+from vortexscatter.numerics import _dedupe, _newton_step, _torus_distance
 from vortexscatter.oracle import _constraint_system, draw_support_samples
 
 from _oracles import (
@@ -29,6 +29,7 @@ from _oracles import (
     bessel_integral,
     bessel_series,
     certified_roots,
+    explicit_newton_step,
     fd_jacobian,
     richardson_det,
     scalar_bessel_j,
@@ -521,6 +522,23 @@ class TestSolveSystem:
         for root in roots:
             assert root.angles[0] == pytest.approx(0.25 * math.pi, abs=1e-9)
 
+    def test_call_and_column_counts_of_the_support_samples(self):
+        # the system's calls and the columns they take over 300 solves: an
+        # iterate that settles or is dropped one step early or late moves
+        # the column total
+        calls = columns = 0
+        for geom, *_ in draw_support_samples(np.random.default_rng(7), 300):
+            system = _constraint_system(geom)
+
+            def counted(points, system=system):
+                nonlocal calls, columns
+                calls += 1
+                columns += points.shape[1]
+                return system(points)
+
+            solve_system(counted)
+        assert (calls, columns) == (4048, 162_479)
+
     def test_dedupe_matches_pairwise_loop(self):
         def reference(points, tol):
             picked = []
@@ -563,6 +581,27 @@ class TestSolveSystem:
 
         with pytest.raises(RuntimeError, match="frontier exploded"):
             certified_roots(flat_residual, _embedded_two_root_jacobian, _EMBEDDED_AMPLITUDES)
+
+
+_TWO_PI = 2.0 * math.pi
+
+
+@given(
+    st.lists(st.tuples(*[st.floats(0.0, _TWO_PI)] * 3), min_size=1, max_size=6),
+    st.tuples(*[st.floats(0.0, _TWO_PI)] * 3),
+)
+@example([(0.0, _TWO_PI, math.pi), (_TWO_PI, 0.0, 0.0)], (_TWO_PI, 0.0, math.pi))
+@example([(math.nextafter(_TWO_PI, 0.0), 0.0, _TWO_PI)], (0.0, math.nextafter(0.0, 1.0), 0.0))
+def test_torus_distance_needs_no_modulo_on_its_domain(points, ref):
+    """On angles in [0, 2 pi], exact 0 and 2 pi included, the separation
+    |a - b| lies in [0, 2 pi]: a modulo 2 pi would keep all of it but 2 pi,
+    whose min(d, 2 pi - d) is 0 either way."""
+    points, ref = np.array(points).T, np.array(ref)[:, None]
+    d = np.abs(points - ref) % _TWO_PI
+    with_modulo = np.minimum(d, _TWO_PI - d).max(axis=0)
+    got = _torus_distance(points, ref)
+    assert np.array_equal(got, with_modulo)
+    assert np.array_equal(np.signbit(got), np.signbit(with_modulo))
 
 
 def _orthogonal(rng, n):
@@ -639,6 +678,34 @@ class TestNewtonStep:
         alone_det, alone_step = _newton_step(jac[good].T, res[good].T)
         assert np.array_equal(det[good], alone_det)
         assert np.array_equal(step[:, good], alone_step)
+
+    @pytest.mark.parametrize("kind", ["random", "singular", "non_finite", "transposed_view"])
+    def test_matches_the_explicit_step_bit_for_bit(self, kind):
+        # the witness writes each cofactor product, sum and quotient as its
+        # own array; the step forms the same operations in place. Scales up
+        # to 1e80 make some products overflow to inf.
+        rng = np.random.default_rng(31)
+        if kind == "singular":
+            jac = _singular(rng)
+        else:
+            jac = rng.normal(size=(300, 3, 3)) * 10.0 ** rng.uniform(-80.0, 80.0, (300, 1, 1))
+        res = rng.normal(size=(len(jac), 3)) * 10.0 ** rng.uniform(-12.0, 0.0, (len(jac), 1))
+        if kind == "non_finite":
+            for value, rows in zip((np.inf, -np.inf, np.nan), np.split(rng.permutation(300)[:90], 3)):
+                jac[rows, rng.integers(0, 3, 30), rng.integers(0, 3, 30)] = value
+            res[rng.permutation(300)[:20], rng.integers(0, 3, 20)] = np.nan
+        jac, res = jac.T, res.T  # (column, component, point) views
+        if kind != "transposed_view":
+            jac, res = np.ascontiguousarray(jac), np.ascontiguousarray(res)
+        with np.errstate(all="ignore"):
+            got, want = _newton_step(jac, res), explicit_newton_step(jac, res)
+        for a, b in zip(got, want):
+            assert a.shape == b.shape
+            assert np.array_equal(a, b, equal_nan=True)
+            numbers = ~np.isnan(a)
+            assert np.array_equal(np.signbit(a[numbers]), np.signbit(b[numbers]))  # signed zeros
+        if kind == "non_finite":
+            assert not np.isfinite(got[1]).all()
 
     def test_bits_do_not_depend_on_memory_layout(self):
         # a system may return its columns as transposed views of point-major
