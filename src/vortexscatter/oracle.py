@@ -164,10 +164,7 @@ def draw_support_samples(
         q = kappa * math.sin(xi)
         kt = kappa * math.cos(xi)
         d1 = rng.uniform(0.15, math.pi - 0.3)
-        hi = math.pi - d1 - 0.15
-        if hi <= 0.15:
-            continue
-        d2 = rng.uniform(0.15, hi)
+        d2 = rng.uniform(0.15, math.pi - d1 - 0.15)
         s12 = math.sin(d1 + d2)
         kappa1 = kt * math.sin(d2) / s12
         kappa2 = kt * math.sin(d1) / s12

@@ -69,6 +69,7 @@ stripe edge stays integrable.
 
 from __future__ import annotations
 
+import functools
 import math
 import os
 import threading
@@ -224,15 +225,14 @@ def _stripe_ends(kt: np.ndarray, k2: np.ndarray, f1: WavePacketProfile):
     lo1, hi1 = f1.support
     a_eff = np.maximum(a, lo1 * lo1)
     b_eff = np.minimum(b, hi1 * hi1)
-    nonempty = b_eff > a_eff
     # span = 4 kt k2 rounds to 0 once kappa2 is below the float spacing of kt;
     # such a stripe is empty (b_eff <= a_eff), and an infinite span gives it
     # w_lo = w_hi = 0 where 0 / 0 would give NaN
     span = b - a
     span = np.where(span > 0.0, span, np.inf)
     w_lo = np.arcsin(np.sqrt(np.clip((a_eff - a) / span, 0.0, 1.0)))
-    w_hi = np.arcsin(np.sqrt(np.clip((b_eff - a) / span, 0.0, 1.0)))
-    w_hi = np.where(nonempty, w_hi, w_lo)
+    # an empty stripe's (b_eff <= a_eff) raw w_hi is its w_lo, or -0.0 where w_lo is 0.0
+    w_hi = np.maximum(np.arcsin(np.sqrt(np.clip((b_eff - a) / span, 0.0, 1.0))), w_lo)
     return a, b, w_lo, w_hi
 
 
@@ -326,15 +326,15 @@ def _row_blocks(n: int) -> list[slice]:
     return [slice(lo, hi) for lo, hi in zip(starts, starts[1:] + [n])]
 
 
-def _on_threads(fn, count: int, threads: int) -> list:
-    """[fn(k) for k in range(count)], computed by the calling thread and up to
-    threads - 1 others, each taking the next k in turn until none is left.
-    Returns once every started thread has ended. An exception stops the
+def _on_threads(fn, items: list) -> list:
+    """[fn(item) for item in items], computed by the calling thread and up to
+    _usable_cores() - 1 others, each taking the next item in turn until none is
+    left. Returns once every started thread has ended. An exception stops the
     hand-out, and the first one raised is then raised here as it was raised."""
-    results = [None] * count
+    results = [None] * len(items)
     errors = []
     lock = threading.Lock()
-    todo = iter(range(count))
+    todo = iter(range(len(items)))
 
     def run():
         while True:
@@ -343,7 +343,7 @@ def _on_threads(fn, count: int, threads: int) -> list:
             if k is None:
                 return
             try:
-                results[k] = fn(k)
+                results[k] = fn(items[k])
             except BaseException as exc:  # re-raised on the calling thread below
                 with lock:
                     errors.append(exc)
@@ -351,7 +351,7 @@ def _on_threads(fn, count: int, threads: int) -> list:
 
     started = []
     try:
-        for _ in range(min(threads, count) - 1):
+        for _ in range(min(_usable_cores(), len(items)) - 1):
             thread = threading.Thread(target=run)
             thread.start()
             started.append(thread)
@@ -375,10 +375,7 @@ def _smeared_estimate(profiles, theta, q, m, m1, m2, n: int) -> float:
     axes = _slice_axes(profiles, theta, q, n)
     if axes is None:
         return 0.0
-    blocks = _row_blocks(n)
-    sums = _on_threads(
-        lambda k: _block_row_sums(axes, blocks[k], m1, m2), len(blocks), _usable_cores()
-    )
+    sums = _on_threads(lambda rows: _block_row_sums(axes, rows, m1, m2), _row_blocks(n))
     cos_a = np.cos(m * axes.phi_star - (m1 - m2) * axes.phi_tilde_star)
     return float(np.add.reduce(cos_a * np.concatenate(sums)))
 
@@ -406,11 +403,7 @@ def smeared_amplitude(
     """
     if not math.isfinite(q):
         raise ValueError("q must be finite")
-    theta = geom_template.theta
-
-    def estimate(n: int) -> float:
-        return _smeared_estimate(profiles, theta, q, m, m1, m2, n)
-
+    estimate = functools.partial(_smeared_estimate, profiles, geom_template.theta, q, m, m1, m2)
     value = refine_by_doubling(estimate, quad, f"smeared amplitude at q = {q}")
     return unit_imag_power(m1 + m2 - m) * value
 
@@ -440,18 +433,17 @@ def _helicity_phases(delta: np.ndarray, first: int, count: int, scale=None):
         power *= scale
     cos_table[0] = power.real
     sin_table[0] = power.imag
-    if count > 1:
-        t = np.tan(0.5 * delta)
-        u = t * t
-        u += 1.0
-        np.divide(2.0, u, out=u)
-        step = np.empty(delta.size, dtype=complex)
-        np.subtract(u, 1.0, out=step.real)
-        np.multiply(u, t, out=step.imag)
-        for k in range(1, count):
-            power *= step
-            cos_table[k] = power.real
-            sin_table[k] = power.imag
+    t = np.tan(0.5 * delta)
+    u = t * t
+    u += 1.0
+    np.divide(2.0, u, out=u)
+    step = np.empty(delta.size, dtype=complex)
+    np.subtract(u, 1.0, out=step.real)
+    np.multiply(u, t, out=step.imag)
+    for k in range(1, count):
+        power *= step
+        cos_table[k] = power.real
+        sin_table[k] = power.imag
     return cos_table, sin_table
 
 
@@ -524,10 +516,10 @@ def intensity_map(
 
     The q integration runs on the substituted u grid (q = q_max sin u), which
     clusters nodes toward the edges of the allowed region, folded onto its
-    q >= 0 half by the parity of |A|^2. Each cell is
-    evaluated at quad.node_count and at twice that; the relative change is
-    recorded per cell in metadata["cell_rel_delta"]. Of quad only node_count
-    is read: the caller judges that change (the CLI against map_cell_rtol).
+    q >= 0 half by the parity of |A|^2. Each cell is evaluated at node_count
+    and 2 node_count on the same q grid (of quad only node_count is read); the
+    relative change per cell, metadata["cell_rel_delta"], measures the node
+    axis only, never the q grid; the caller judges it (the CLI: map_cell_rtol).
     Only theta is read from geom_template (the helicity is the m argument).
     """
     if m1_range[0] > m1_range[1] or m2_range[0] > m2_range[1]:

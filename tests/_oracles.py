@@ -33,7 +33,11 @@ kernels on purpose:
     nodes from gauss_legendre_on;
   * single_twisted_oracle, the single-twisted element by the delta reduction
     in two dimensions, takes the decomposition weight from fourier_weight
-    and makes its own on-cone test.
+    and makes its own on-cone test;
+  * q_sum_intensity, one map cell as a plain Gauss-Legendre sum in q of
+    smeared_amplitude's |A(q)|^2, is the witness of intensity_map's q rule,
+    parity fold and helicity-grid contraction; it shares only the slice
+    axes and the triangle with the map.
 
 wide_support_samples draws in-support geometries far past the oracle's own
 sampler (needle triangles, xi near theta), on which a denser start grid
@@ -48,8 +52,10 @@ from typing import Callable, Sequence
 import numpy as np
 
 from vortexscatter.amplitudes import fourier_weight, unit_imag_power
+from vortexscatter.errors import ConvergenceError
 from vortexscatter.kinematics import CollisionGeometry, TwistedState, angle_set, tilt_frame
-from vortexscatter.numerics import _MILLER_PAD, _SERIES_CUTOFF, gauss_legendre_on
+from vortexscatter.numerics import _MILLER_PAD, _SERIES_CUTOFF, QuadratureSpec, gauss_legendre_on
+from vortexscatter.wavepackets import smeared_amplitude
 
 _PLANE_WAVE_NODES = 128  # Gauss-Legendre nodes on the w axis of the kappa1 stripe
 
@@ -449,6 +455,28 @@ def stripe_substitution(a, b, w):
     k1_sq = a + (b - a) * np.sin(w) ** 2
     k1 = np.sqrt(k1_sq)
     return k1_sq, k1, 8.0 / k1
+
+
+def q_sum_intensity(profiles, template, m, m1, m2, nodes=48):
+    """(total, unconverged) for one (m1, m2) cell: total is the sum over
+    `nodes` Gauss-Legendre nodes q in [0, q_max] of 2 w_q |A(q)|^2, the factor
+    2 for the mirror half q < 0, with A = smeared_amplitude at node_count 24,
+    rel_tol 1e-6 and three doublings. q_max = kappa0's upper support end times
+    sin(theta), the map's. A point whose doublings raise ConvergenceError
+    takes the finer of its last two estimates; unconverged lists each such
+    (coarser, finer) pair so that the caller can bound their disagreement."""
+    quad = QuadratureSpec(24, rel_tol=1e-6, max_refinements=3)
+    q_max = profiles[0].support[1] * math.sin(template.theta)
+    q_values, q_weights = gauss_legendre_on(0.0, q_max, nodes)
+    total, unconverged = 0.0, []
+    for q, w in zip(q_values.tolist(), q_weights.tolist()):
+        try:
+            amp = abs(smeared_amplitude(profiles, template, q, m, m1, m2, quad))
+        except ConvergenceError as err:
+            unconverged.append(err.estimates)
+            amp = abs(err.estimates[1])
+        total += 2.0 * w * amp * amp
+    return total, unconverged
 
 
 @dataclass(frozen=True)

@@ -238,6 +238,18 @@ _REJECTED = [
     ),
     _rejected("eval", "kappa0-zero", {"kappa0": 0.0}, "kappa0 must be positive"),
     _rejected("field", "grid_n-1", dict(grid_n=1), "grid_n must be >= 2"),
+    _rejected(
+        "map", "m1-range-reversed", dict(m1_min=3, m1_max=2, q_nodes=4), "m1_min must not exceed m1_max"
+    ),
+    _rejected(
+        "oracle-check", "threshold-negative", dict(threshold=-1e-8, sample_count=1),
+        "threshold must be non-negative",
+    ),
+    # kappa0 -+ 5 sigma rounds to kappa0 itself: the profile has no support
+    _rejected(
+        "field", "packet-profile-too-narrow", dict(field_packet=True, sigma_rel=1e-20, grid_n=2),
+        "packet profile: support",
+    ),
     _rejected("eval", "q-beyond-sin-theta", _eval_config(q=0.9), _Q_REGION),
     # |q| is one ulp below kappa0 sin(theta), but q / kappa0 rounds to sin(theta)
     # or above: formerly a math domain error in angle_set and a division by a

@@ -11,6 +11,8 @@ from typing import NamedTuple
 
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from vortexscatter.amplitudes import reduced_triple_amplitude, unit_imag_power
 from vortexscatter.cli import _COMMANDS, EXIT_CONFIG, main
@@ -35,7 +37,7 @@ from vortexscatter.wavepackets import (
     smeared_amplitude,
 )
 
-from _oracles import stripe_substitution
+from _oracles import q_sum_intensity, stripe_substitution
 from _pins import assert_hex, run_python
 
 
@@ -497,6 +499,37 @@ class TestBlockKernel:
         assert np.isfinite(sums).all() and sums.any()
 
 
+@st.composite
+def _stripe_pairs(draw):
+    """A profile f1 and (kappa~, kappa2) axes in which some pairs put a stripe
+    end kappa~ -+ kappa2 within 1e-13 (relative) of an end of f1's support."""
+    k0 = draw(st.floats(1e-3, 1e3))
+    f1 = WavePacketProfile(k0, draw(st.floats(1e-3, 2.0)) * k0)
+    lo1, hi1 = f1.support
+    size = draw(st.integers(1, 6))
+    kt = draw(st.lists(st.floats(0.0, 3.0 * hi1), min_size=size, max_size=size))
+    k2 = []
+    for base in kt:
+        end = draw(st.sampled_from([lo1, hi1])) * (1.0 + draw(st.floats(-1e-13, 1e-13)))
+        # kappa~ + kappa2 or |kappa~ - kappa2| at the end
+        k2.append(draw(st.sampled_from([abs(end - base), base + end])))
+        k2.append(draw(st.floats(0.0, 3.0 * hi1)))
+    return f1, np.array(kt), np.array(k2)
+
+
+@given(case=_stripe_pairs())
+def test_stripe_ends_order_and_empty_stripes(case):
+    # w_hi >= w_lo, and an empty stripe, f1's support and the triangle's
+    # stripe not overlapping, has w_hi == w_lo bit for bit, no -0.0 against
+    # 0.0: its triangle nodes all carry the weight factor dw = +0.0
+    f1, kt, k2 = case
+    lo1, hi1 = f1.support
+    a, b, w_lo, w_hi = _stripe_ends(kt, k2, f1)
+    assert (w_hi >= w_lo).all()
+    empty = np.minimum(b, hi1 * hi1) <= np.maximum(a, lo1 * lo1)
+    assert w_hi[empty].tobytes() == w_lo[empty].tobytes()
+
+
 _REFERENCES = pathlib.Path(__file__).resolve().parents[1] / "perfbench" / "references"
 
 
@@ -730,6 +763,26 @@ class TestIntensityMap:
         a = intensity_map(_profiles(), _template(), 5, (4, 6), (-1, 1), quad, q_nodes=64)
         b = intensity_map(_profiles(), _template(), 5, (4, 6), (-1, 1), quad, q_nodes=96)
         np.testing.assert_allclose(a.weights, b.weights, rtol=0.0, atol=1e-6)
+
+    def test_readme_map_matches_an_independent_q_sum(self):
+        # the README map against a plain Gauss-Legendre sum in q of
+        # smeared_amplitude, which shares none of the map's q rule, parity
+        # fold or grid contraction: cells (-2, 9) and (10, -3) relative to the
+        # peak (4, -1), to the map's 1e-4. At 64 q nodes (-2, 9) is 10% off.
+        quad = QuadratureSpec(node_count=24, rel_tol=1e-6)
+        result = intensity_map(_profiles(), _template(), 5, (-5, 15), (-10, 10), quad, q_nodes=128)
+        sums = {}
+        for m1, m2 in ((4, -1), (-2, 9), (10, -3)):
+            sums[m1, m2], unconverged = q_sum_intensity(_profiles(), _template(), 5, m1, m2)
+            # a point whose doublings did not converge enters the sum by its
+            # finer estimate; the two last estimates must agree within 1e-4
+            for coarse, fine in unconverged:
+                assert abs(fine - coarse) <= 1e-4 * abs(fine), (m1, m2, coarse, fine)
+        peak = result.weights[4 + 5, -1 + 10]
+        for m1, m2 in ((-2, 9), (10, -3)):
+            expected = sums[m1, m2] / sums[4, -1]
+            mapped = result.weights[m1 + 5, m2 + 10] / peak
+            assert abs(mapped - expected) <= 1e-4 * expected, (m1, m2, mapped, expected)
 
     @pytest.mark.skipif(sys.platform == "win32", reason="no resource module")
     def test_map_memory_stays_below_one_slice_of_the_fine_pass(self):
